@@ -5,17 +5,19 @@ Four backends implement the peeling engine:
 * ``"object"`` — :class:`~repro.graph.adjacency.Graph`, per-vertex
   ``set``/``list`` adjacency.  Flexible, allocation-heavy.
 * ``"csr"`` — :class:`~repro.graph.csr.CSRGraph`, flat ``indptr`` /
-  ``indices`` / edge-id arrays with direct peels
-  (:mod:`repro.core.csr_peel`), direct traversal-free hierarchy
-  construction (:mod:`repro.core.csr_fnd`) and merge-intersection cell
-  views.
-* ``"csr-parallel"`` — the CSR arrays plus the shared-memory execution
-  layer of :mod:`repro.parallel`: worker-sharded incidence set-up,
-  round-synchronous bulk peels, and level-wise parallel hierarchy
-  construction over the shared rooted forest.  Takes ``workers=N``
-  (default: the ``REPRO_WORKERS`` environment variable, else 1);
-  ``workers=1`` runs the sequential CSR engine with no process pool.
-  Requires numpy.
+  ``indices`` / edge-id arrays.  The peels run in *frontier rounds*
+  (:mod:`repro.parallel.bulk`: every round peels the whole
+  minimum-support frontier with a few numpy passes), and FND builds its
+  hierarchy level by level from the settled λ values
+  (:mod:`repro.parallel.construct`).  Requires numpy.
+* ``"csr-parallel"`` — the same functions with a shared-memory worker
+  pool (:mod:`repro.parallel`): sharded clique listing, farmed round
+  decrements and farmed level connectivity.  Takes ``workers=N``
+  (default: the ``REPRO_WORKERS`` environment variable, else 1).  The
+  pool starts only when it can pay — ``workers > 1``, spare cores, and
+  an input above the measured crossover
+  (:data:`~repro.parallel.bulk.POOL_CROSSOVER_EDGES`); otherwise the run is
+  the ``csr`` engine's, in process.
 * ``"disk"`` — :class:`~repro.external.diskcsr.DiskCSRGraph`, the same
   flat arrays stored in ``np.memmap``-backed ``.npy`` files and served
   through windowed block readers, with the incidence of (2,3)/(3,4)
@@ -43,12 +45,6 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any, cast
 
-from repro.core.csr_fnd import CSR_FND_RS, csr_fnd_decomposition
-from repro.core.csr_peel import (
-    csr_core_peel,
-    csr_nucleus34_peel,
-    csr_truss_peel,
-)
 from repro.core.decomposition import Decomposition, nucleus_decomposition
 from repro.core.fnd import FndInstrumentation
 from repro.core.lcps import lcps_hierarchy
@@ -57,6 +53,19 @@ from repro.core.views import build_view
 from repro.errors import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
+from repro.parallel.bulk import (
+    bulk_core_peel,
+    bulk_nucleus34_peel,
+    bulk_truss_peel,
+    parallel_core_peel,
+    parallel_nucleus34_peel,
+    parallel_truss_peel,
+)
+from repro.parallel.fnd import (
+    FND_RS,
+    frontier_fnd,
+    parallel_fnd_decomposition,
+)
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -102,15 +111,15 @@ def _check(backend: str) -> None:
 
 def _resolve_parallel_workers(workers: int | None) -> int:
     """Validated worker count for the ``csr-parallel`` engine (lazy import
-    keeps the object/CSR engines importable without numpy)."""
-    from repro.parallel import resolve_workers
+    keeps the pool module out of the in-process engines)."""
+    from repro.parallel.pool import resolve_workers
 
     return resolve_workers(workers)
 
 
 def _diskcsr_type() -> type | None:
     """The :class:`DiskCSRGraph` type, or ``None`` when numpy is absent
-    (lazy import keeps the object/CSR engines importable without it)."""
+    (lazy import keeps the disk engine out of in-memory runs)."""
     try:
         from repro.external.diskcsr import DiskCSRGraph
     except ImportError:  # pragma: no cover - diskcsr itself guards numpy
@@ -192,14 +201,14 @@ def backend_view(graph: AnyGraph, r: int, s: int,
 
 def core_peel(graph: AnyGraph, backend: str | None = None,
               workers: int | None = None) -> PeelingResult:
-    """(1,2) peel — λ₂ (core numbers) plus degeneracy order.
+    """(1,2) peel — λ₂ (core numbers) plus a smallest-last order.
 
-    The CSR backend runs the direct Batagelj–Zaversnik array peel; the
-    object backend the generic Set-λ over :class:`VertexView`; the disk
-    backend the same array peel over windowed memmap reads; the
-    parallel backend the round-synchronous bulk peel over ``workers``
-    processes (``workers=1``: the sequential CSR peel, no pool).
-    ``backend=None`` follows the representation passed in.
+    The CSR backend peels in frontier rounds (the order is round order);
+    the object backend runs the generic Set-λ over :class:`VertexView`;
+    the disk backend the Batagelj–Zaversnik array peel over windowed
+    memmap reads; the parallel backend the frontier rounds with a pool of
+    ``workers`` processes when one can pay.  ``backend=None`` follows the
+    representation passed in.
     """
     backend = resolve_backend(graph, backend)
     if backend == "disk":
@@ -212,14 +221,10 @@ def core_peel(graph: AnyGraph, backend: str | None = None,
             if converted:
                 disk.close()
     if backend == "csr-parallel":
-        count = _resolve_parallel_workers(workers)
-        if count > 1:
-            from repro.parallel import parallel_core_peel
-
-            return parallel_core_peel(as_csr(graph), count)
-        backend = "csr"
+        return parallel_core_peel(as_csr(graph),
+                                  _resolve_parallel_workers(workers))
     if backend == "csr":
-        return csr_core_peel(as_csr(graph))
+        return bulk_core_peel(as_csr(graph))
     return peel(build_view(as_object(graph), 1, 2))
 
 
@@ -229,7 +234,8 @@ def truss_peel(graph: AnyGraph, backend: str | None = None,
     so the arrays compare element-for-element).  ``backend=None`` follows
     the representation passed in; the disk backend spools the triangle
     incidence to scratch files; the parallel backend shards the triangle
-    listing and peels in bulk rounds over ``workers`` processes."""
+    listing and the rounds over ``workers`` processes when a pool can
+    pay."""
     backend = resolve_backend(graph, backend)
     if backend == "disk":
         disk, converted = _ensure_disk(graph)
@@ -241,14 +247,10 @@ def truss_peel(graph: AnyGraph, backend: str | None = None,
             if converted:
                 disk.close()
     if backend == "csr-parallel":
-        count = _resolve_parallel_workers(workers)
-        if count > 1:
-            from repro.parallel import parallel_truss_peel
-
-            return parallel_truss_peel(as_csr(graph), count)
-        backend = "csr"
+        return parallel_truss_peel(as_csr(graph),
+                                   _resolve_parallel_workers(workers))
     if backend == "csr":
-        return csr_truss_peel(as_csr(graph))
+        return bulk_truss_peel(as_csr(graph))
     return peel(build_view(as_object(graph), 2, 3))
 
 
@@ -256,11 +258,12 @@ def nucleus34_peel(graph: AnyGraph, backend: str | None = None,
                    workers: int | None = None) -> PeelingResult:
     """(3,4) peel — λ₄ per lexicographic triangle id.
 
-    The CSR backend replays a materialised triangle→K₄ incidence; the
-    object backend runs the generic Set-λ over :class:`TriangleView`; the
-    disk backend replays the same incidence spooled to scratch files; the
-    parallel backend shards the K₄ listing and peels in bulk rounds.
-    ``backend=None`` follows the representation passed in."""
+    The CSR backend peels a materialised triangle→K₄ incidence in
+    frontier rounds; the object backend runs the generic Set-λ over
+    :class:`TriangleView`; the disk backend replays the same incidence
+    spooled to scratch files; the parallel backend shards the K₄ listing
+    and the rounds when a pool can pay.  ``backend=None`` follows the
+    representation passed in."""
     backend = resolve_backend(graph, backend)
     if backend == "disk":
         disk, converted = _ensure_disk(graph)
@@ -272,14 +275,10 @@ def nucleus34_peel(graph: AnyGraph, backend: str | None = None,
             if converted:
                 disk.close()
     if backend == "csr-parallel":
-        count = _resolve_parallel_workers(workers)
-        if count > 1:
-            from repro.parallel import parallel_nucleus34_peel
-
-            return parallel_nucleus34_peel(as_csr(graph), count)
-        backend = "csr"
+        return parallel_nucleus34_peel(as_csr(graph),
+                                       _resolve_parallel_workers(workers))
     if backend == "csr":
-        return csr_nucleus34_peel(as_csr(graph))
+        return bulk_nucleus34_peel(as_csr(graph))
     return peel(build_view(as_object(graph), 3, 4))
 
 
@@ -496,11 +495,11 @@ def decompose(graph: AnyGraph, r: int = 1, s: int = 2,
     CSR backend, FND for the paper's evaluated (r, s) pairs and LCPS run
     *directly* on the flat arrays — peel, hierarchy construction and
     traversal never build an object graph; the remaining algorithms peel
-    through the CSR cell views.  The parallel backend runs FND end-to-end
-    over ``workers`` processes — sharded incidence set-up, bulk peel, and
-    level-wise parallel hierarchy construction, with the condensed tree
-    still node-for-node identical to the sequential engine; ``workers``
-    is ignored by the other backends.  The disk backend streams the flat
+    through the CSR cell views.  FND is one pipeline: clique listing,
+    frontier-round peel, level-wise construction.  The parallel backend
+    runs the same pipeline with a pool of ``workers`` processes when one
+    can pay, the condensed tree still node-for-node identical;
+    ``workers`` is ignored by the other backends.  The disk backend streams the flat
     arrays (and, for (2,3)/(3,4), a spooled incidence) from files through
     windowed block reads — λ and the condensed hierarchy are identical to
     the CSR engine while peak memory stays bounded by the window cache.
@@ -515,22 +514,17 @@ def decompose(graph: AnyGraph, r: int = 1, s: int = 2,
                                      algorithm=algorithm)
     if backend == "disk":
         return _disk_decompose(graph, r, s, algorithm)
-    parallel_workers = 0
-    if backend == "csr-parallel":
-        count = _resolve_parallel_workers(workers)
-        if count > 1 and algorithm == "fnd" and (r, s) in CSR_FND_RS:
-            parallel_workers = count
+    count = (_resolve_parallel_workers(workers)
+             if backend == "csr-parallel" else 1)
     csr = as_csr(graph)
-    if algorithm == "fnd" and (r, s) in CSR_FND_RS:
+    if algorithm == "fnd" and (r, s) in FND_RS:
         stats = FndInstrumentation()
         start = time.perf_counter()
-        if parallel_workers:
-            from repro.parallel import parallel_fnd_decomposition
-
+        if count > 1:
             peeling, hierarchy, view = parallel_fnd_decomposition(
-                csr, r, s, parallel_workers, instrumentation=stats)
+                csr, r, s, count, instrumentation=stats)
         else:
-            peeling, hierarchy, view = csr_fnd_decomposition(
+            peeling, hierarchy, view = frontier_fnd(
                 csr, r, s, instrumentation=stats)
         total = time.perf_counter() - start
         post_s = min(stats.build_seconds, total)
@@ -540,7 +534,7 @@ def decompose(graph: AnyGraph, r: int = 1, s: int = 2,
         if (r, s) != (1, 2):
             raise InvalidParameterError("LCPS applies to (1,2) (k-core) only")
         start = time.perf_counter()
-        peeling = csr_core_peel(csr)
+        peeling = bulk_core_peel(csr)
         peel_s = time.perf_counter() - start
         start = time.perf_counter()
         hierarchy = lcps_hierarchy(csr, peeling)
@@ -564,8 +558,7 @@ def build_query_index(graph: AnyGraph, r: int = 1, s: int = 2,
     (any backend, identical hierarchy) and lowers the condensed tree to a
     :class:`~repro.flatindex.FlatHierarchyIndex` — persist it with
     ``index.save(path)`` and a fresh process serves batch queries via
-    ``FlatHierarchyIndex.load(path)`` without re-peeling.  Requires
-    numpy (lazy import keeps the peeling engines numpy-optional).
+    ``FlatHierarchyIndex.load(path)`` without re-peeling.
     """
     from repro.flatindex import FlatHierarchyIndex
 

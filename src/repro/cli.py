@@ -49,16 +49,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algorithm", choices=ALGORITHMS, default="fnd")
         p.add_argument("--backend", choices=BACKENDS, default=None,
                        help="graph engine: 'object' (set/list adjacency), "
-                            "'csr' (flat-array peeling), 'csr-parallel' "
-                            "(shared-memory workers: sharded set-up, bulk "
-                            "peel and parallel hierarchy construction) or "
+                            "'csr' (numpy frontier-round peels and level-"
+                            "wise hierarchy construction), 'csr-parallel' "
+                            "(the csr engine plus a shared-memory worker "
+                            "pool, started when it can pay) or "
                             "'disk' (out-of-core: memmap'd CSR files, "
                             "spooled incidence, memory bounded by the "
                             "block cache); "
                             "default: follow the input representation (auto)")
         p.add_argument("--workers", type=int, default=None,
                        help="worker processes for the csr-parallel backend "
-                            "(default: $REPRO_WORKERS, else 1 = sequential)")
+                            "(default: $REPRO_WORKERS, else 1 = in process)")
         p.add_argument("--tree", action="store_true",
                        help="print the condensed nucleus tree")
         p.add_argument("--max-nodes", type=int, default=60)

@@ -15,7 +15,37 @@ bucket sort — same resolution here.
 
 from __future__ import annotations
 
-__all__ = ["MinBucketQueue", "MaxBucketQueue", "FlatBucketQueue"]
+__all__ = ["MinBucketQueue", "MaxBucketQueue", "FlatBucketQueue",
+           "bucket_order"]
+
+
+def bucket_order(priorities: list[int]) -> tuple[list[int], list[int],
+                                                 list[int]]:
+    """Counting-sort state of the Batagelj–Zaversnik peel: ``(bins, vert,
+    pos)``.
+
+    ``vert`` holds the items ordered by priority, ``pos`` inverts it, and
+    ``bins[p]`` is the first slot of the priority-``p`` block (sized
+    ``top + 2`` so ``bins[p + 1]`` is always in range).  The per-cell
+    peel loops mutate all three in place with the O(1) block-swap
+    decrement.
+    """
+    n = len(priorities)
+    top = max(priorities, default=0)
+    bins = [0] * (top + 2)
+    for p in priorities:
+        bins[p + 1] += 1
+    for p in range(top + 1):
+        bins[p + 1] += bins[p]
+    vert = [0] * n
+    pos = [0] * n
+    cursor = bins[:top + 1]
+    for item in range(n):
+        slot = cursor[priorities[item]]
+        vert[slot] = item
+        pos[item] = slot
+        cursor[priorities[item]] = slot + 1
+    return bins, vert, pos
 
 
 class MinBucketQueue:
@@ -123,26 +153,8 @@ class FlatBucketQueue:
     __slots__ = ("_deg", "_vert", "_pos", "_bins", "_ptr")
 
     def __init__(self, priorities: list[int]):
-        n = len(priorities)
-        deg = list(priorities)
-        top = max(deg, default=0)
-        bins = [0] * (top + 2)
-        for p in deg:
-            bins[p + 1] += 1
-        for p in range(top + 1):
-            bins[p + 1] += bins[p]
-        vert = [0] * n
-        pos = [0] * n
-        cursor = bins[:top + 1]
-        for item in range(n):
-            slot = cursor[deg[item]]
-            vert[slot] = item
-            pos[item] = slot
-            cursor[deg[item]] = slot + 1
-        self._deg = deg
-        self._vert = vert
-        self._pos = pos
-        self._bins = bins
+        self._deg = list(priorities)
+        self._bins, self._vert, self._pos = bucket_order(self._deg)
         self._ptr = 0
 
     def __len__(self) -> int:

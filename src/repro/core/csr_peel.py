@@ -1,129 +1,35 @@
-"""Direct peels over the CSR layout: the hot paths, fully inlined.
+"""Clique incidences over the CSR layout: what the (2,3)/(3,4) peels walk.
 
-The generic :func:`repro.core.peeling.peel` is shaped around a
-``CellView`` — per-cell generator calls, tuple allocations, a queue object
-per decrement.  For the two workloads every benchmark and most callers
-actually run, (1,2) k-core and (2,3) k-truss, these functions run the same
-Set-λ algorithm straight over the flat arrays of a
-:class:`~repro.graph.csr.CSRGraph`:
+A peel of edges or triangles is a walk over the cell→s-clique incidence:
+slots ``ptr[c] .. ptr[c+1]`` of aligned companion arrays hold the other
+cells of every s-clique through cell ``c``.  The builders here
+materialise it from a :class:`~repro.graph.csr.CSRGraph`:
 
-* :func:`csr_core_peel` is Batagelj–Zaversnik verbatim: one counting sort,
-  then one swap per degree decrement, zero allocations in the loop;
-* :func:`csr_truss_peel` peels edges with merge-scan triangle queries —
-  the aligned ``eids`` array yields the two companion edge ids of every
-  triangle without a single hash lookup;
-* :func:`csr_nucleus34_peel` peels triangles against a materialised
-  triangle→K₄ incidence (:func:`nucleus34_incidence`), replacing the
-  dict-of-triples object path for (3,4).
+* :func:`truss_incidence` — edge→triangle, by lexicographic edge id;
+* :func:`nucleus34_incidence` — triangle→K₄, by lexicographic triangle id.
 
-All return the same :class:`~repro.core.peeling.PeelingResult` as the
-generic peel, with identical λ (λ is unique; only tie order differs).
-The incidence builders here are shared with the traversal-free hierarchy
-construction in :mod:`repro.core.csr_fnd`.
+With numpy both listings and the fill run vectorised; the pure-python
+fallback is the reference layout slot for slot.  The ``*_arrays`` forms
+return int64 numpy arrays — the input of the CSR engine's frontier peel
+(:mod:`repro.parallel.bulk`) and level-wise construction
+(:mod:`repro.parallel.construct`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
-from repro.core.peeling import PeelingResult
 from repro.graph.csr import (
     _MAX_KEYED_N,
     _NUMPY_MIN_TRIANGLE_EDGES,
     CSRGraph,
     HAVE_NUMPY,
-    csr_edge_support,
     csr_k4_triangle_ids,
     csr_triangle_edge_ids,
 )
 
-__all__ = ["bucket_order", "csr_core_peel", "csr_nucleus34_peel",
-           "csr_truss_peel", "nucleus34_incidence",
-           "nucleus34_incidence_arrays", "truss_incidence",
-           "truss_incidence_arrays"]
-
-
-def bucket_order(priorities: list[int]) -> tuple[list[int], list[int],
-                                                 list[int]]:
-    """Counting-sort state shared by every direct peel: ``(bins, vert,
-    pos)``.
-
-    ``vert`` holds the items ordered by priority, ``pos`` inverts it, and
-    ``bins[p]`` is the first slot of the priority-``p`` block (sized
-    ``top + 2`` so ``bins[p + 1]`` is always in range).  The peel loops
-    mutate all three in place with the O(1) block-swap decrement.
-    """
-    n = len(priorities)
-    top = max(priorities, default=0)
-    bins = [0] * (top + 2)
-    for p in priorities:
-        bins[p + 1] += 1
-    for p in range(top + 1):
-        bins[p + 1] += bins[p]
-    vert = [0] * n
-    pos = [0] * n
-    cursor = bins[:top + 1]
-    for item in range(n):
-        slot = cursor[priorities[item]]
-        vert[slot] = item
-        pos[item] = slot
-        cursor[priorities[item]] = slot + 1
-    return bins, vert, pos
-
-
-def csr_core_peel(csr: CSRGraph) -> PeelingResult:
-    """(1,2) peel: core number λ₂ of every vertex, in degeneracy order."""
-    n = csr.n
-    indptr, indices, _ = csr.hot_arrays()
-    deg = csr.degrees()
-    bins, vert, pos = bucket_order(deg)
-
-    max_lambda = 0
-    for i in range(n):
-        v = vert[i]
-        dv = deg[v]
-        if dv > max_lambda:
-            max_lambda = dv
-        for p in range(indptr[v], indptr[v + 1]):
-            w = indices[p]
-            dw = deg[w]
-            if dw > dv:
-                first = bins[dw]
-                other = vert[first]
-                if other != w:
-                    slot = pos[w]
-                    vert[first] = w
-                    vert[slot] = other
-                    pos[w] = first
-                    pos[other] = slot
-                bins[dw] = first + 1
-                deg[w] = dw - 1
-    # vert is now the processing order and deg has settled into λ
-    return PeelingResult(lam=deg, max_lambda=max_lambda, order=vert)
-
-
-def csr_truss_peel(csr: CSRGraph, use_numpy: bool | None = None) -> PeelingResult:
-    """(2,3) peel: triangle level λ₃ of every edge, by edge id.
-
-    Two strategies, selected by ``use_numpy`` (``None`` = automatic):
-
-    * **replay** (numpy): list all triangles vectorised once
-      (:func:`~repro.graph.csr.csr_triangle_edge_ids`), lay the two
-      companion edge ids of every (edge, triangle) incidence into flat
-      arrays, and peel by walking that incidence — the inner loop is a pair
-      of list reads and a couple of compares;
-    * **scan** (fallback): recompute each popped edge's triangles on the
-      fly with a scan-the-shorter / bisect-the-longer intersection of the
-      two adjacency runs, Θ(|K₃|·s) memory saved.
-
-    λ output is identical either way.
-    """
-    if use_numpy is None:
-        use_numpy = (HAVE_NUMPY and csr.m >= _NUMPY_MIN_TRIANGLE_EDGES
-                     and isinstance(csr, CSRGraph))
-    if use_numpy:
-        return _truss_peel_replay(csr)
-    return _truss_peel_scan(csr)
+__all__ = ["nucleus34_incidence", "nucleus34_incidence_arrays",
+           "truss_incidence", "truss_incidence_arrays"]
 
 
 def truss_incidence(csr: CSRGraph,
@@ -137,8 +43,7 @@ def truss_incidence(csr: CSRGraph,
     whole structure falls out of one vectorised triangle listing
     (:func:`~repro.graph.csr.csr_triangle_edge_ids`) plus an argsort; the
     fallback enumerates triangles with merge scans and counting-sorts them
-    into the same layout.  Shared by the replay truss peel and the direct
-    (2,3) hierarchy construction.
+    into the same layout.
     """
     m = csr.m
     if use_numpy is None:
@@ -199,120 +104,6 @@ def truss_incidence(csr: CSRGraph,
         comp2[slot] = eb
         cursor[ec] = slot + 1
     return sup, ptr, comp1, comp2
-
-
-def _truss_peel_replay(csr: CSRGraph) -> PeelingResult:
-    """Materialised-incidence truss peel (vectorised set-up, flat replay)."""
-    m = csr.m
-    sup, ptr, comp1, comp2 = truss_incidence(csr, use_numpy=True)
-
-    bins, vert, pos = bucket_order(sup)
-
-    processed = bytearray(m)
-    max_lambda = 0
-    for i in range(m):
-        e = vert[i]
-        k = sup[e]
-        if k > max_lambda:
-            max_lambda = k
-        for slot in range(ptr[e], ptr[e + 1]):
-            ea = comp1[slot]
-            eb = comp2[slot]
-            # a triangle is spent once any of its edges is peeled
-            if processed[ea] or processed[eb]:
-                continue
-            if sup[ea] > k:
-                d = sup[ea]
-                first = bins[d]
-                other = vert[first]
-                if other != ea:
-                    swap = pos[ea]
-                    vert[first] = ea
-                    vert[swap] = other
-                    pos[ea] = first
-                    pos[other] = swap
-                bins[d] = first + 1
-                sup[ea] = d - 1
-            if sup[eb] > k:
-                d = sup[eb]
-                first = bins[d]
-                other = vert[first]
-                if other != eb:
-                    swap = pos[eb]
-                    vert[first] = eb
-                    vert[swap] = other
-                    pos[eb] = first
-                    pos[other] = swap
-                bins[d] = first + 1
-                sup[eb] = d - 1
-        processed[e] = 1
-    return PeelingResult(lam=sup, max_lambda=max_lambda, order=vert)
-
-
-def _truss_peel_scan(csr: CSRGraph) -> PeelingResult:
-    """Recompute-on-the-fly truss peel (no numpy, no materialisation)."""
-    m = csr.m
-    indptr, indices, eids = csr.hot_arrays()
-    esrc, etgt = csr.esrc, csr.etgt
-    sup = csr_edge_support(csr, use_numpy=False)
-    bins, vert, pos = bucket_order(sup)
-
-    processed = bytearray(m)
-    bisect = bisect_left
-    max_lambda = 0
-    for i in range(m):
-        e = vert[i]
-        k = sup[e]
-        if k > max_lambda:
-            max_lambda = k
-        u = esrc[e]
-        v = etgt[e]
-        # every triangle through (u, v): scan the shorter adjacency run,
-        # bisect the longer (C-speed, and the window only shrinks because
-        # both runs are sorted)
-        a_lo, a_hi = indptr[u], indptr[u + 1]
-        b_lo, b_hi = indptr[v], indptr[v + 1]
-        if a_hi - a_lo > b_hi - b_lo:
-            a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
-        for p in range(a_lo, a_hi):
-            w = indices[p]
-            q = bisect(indices, w, b_lo, b_hi)
-            if q >= b_hi:
-                break
-            if indices[q] != w:
-                b_lo = q
-                continue
-            b_lo = q + 1
-            e1 = eids[p]
-            e2 = eids[q]
-            # a triangle is spent once any of its edges is peeled
-            if not processed[e1] and not processed[e2]:
-                if sup[e1] > k:
-                    d = sup[e1]
-                    first = bins[d]
-                    other = vert[first]
-                    if other != e1:
-                        slot = pos[e1]
-                        vert[first] = e1
-                        vert[slot] = other
-                        pos[e1] = first
-                        pos[other] = slot
-                    bins[d] = first + 1
-                    sup[e1] = d - 1
-                if sup[e2] > k:
-                    d = sup[e2]
-                    first = bins[d]
-                    other = vert[first]
-                    if other != e2:
-                        slot = pos[e2]
-                        vert[first] = e2
-                        vert[slot] = other
-                        pos[e2] = first
-                        pos[other] = slot
-                    bins[d] = first + 1
-                    sup[e2] = d - 1
-        processed[e] = 1
-    return PeelingResult(lam=sup, max_lambda=max_lambda, order=vert)
 
 
 def _truss_incidence_numpy(csr: CSRGraph):
@@ -379,7 +170,7 @@ def nucleus34_incidence(
     ids both backends' (3,4) views use); ``sup[t]`` the K₄ count of triangle
     ``t`` (initial ω₄); slots ``ptr[t] .. ptr[t+1]`` of the three aligned
     companion arrays hold the other three triangle ids of each K₄ through
-    ``t``.  Shared by the direct (3,4) peel and hierarchy construction.
+    ``t``.
 
     With numpy available both the K₄ listing and the incidence fill run
     vectorised (quad-major stable sort reproduces the cursor fill slot for
@@ -433,49 +224,3 @@ def nucleus34_incidence(
         c3[slot] = c
         cursor[d] = slot + 1
     return triangles, sup, ptr, (c1, c2, c3)
-
-
-def csr_nucleus34_peel(csr: CSRGraph) -> PeelingResult:
-    """(3,4) peel: K₄ level λ₄ of every triangle, by lex triangle id.
-
-    Replays the materialised incidence of :func:`nucleus34_incidence`
-    exactly like the replay truss peel, with three companion arrays instead
-    of two — no dict lookups or set intersections in the loop.
-    """
-    _, sup, ptr, (c1, c2, c3) = nucleus34_incidence(csr)
-    t = len(sup)
-    bins, vert, pos = bucket_order(sup)
-
-    processed = bytearray(t)
-    max_lambda = 0
-    for i in range(t):
-        u = vert[i]
-        k = sup[u]
-        if k > max_lambda:
-            max_lambda = k
-        for slot in range(ptr[u], ptr[u + 1]):
-            # a K4 is spent once any of its triangles is peeled
-            ta = c1[slot]
-            if processed[ta]:
-                continue
-            tb = c2[slot]
-            if processed[tb]:
-                continue
-            tc = c3[slot]
-            if processed[tc]:
-                continue
-            for v in (ta, tb, tc):
-                d = sup[v]
-                if d > k:
-                    first = bins[d]
-                    other = vert[first]
-                    if other != v:
-                        swap = pos[v]
-                        vert[first] = v
-                        vert[swap] = other
-                        pos[v] = first
-                        pos[other] = swap
-                    bins[d] = first + 1
-                    sup[v] = d - 1
-        processed[u] = 1
-    return PeelingResult(lam=sup, max_lambda=max_lambda, order=vert)

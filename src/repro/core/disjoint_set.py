@@ -161,8 +161,8 @@ class ArrayRootedForest:
 
     Same Find-r / Union-r / attach discipline, but ``parent`` and ``root``
     are plain ``int`` lists with ``-1`` as the "no link" sentinel instead of
-    ``None``-holed lists.  This is the layout the CSR hierarchy construction
-    (:mod:`repro.core.csr_fnd`) and the traversal algorithms share: every
+    ``None``-holed lists.  This is the layout the disk engine's FND
+    (:mod:`repro.external.engine`) and the traversal algorithms share: every
     pointer is an int, so the whole skeleton state is three flat arrays that
     can be pre-sized, copied cheaply, and (later) handed to shared-memory
     workers.  :meth:`parents_or_none` converts to the ``None``-sentinel
@@ -190,10 +190,8 @@ class ArrayRootedForest:
     def make_nodes(self, count: int) -> int:
         """Create ``count`` isolated nodes at once; returns the first id.
 
-        The new ids are contiguous (``first .. first + count - 1``) — the
-        batch primitive the level-wise parallel hierarchy construction
-        uses to materialise a whole frontier of singleton sub-nuclei in
-        one call.
+        The new ids are contiguous (``first .. first + count - 1``) — a
+        whole frontier of singleton sub-nuclei in one call.
         """
         first = len(self.parent)
         self.parent.extend([-1] * count)
@@ -208,7 +206,7 @@ class ArrayRootedForest:
         surviving tree roots under the λ = 0 whole-graph node.  Only
         ``parent`` is written — ``root`` shortcuts keep whatever they
         compressed to, exactly like the sequential loop in
-        :func:`repro.core.csr_fnd._finish`.
+        :func:`repro.external.engine._finish`.
         """
         parent = self.parent
         for node in range(len(parent)):
@@ -252,7 +250,7 @@ class ArrayRootedForest:
 
     #: alias matching :class:`repro.parallel.shm.SharedRootedForest` (where
     #: the bare name ``attach`` is taken by the bundle-attach classmethod),
-    #: so the level-wise construction can drive either forest uniformly
+    #: so one caller can drive either forest uniformly
     attach_node = attach
 
     def parents_or_none(self) -> list[int | None]:

@@ -15,12 +15,10 @@ arrays, parameterised by
   unit decrements, or lazy-invalidation queues (a float-capable heap, or
   the int :class:`~repro.core.bucket.MinBucketQueue`) for revalues.
 
-The tuned direct peels in :mod:`repro.core.csr_peel` remain the
-production hot paths; :func:`kernel_core_peel`, :func:`kernel_truss_peel`
-and :func:`kernel_nucleus34_peel` re-derive them as kernel instances and
-the test suite proves λ parity element for element.  The scenario
-variants in :mod:`repro.kcore` build their fast engines on the same
-kernel, so every future scenario is fast by construction.
+The plain peels run on the CSR engine's frontier rounds
+(:mod:`repro.parallel.bulk`); this kernel hosts the scenario variants in
+:mod:`repro.kcore`, whose decrement rules are per cell, so every future
+scenario is fast by construction.
 """
 
 from __future__ import annotations
@@ -29,23 +27,11 @@ import heapq
 import operator
 from typing import Callable, Iterable, Union
 
-from repro.core.bucket import MinBucketQueue
-from repro.core.csr_peel import (
-    bucket_order,
-    nucleus34_incidence,
-    truss_incidence,
-)
+from repro.core.bucket import MinBucketQueue, bucket_order
 from repro.core.peeling import PeelingResult
 from repro.errors import InvalidParameterError
-from repro.graph.csr import CSRGraph
 
-__all__ = [
-    "BUCKET_KINDS",
-    "generic_peel",
-    "kernel_core_peel",
-    "kernel_nucleus34_peel",
-    "kernel_truss_peel",
-]
+__all__ = ["BUCKET_KINDS", "generic_peel"]
 
 #: ``"flat"`` — Batagelj–Zaversnik block-swap arrays (unit rules only);
 #: ``"heap"`` — lazy-invalidation binary heap, int or float values;
@@ -120,7 +106,7 @@ def _peel_flat(values: Iterable[Union[int, float]],
 
     The clamp ``value > k`` both spends each s-clique at most once per
     surviving cell and keeps pop values non-decreasing, so the array of
-    settled values *is* λ (exactly as in the tuned direct peels).
+    settled values *is* λ (exactly as in the disk engine's peels).
     """
     vals = _int_values(values)
     n = len(vals)
@@ -203,59 +189,3 @@ def _peel_lazy_bucket(values: Iterable[Union[int, float]],
             current[other] = value
             queue.update(other, value)
     return PeelingResult(lam=lam, max_lambda=running, order=order)
-
-
-def kernel_core_peel(csr: CSRGraph) -> PeelingResult:
-    """(1,2) peel as a kernel instance: unit rule over the adjacency runs.
-
-    λ (and even the peel order) matches :func:`repro.core.csr_peel.
-    csr_core_peel` — the clamp excludes processed vertices without a
-    ``peeled`` check, exactly as in the tuned loop.
-    """
-    indptr, indices, _ = csr.hot_arrays()
-
-    def incident(v: int, peeled: bytearray) -> Iterable[int]:
-        return (indices[p] for p in range(indptr[v], indptr[v + 1]))
-
-    return generic_peel(list(csr.degrees()), unit_rule=incident)
-
-
-def kernel_truss_peel(csr: CSRGraph) -> PeelingResult:
-    """(2,3) peel as a kernel instance: unit rule over the materialised
-    edge→triangle incidence (a triangle is spent once any of its edges is
-    peeled, hence the companion ``peeled`` checks in the rule)."""
-    sup, ptr, comp1, comp2 = truss_incidence(csr)
-
-    def incident(e: int, peeled: bytearray) -> Iterable[int]:
-        for slot in range(ptr[e], ptr[e + 1]):
-            ea = comp1[slot]
-            eb = comp2[slot]
-            if peeled[ea] or peeled[eb]:
-                continue
-            yield ea
-            yield eb
-
-    return generic_peel(sup, unit_rule=incident)
-
-
-def kernel_nucleus34_peel(csr: CSRGraph) -> PeelingResult:
-    """(3,4) peel as a kernel instance: unit rule over the triangle→K₄
-    incidence, three companions per K₄."""
-    _, sup, ptr, (c1, c2, c3) = nucleus34_incidence(csr)
-
-    def incident(t: int, peeled: bytearray) -> Iterable[int]:
-        for slot in range(ptr[t], ptr[t + 1]):
-            ta = c1[slot]
-            if peeled[ta]:
-                continue
-            tb = c2[slot]
-            if peeled[tb]:
-                continue
-            tc = c3[slot]
-            if peeled[tc]:
-                continue
-            yield ta
-            yield tb
-            yield tc
-
-    return generic_peel(sup, unit_rule=incident)

@@ -17,8 +17,9 @@ Edge ids are assigned in lexicographic endpoint order, exactly matching
 backend are comparable element-for-element.
 
 Storage is ``array('i')`` (32-bit, C-contiguous).  Construction has an
-optional numpy fast path (dedup + CSR fill fully vectorised); the purely
-sequential peel loops instead use :meth:`CSRGraph.hot_arrays`, which caches
+optional numpy fast path (dedup + CSR fill fully vectorised); the
+per-element python loops (LCPS, the reference incidence builders, the
+variant kernels) instead use :meth:`CSRGraph.hot_arrays`, which caches
 plain-``list`` copies — CPython indexes a list of cached references faster
 than it can re-box ints out of a typed array.
 
@@ -86,9 +87,10 @@ class CSRGraph:
     Mirrors the read API of :class:`~repro.graph.adjacency.Graph` (``n``,
     ``m``, ``degree``, ``neighbors``, ``neighbor_set``, ``has_edge``,
     ``edges``, ``common_neighbors``, ``edge_index``…) so the generic cell
-    views and clique enumerators accept either representation; the peeling
-    hot paths in :mod:`repro.core.csr_peel` bypass that API and walk the
-    arrays directly.
+    views and clique enumerators accept either representation; the CSR
+    engine (:mod:`repro.parallel`) and the incidence builders of
+    :mod:`repro.core.csr_peel` bypass that API and walk the arrays
+    directly.
     """
 
     __slots__ = ("indptr", "indices", "eids", "esrc", "etgt", "name",
@@ -327,7 +329,7 @@ class CSRGraph:
     def hot_arrays(self) -> tuple[list[int], list[int], list[int]]:
         """``(indptr, indices, eids)`` as plain lists, cached.
 
-        Sequential peels index these millions of times; lists hand back
+        Per-element loops index these millions of times; lists hand back
         cached ``int`` references where ``array('i')`` would re-box a fresh
         object per access.  Costs one extra O(n + m) copy, paid once.
         """

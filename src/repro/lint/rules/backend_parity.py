@@ -31,13 +31,11 @@ _VARIANT_LAYERS = ("repro/kcore/variants.py", "repro/kcore/uncertain.py",
                    "repro/kcore/temporal.py")
 _ENGINE_ENTRY_POINTS = {
     "nucleus_decomposition",
-    "csr_core_peel", "csr_truss_peel", "csr_nucleus34_peel",
-    "csr_fnd_decomposition",
+    "bulk_core_peel", "bulk_truss_peel", "bulk_nucleus34_peel",
+    "frontier_fnd",
     "parallel_core_peel", "parallel_truss_peel", "parallel_nucleus34_peel",
     "parallel_fnd_decomposition",
-    "bulk_core_peel", "bulk_truss_peel", "bulk_nucleus34_peel",
     "generic_peel",
-    "kernel_core_peel", "kernel_truss_peel", "kernel_nucleus34_peel",
 }
 
 

@@ -1,14 +1,14 @@
-"""Round-synchronous bulk peeling: peel whole frontiers, not single cells.
+"""Frontier rounds: the CSR engine's peels, with or without a pool.
 
-The sequential peels of :mod:`repro.core.csr_peel` pop one minimum cell
-at a time — correct, cache-friendly, and intrinsically serial.  The bulk
-peels here run the De Zoysa et al. 2021 bucket-synchronous formulation
-instead: every round peels the *entire* current-minimum frontier at once
-and applies the merged support decrements afterwards.  λ is a structural
+A Batagelj–Zaversnik peel pops one minimum cell at a time — correct, and
+intrinsically serial, with an interpreted inner loop.  The bulk peels
+here run the De Zoysa et al. 2021 bucket-synchronous formulation instead:
+every round peels the *entire* current-minimum frontier at once and
+applies the merged support decrements afterwards.  λ is a structural
 quantity (the largest k whose (k, s)-subgraph contains the cell), so the
-frontier formulation settles every cell at exactly the sequential value —
-the parity suite asserts elementwise equality — while turning the inner
-loop into a handful of numpy gathers per round.
+frontier formulation settles every cell at exactly the per-cell value —
+the parity suites assert elementwise equality with the object engine —
+while turning the inner loop into a handful of numpy gathers per round.
 
 With a :class:`~repro.parallel.pool.WorkerPool`, each round's decrement
 is sharded: the parent stamps the frontier into the shared ``peel_round``
@@ -22,10 +22,15 @@ Without a pool the same kernels run on the whole frontier in one call.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.core.csr_peel import truss_incidence_arrays
+from repro.core.csr_peel import (
+    nucleus34_incidence_arrays,
+    truss_incidence_arrays,
+)
 from repro.core.peeling import PeelingResult
 from repro.graph.csr import CSRGraph, csr_arrays_int64
 from repro.parallel.incidence import (
@@ -37,8 +42,10 @@ from repro.parallel.kernels import (
     incidence_decrement,
     weighted_cuts,
 )
-from repro.parallel.pool import WorkerPool
-from repro.parallel.shm import SharedArrayBundle
+
+if TYPE_CHECKING:
+    from repro.parallel.pool import WorkerPool
+    from repro.parallel.shm import SharedArrayBundle
 
 __all__ = [
     "bulk_core_peel",
@@ -48,6 +55,7 @@ __all__ = [
     "parallel_core_peel",
     "parallel_nucleus34_peel",
     "parallel_truss_peel",
+    "worker_pool",
 ]
 
 
@@ -114,8 +122,15 @@ def _round_loop(sup, peel_round, decrement_for) -> PeelingResult:
             if len(cells):
                 vals = new_vals[changed]
                 sup[cells] = vals
-                for level in np.unique(vals):
-                    pending[int(level)].append(cells[vals == level])
+                # one stable sort splits the touched cells by new level
+                by_val = np.argsort(vals, kind="stable")
+                vals = vals[by_val]
+                cells = cells[by_val]
+                cuts = (np.flatnonzero(vals[1:] != vals[:-1]) + 1).tolist()
+                starts = [0, *cuts]
+                for level, lo, hi in zip(vals[starts].tolist(), starts,
+                                         [*cuts, len(cells)], strict=True):
+                    pending[level].append(cells[lo:hi])
         order_parts.append(frontier)
         remaining -= len(frontier)
         rnd += 1
@@ -128,8 +143,8 @@ def _round_loop(sup, peel_round, decrement_for) -> PeelingResult:
 #: frontiers touching fewer incidence slots than this are decremented by
 #: the parent itself — the round-trip to the workers costs more than the
 #: gather.  Most rounds of a peel are tiny; only the heavy early frontiers
-#: are worth farming out.  Tuned so the 2-worker peel beats the sequential
-#: engine even with shards fully serialised (the CI gate's worst case).
+#: are worth farming out.  Only rounds of a pooled run consult it;
+#: whether a run gets a pool at all is up to :data:`POOL_CROSSOVER_EDGES`.
 MIN_SHARD_SLOTS = 32768
 
 
@@ -154,6 +169,8 @@ class _ShardedDecrement:
         self.task = task
         self.local_fn = local_fn
         self.state = None
+        from repro.parallel.shm import SharedArrayBundle
+
         try:
             self.state = SharedArrayBundle.create({
                 "peel_round": np.full(size, -1, dtype=np.int64),
@@ -217,43 +234,55 @@ def merge_sparse_decrements(parts):
     return targets, counts
 
 
-def bulk_core_peel(csr: CSRGraph, pool: WorkerPool | None = None,
-                   static: SharedArrayBundle | None = None) -> PeelingResult:
-    """(1,2) bulk peel: core numbers λ₂, frontier rounds over the CSR.
+def _peel(sup, static: dict, weights, task: tuple, decrement,
+          pool: WorkerPool | None, bundle=None) -> PeelingResult:
+    """Shared driver: in-process rounds (``pool=None``) or farmed rounds.
 
-    ``static`` may hand in an already-shared ``indptr``/``indices``
-    bundle (the FND pipeline shares the adjacency once across its peel
-    and construction phases); without one the bundle is created — and
-    unlinked — here.
+    ``decrement(peel_round, frontier, rnd)`` is the in-process kernel;
+    ``task`` names the same kernel in the worker vocabulary.  With a
+    pool, ``bundle`` may hand in ``static`` already shared; otherwise it
+    is exported — and freed — here.
     """
-    if static is not None:
-        indptr, indices = static["indptr"], static["indices"]
-    else:
-        arrays = csr_arrays_int64(csr)
-        indptr, indices = arrays["indptr"], arrays["indices"]
-    sup = np.diff(indptr)
     if pool is None:
-        peel_round = np.full(csr.n, -1, dtype=np.int64)
+        peel_round = np.full(len(sup), -1, dtype=np.int64)
 
         def decrement_for(frontier, rnd):
-            return core_decrement(indptr, indices, peel_round, frontier)
+            return decrement(peel_round, frontier, rnd)
 
         return _round_loop(sup, peel_round, decrement_for)
-    owned = static is None
+    from repro.parallel.shm import SharedArrayBundle
+
+    owned = bundle is None
     if owned:
-        static = SharedArrayBundle.create(
-            {"indptr": indptr, "indices": indices})
+        bundle = SharedArrayBundle.create(static)
     try:
-        pool.bind([static.spec])
-        with _ShardedDecrement(
-                pool, csr.n, sup.copy(), ("core-dec",),
-                lambda peel_round, frontier, rnd: core_decrement(
-                    indptr, indices, peel_round, frontier),
-        ) as sharded:
+        pool.bind([bundle.spec])
+        with _ShardedDecrement(pool, len(sup), weights, task,
+                               decrement) as sharded:
             return _round_loop(sup, sharded.peel_round, sharded)
     finally:
         if owned:
-            static.unlink()
+            bundle.unlink()
+
+
+def bulk_core_peel(csr: CSRGraph, pool: WorkerPool | None = None,
+                   static=None) -> PeelingResult:
+    """(1,2) bulk peel: core numbers λ₂, frontier rounds over the CSR.
+
+    ``static`` may hand in the int64 ``indptr``/``indices`` arrays
+    already converted — with a pool, the :class:`SharedArrayBundle`
+    exporting them (the FND pipeline shares the adjacency once across its
+    peel and construction phases).
+    """
+    arrays = csr_arrays_int64(csr) if static is None else static
+    indptr, indices = arrays["indptr"], arrays["indices"]
+    sup = np.diff(indptr)
+
+    def decrement(peel_round, frontier, rnd):
+        return core_decrement(indptr, indices, peel_round, frontier)
+
+    return _peel(sup, {"indptr": indptr, "indices": indices}, sup.copy(),
+                 ("core-dec",), decrement, pool, static)
 
 
 def _bulk_incidence_peel(sup, ptr, comps, pool: WorkerPool | None,
@@ -264,31 +293,15 @@ def _bulk_incidence_peel(sup, ptr, comps, pool: WorkerPool | None,
     ``static`` may hand in an already-shared ``ptr``/``c1..cN`` bundle
     (see :func:`bulk_core_peel`).
     """
-    size = len(sup)
-    if pool is None:
-        peel_round = np.full(size, -1, dtype=np.int64)
+    named = {"ptr": ptr}
+    for i, comp in enumerate(comps):
+        named[f"c{i + 1}"] = comp
 
-        def decrement_for(frontier, rnd):
-            return incidence_decrement(ptr, comps, peel_round, frontier, rnd)
+    def decrement(peel_round, frontier, rnd):
+        return incidence_decrement(ptr, comps, peel_round, frontier, rnd)
 
-        return _round_loop(sup, peel_round, decrement_for)
-    owned = static is None
-    if owned:
-        named = {"ptr": ptr}
-        for i, comp in enumerate(comps):
-            named[f"c{i + 1}"] = comp
-        static = SharedArrayBundle.create(named)
-    try:
-        pool.bind([static.spec])
-        with _ShardedDecrement(
-                pool, size, np.diff(ptr), ("inc-dec", len(comps)),
-                lambda peel_round, frontier, rnd: incidence_decrement(
-                    ptr, comps, peel_round, frontier, rnd),
-        ) as sharded:
-            return _round_loop(sup, sharded.peel_round, sharded)
-    finally:
-        if owned:
-            static.unlink()
+    return _peel(sup, named, np.diff(ptr), ("inc-dec", len(comps)),
+                 decrement, pool, static)
 
 
 def bulk_truss_peel(csr: CSRGraph, pool: WorkerPool | None = None,
@@ -310,8 +323,6 @@ def bulk_nucleus34_peel(csr: CSRGraph, pool: WorkerPool | None = None,
     materialised triangle→K₄ incidence (built sharded when a pool is
     given)."""
     if pool is None:
-        from repro.core.csr_peel import nucleus34_incidence_arrays
-
         _, sup, ptr, comps = nucleus34_incidence_arrays(csr)
     else:
         _, sup, ptr, comps = parallel_nucleus34_incidence(csr, pool)
@@ -321,6 +332,14 @@ def bulk_nucleus34_peel(csr: CSRGraph, pool: WorkerPool | None = None,
 #: set to ``1``/``0`` to force worker sharding on/off regardless of the
 #: host's core count (CI and tests; unset = decide from ``os.cpu_count``)
 FORCE_SHARDING_ENV = "REPRO_FORCE_SHARDING"
+
+#: inputs with at most this many edges never start a worker pool.  On a
+#: 2-vCPU host a forced 2-worker pool ran 1.5–2.8× slower than the
+#: in-process rounds at every size measured, from 18k edges up to this
+#: one (975,315 edges, the largest), so the crossover sits at the largest
+#: size measured rather than at an extrapolated one.  Independent of
+#: ``REPRO_FORCE_SHARDING``, which overrides only the core-count check.
+POOL_CROSSOVER_EDGES = 975_315
 
 
 def sharding_effective() -> bool:
@@ -354,24 +373,38 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _with_pool(csr: CSRGraph, workers: int, bulk_fn) -> PeelingResult:
-    if workers == 1 or not sharding_effective():
-        return bulk_fn(csr)
+@contextmanager
+def worker_pool(csr: CSRGraph, workers: int) -> Iterator[WorkerPool | None]:
+    """A ``workers``-process pool when one can pay for ``csr``, else None.
+
+    The pool — and with it every shared-memory export — starts only for
+    inputs above :data:`POOL_CROSSOVER_EDGES` on a host where shards can run
+    concurrently; everything else runs the same functions in process.
+    """
+    if (workers == 1 or csr.m <= POOL_CROSSOVER_EDGES
+            or not sharding_effective()):
+        yield None
+        return
+    from repro.parallel.pool import WorkerPool
+
     with WorkerPool(workers) as pool:
-        return bulk_fn(csr, pool=pool)
+        yield pool
 
 
 def parallel_core_peel(csr: CSRGraph, workers: int) -> PeelingResult:
-    """(1,2) bulk peel with its own ``workers``-process pool (degrades to
-    the in-process bulk path when sharding cannot pay)."""
-    return _with_pool(csr, workers, bulk_core_peel)
+    """(1,2) bulk peel with its own ``workers``-process pool (in process
+    when a pool cannot pay, see :func:`worker_pool`)."""
+    with worker_pool(csr, workers) as pool:
+        return bulk_core_peel(csr, pool)
 
 
 def parallel_truss_peel(csr: CSRGraph, workers: int) -> PeelingResult:
     """(2,3) sharded incidence + bulk peel with its own pool."""
-    return _with_pool(csr, workers, bulk_truss_peel)
+    with worker_pool(csr, workers) as pool:
+        return bulk_truss_peel(csr, pool)
 
 
 def parallel_nucleus34_peel(csr: CSRGraph, workers: int) -> PeelingResult:
     """(3,4) sharded incidence + bulk peel with its own pool."""
-    return _with_pool(csr, workers, bulk_nucleus34_peel)
+    with worker_pool(csr, workers) as pool:
+        return bulk_nucleus34_peel(csr, pool)

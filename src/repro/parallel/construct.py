@@ -1,34 +1,35 @@
-"""Level-wise parallel hierarchy construction over settled λ values.
+"""Level-wise hierarchy construction over settled λ values.
 
-The sequential FND (:mod:`repro.core.csr_fnd`) fuses sub-nucleus
-detection into the peel: every merge depends on the λ values settled
-before it, which is why PR 3 left the construction phase sequential.
-This module removes that dependence chain by running *after* the bulk
-peel, when every λ is already known — sub-nucleus detection then
-decomposes into independent **level-wise connectivity** problems:
+Once the frontier peel (:mod:`repro.parallel.bulk`) has settled every λ,
+FND's sub-nucleus detection (paper Alg. 8/9) needs no traversal and no
+dependence on pop order: it decomposes into independent **level-wise
+connectivity** problems.
 
-* an s-clique becomes *active* at level ``k`` when the minimum λ over
+* An s-clique becomes *active* at level ``k`` when the minimum λ over
   its cells is ``k`` — it proves its cells mutually connected in every
-  k'-(r,s) nucleus with ``k' <= k``;
-* the k-sub-nuclei are the connected components of the λ >= ``k`` cells
-  under the cliques active at level ``k`` (components formed at higher
-  levels collapse to single super-nodes via their hierarchy tops);
-* processing levels in decreasing λ order and attaching each touched
-  higher component under the level's node reproduces, after
-  condensation, exactly the nucleus tree the sequential extended peel +
-  BuildHierarchy produces — node λ multiset, cell→nucleus map, and
-  parent structure (the parity suite asserts it node-for-node).
+  k'-(r,s) nucleus with ``k' <= k``.
+* The k-sub-nuclei are the connected components of the λ >= ``k`` cells
+  under the cliques active at level ``k`` or above.  Components formed
+  at higher levels collapse to one super-node each: their current top.
+* Processing levels in decreasing λ order, every level component becomes
+  one skeleton node, and every higher top it touched becomes its child.
+  After condensation this is exactly the nucleus tree of the extended
+  peel + BuildHierarchy: node λ multiset, cell→nucleus map and parent
+  structure (the parity suites assert it node for node).
 
-Each level's frontier is sharded across the
-:class:`~repro.parallel.pool.WorkerPool` by incidence weight; workers
-scan their ranges zero-copy (the incidence, λ and frontier arrays live
-in a :class:`~repro.parallel.shm.SharedArrayBundle`), run a **local
-union-find** over the active-clique pairs they own, and send back only
-its spanning forest.  The parent merges the per-worker forests into the
-:class:`~repro.parallel.shm.SharedRootedForest` in worker order — a
-deterministic link sequence, so repeated runs at the same worker count
-build byte-identical skeletons, and every worker count condenses to the
-same tree (connectivity does not depend on how the frontier was cut).
+A level is a handful of numpy passes.  The level-edge kernels of
+:mod:`repro.parallel.kernels` list the active pairs.  Higher cells map to
+their tops through a path-compressed jump array, and
+:func:`~repro.parallel.kernels.component_roots` labels the level's
+components by hooking and pointer jumping.
+
+With a :class:`~repro.parallel.pool.WorkerPool`, each level's frontier is
+sharded by incidence weight.  Workers scan their ranges zero-copy (the
+incidence, λ and frontier arrays live in a
+:class:`~repro.parallel.shm.SharedArrayBundle`) and send back one star per
+component (:func:`~repro.parallel.kernels.spanning_forest_reduce`).  The
+parent labels the union of the stars.  A star keeps its component's node
+set, so every worker count builds the same skeleton, byte for byte.
 Levels too small to amortise a pipe round-trip run the same kernels in
 the parent (:data:`MIN_LEVEL_SLOTS`, mirroring the bulk peels).
 """
@@ -36,21 +37,23 @@ the parent (:data:`MIN_LEVEL_SLOTS`, mirroring the bulk peels).
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.disjoint_set import ArrayRootedForest
 from repro.core.fnd import FndInstrumentation
 from repro.core.hierarchy import Hierarchy
 from repro.graph.csr import CSRGraph, csr_arrays_int64
 from repro.parallel.kernels import (
+    component_roots,
     core_level_edges,
     incidence_level_edges,
-    spanning_forest_reduce,
     weighted_cuts,
 )
-from repro.parallel.pool import WorkerPool
-from repro.parallel.shm import SharedArrayBundle, share_forest
+
+if TYPE_CHECKING:
+    from repro.parallel.pool import WorkerPool
+    from repro.parallel.shm import SharedArrayBundle
 
 __all__ = [
     "MIN_LEVEL_SLOTS",
@@ -65,77 +68,48 @@ __all__ = [
 MIN_LEVEL_SLOTS = 32768
 
 
-def _merge_level(edge_parts, k: int, comp, forest, node_lambda: list[int],
-                 ) -> int:
-    """Merge per-worker spanning forests into the global skeleton.
+def _tops(jump, nodes):
+    """Current top of every skeleton node in ``nodes``.
 
-    Each ``(a, b)`` pair connects a frontier cell ``a`` (λ = ``k``, the
-    owning cell of an active s-clique) to a companion ``b`` with
-    λ(b) >= ``k``.  The discipline mirrors sequential FND: same-level
-    tops merge with Link-r, higher-λ tops are attached under the level's
-    node (the permanent downward hierarchy edge).  Processing parts in
-    worker order keeps the link sequence deterministic.  Returns the
-    number of downward (cross-level) connections made.
+    ``jump[x]`` points at some ancestor of ``x`` (-1: ``x`` is a top).
+    The walk runs vectorised over all queries at once, and every node it
+    passed is compressed straight to its top afterwards, so no chain of
+    nested levels is ever walked twice.
     """
-    downward = 0
-    for a, b in edge_parts:
-        for u, v in zip(a.tolist(), b.tolist(), strict=True):
-            cu = comp[u]
-            cv = comp[v]
-            if cu < 0:
-                if cv < 0:
-                    # two fresh frontier cells: one shared level node
-                    node = forest.make_node()
-                    node_lambda.append(k)
-                    comp[u] = node
-                    comp[v] = node
-                    continue
-                tv = forest.find(cv)
-                if node_lambda[tv] == k:
-                    comp[u] = tv  # join the level component v reached
-                    continue
-                # v's component formed at a higher λ: it nests under the
-                # level node u founds
-                node = forest.make_node()
-                node_lambda.append(k)
-                comp[u] = node
-                forest.attach_node(tv, node)
-                downward += 1
-                continue
-            tu = forest.find(cu)  # a level-k top: u was assigned this level
-            if cv < 0:
-                comp[v] = tu  # v is a fresh frontier cell of this level
-                continue
-            tv = forest.find(cv)
-            if tu == tv:
-                continue
-            if node_lambda[tv] == k:
-                forest.link(tu, tv)
-            else:
-                # a component formed at a higher λ joins this level's node
-                forest.attach_node(tv, tu)
-                downward += 1
-    return downward
+    top = nodes
+    path = []
+    while True:
+        up = jump[top]
+        moving = up >= 0
+        if not moving.any():
+            break
+        path.append(top)
+        top = np.where(moving, up, top)
+    for visited in path:
+        moved = visited != top
+        jump[visited[moved]] = top[moved]
+    return top
 
 
-def hierarchy_from_lambda(r: int, s: int, lam, edge_source, forest,
+def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
                           instrumentation: FndInstrumentation | None = None,
                           ) -> Hierarchy:
     """Build the FND hierarchy from settled λ values, level by level.
 
     ``edge_source(frontier, k)`` yields the level's connectivity pairs as
-    a list of reduced ``(a, b)`` array pairs in deterministic shard
-    order; ``forest`` is the skeleton store (an
-    :class:`~repro.core.disjoint_set.ArrayRootedForest` or a
-    :class:`~repro.parallel.shm.SharedRootedForest` — both speak
-    ``make_node(s)`` / ``find`` / ``link`` / ``attach_node`` /
-    ``adopt_roots``).  Frontier cells untouched by any active clique
-    become singleton sub-nuclei in one batch call.
+    a list of ``(a, b)`` array pairs: ``a`` a frontier cell (λ = ``k``)
+    owning an active s-clique, ``b`` a companion with λ >= ``k``.  Each
+    level component becomes one skeleton node; frontier cells untouched
+    by any active clique become singleton sub-nuclei.
     """
     lam = np.ascontiguousarray(lam, dtype=np.int64)
     size = len(lam)
     comp = np.full(size, -1, dtype=np.int64)
-    node_lambda: list[int] = []
+    # every node owns at least one cell, so size + 1 bounds the skeleton
+    node_lambda = np.zeros(size + 1, dtype=np.int64)
+    parent = np.full(size + 1, -1, dtype=np.int64)
+    jump = np.full(size + 1, -1, dtype=np.int64)
+    nodes = 0
     downward = 0
     build_start = time.perf_counter()
     order = np.argsort(-lam, kind="stable")  # λ descending, cell id ascending
@@ -147,31 +121,58 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source, forest,
             break  # λ = 0 cells belong to the root
         end = int(np.searchsorted(-lam_sorted, -k, side="right"))
         frontier = order[start:end]
-        downward += _merge_level(edge_source(frontier, k), k, comp, forest,
-                                 node_lambda)
+        first = nodes
+        parts = edge_source(frontier, k)
+        a = np.concatenate([pair[0] for pair in parts])
+        if len(a):
+            # higher cells stand for the top of the component they joined
+            b = np.concatenate([pair[1] for pair in parts])
+            higher = comp[b] >= 0
+            b[higher] = size + _tops(jump, comp[b[higher]])
+            keys, inverse = np.unique(np.concatenate((a, b)),
+                                      return_inverse=True)
+            roots = component_roots(inverse[:len(a)], inverse[len(a):],
+                                    len(keys))
+            _, label = np.unique(roots, return_inverse=True)
+            made = nodes + label
+            nodes += int(label.max()) + 1
+            cells = keys < size
+            comp[keys[cells]] = made[cells]
+            tops = keys[~cells] - size
+            parent[tops] = made[~cells]
+            jump[tops] = made[~cells]
+            downward += len(tops)
         fresh = frontier[comp[frontier] < 0]
-        if len(fresh):
-            first = forest.make_nodes(len(fresh))
-            comp[fresh] = first + np.arange(len(fresh), dtype=np.int64)
-            node_lambda.extend([k] * len(fresh))
+        comp[fresh] = nodes + np.arange(len(fresh), dtype=np.int64)
+        nodes += len(fresh)
+        node_lambda[first:nodes] = k
         start = end
-    build_seconds = time.perf_counter() - build_start
 
-    if instrumentation is not None:
-        instrumentation.num_subnuclei = len(node_lambda)
-        instrumentation.num_downward_connections = downward
-        instrumentation.build_seconds = build_seconds
-
-    root = forest.make_node()
-    node_lambda.append(0)
-    forest.adopt_roots(root)
+    # number the nodes as the per-cell engines do — ascending λ, the root
+    # last — so anything keyed by node id (a served index's node order)
+    # reads the same nuclei in the same order; ties go to the smallest
+    # own cell (every node owns at least one)
+    owned = np.flatnonzero(comp >= 0)
+    first_cell = np.full(nodes, size, dtype=np.int64)
+    np.minimum.at(first_cell, comp[owned], owned)
+    renumber = np.empty(nodes, dtype=np.int64)
+    renumber[np.lexsort((first_cell, node_lambda[:nodes]))] = np.arange(nodes)
+    root = nodes
+    comp[owned] = renumber[comp[owned]]
     comp[comp < 0] = root
-    if isinstance(forest, ArrayRootedForest):
-        parents = forest.parents_or_none()
-    else:
-        parents = forest.to_array_forest().parents_or_none()
-    return Hierarchy(r, s, lam.tolist(), node_lambda, parents, comp.tolist(),
-                     root, algorithm="fnd")
+    ordered_parent = np.full(nodes + 1, root, dtype=np.int64)
+    linked = np.flatnonzero(parent[:nodes] >= 0)
+    ordered_parent[renumber[linked]] = renumber[parent[linked]]
+    ordered_lambda = np.zeros(nodes + 1, dtype=np.int64)
+    ordered_lambda[renumber] = node_lambda[:nodes]
+    if instrumentation is not None:
+        instrumentation.num_subnuclei = nodes
+        instrumentation.num_downward_connections = downward
+        instrumentation.build_seconds = time.perf_counter() - build_start
+    parents: list[int | None] = ordered_parent.tolist()
+    parents[root] = None
+    return Hierarchy(r, s, lam.tolist(), ordered_lambda.tolist(), parents,
+                     comp.tolist(), root, algorithm="fnd")
 
 
 def _run_construction(r: int, s: int, lam, static: dict, weights,
@@ -179,7 +180,7 @@ def _run_construction(r: int, s: int, lam, static: dict, weights,
                       pool: WorkerPool | None,
                       instrumentation: FndInstrumentation | None,
                       static_bundle: SharedArrayBundle | None) -> Hierarchy:
-    """Shared driver: local-only (``pool=None``) or worker-sharded.
+    """Shared driver: in-process (``pool=None``) or worker-sharded.
 
     ``static_bundle`` may hand in the static arrays already shared (the
     FND pipeline shares the adjacency/incidence once across its peel and
@@ -190,16 +191,16 @@ def _run_construction(r: int, s: int, lam, static: dict, weights,
     lam = np.ascontiguousarray(lam, dtype=np.int64)
     if pool is None:
         def edge_source(frontier, k):
-            return [spanning_forest_reduce(*local_edges(lam, frontier, k))]
+            return [local_edges(lam, frontier, k)]
 
-        return hierarchy_from_lambda(r, s, lam, edge_source,
-                                     ArrayRootedForest(), instrumentation)
+        return hierarchy_from_lambda(r, s, lam, edge_source, instrumentation)
 
-    forest = share_forest(ArrayRootedForest(), capacity=len(lam) + 1)
+    from repro.parallel.shm import SharedArrayBundle
+
     owned = static_bundle is None
+    if owned:
+        static_bundle = SharedArrayBundle.create(static)
     try:
-        if owned:
-            static_bundle = SharedArrayBundle.create(static)
         state = {"lam": lam,
                  "level_frontier": np.zeros(len(lam), dtype=np.int64)}
         with SharedArrayBundle.create(state) as bundle:
@@ -210,34 +211,32 @@ def _run_construction(r: int, s: int, lam, static: dict, weights,
                 def edge_source(frontier, k):
                     level_weights = weights[frontier]
                     if int(level_weights.sum()) < MIN_LEVEL_SLOTS:
-                        return [spanning_forest_reduce(
-                            *local_edges(lam, frontier, k))]
+                        return [local_edges(lam, frontier, k)]
                     frontier_buf[:len(frontier)] = frontier
                     cuts = weighted_cuts(level_weights, pool.workers)
                     return pool.scatter(
                         [task_prefix + (k, lo, hi)
                          for lo, hi in zip(cuts[:-1], cuts[1:], strict=True)])
 
-                return hierarchy_from_lambda(r, s, lam, edge_source, forest,
+                return hierarchy_from_lambda(r, s, lam, edge_source,
                                              instrumentation)
             finally:
                 pool.unbind()
     finally:
-        if owned and static_bundle is not None:
+        if owned:
             static_bundle.unlink()
-        forest.bundle.unlink()
 
 
 def core_hierarchy_from_lambda(
         csr: CSRGraph, lam, pool: WorkerPool | None = None,
         instrumentation: FndInstrumentation | None = None,
-        static_bundle: SharedArrayBundle | None = None) -> Hierarchy:
+        static_bundle=None) -> Hierarchy:
     """(1,2) hierarchy from settled core numbers, adjacency-driven.
 
-    ``static_bundle`` may hand in an already-shared ``indptr`` /
-    ``indices`` bundle; its views then also drive the parent-local
-    kernels, so the CSR arrays are converted and exported exactly once
-    per pipeline.
+    ``static_bundle`` may hand in the int64 ``indptr`` / ``indices``
+    arrays already converted — with a pool, the
+    :class:`~repro.parallel.shm.SharedArrayBundle` exporting them — so
+    the CSR arrays are converted and exported once per pipeline.
     """
     if static_bundle is not None:
         indptr, indices = static_bundle["indptr"], static_bundle["indices"]

@@ -1,39 +1,37 @@
-"""End-to-end parallel FND: sharded set-up, bulk peel, level-wise build.
+"""FND on the frontier engine: one pipeline, with or without a pool.
 
-PR 3 parallelised the incidence set-up but kept the extended peel fused
-with BuildHierarchy sequential — every sub-nucleus merge depended on the
-λ values settled before it.  The pipeline here breaks that chain in
-three worker-pool phases over one set of shared arrays:
+The paper's FND (Alg. 8/9) needs no traversal once λ is settled, so the
+CSR engine runs it as three phases over one set of flat arrays:
 
-1. **set-up** — triangle/K₄ listing and incidence materialisation,
-   sharded by pair-balanced ranges (:mod:`repro.parallel.incidence`;
+1. **set-up** — triangle/K₄ listing and incidence materialisation
+   (:mod:`repro.parallel.incidence` shards the listing over a pool;
    (1,2) needs none — its degrees are one ``np.diff``);
-2. **peel** — the round-synchronous bulk peel settles λ for every cell,
-   elementwise identical to the sequential engine
-   (:mod:`repro.parallel.bulk`);
+2. **peel** — the frontier rounds settle λ for every cell, elementwise
+   identical to the object engine (:mod:`repro.parallel.bulk`);
 3. **construction** — with λ known, sub-nucleus detection becomes
-   level-wise connectivity: workers union-find their incidence shards
-   locally and the parent merges the per-worker forests into the shared
-   rooted forest in deterministic order
-   (:mod:`repro.parallel.construct`).
+   level-wise connectivity (:mod:`repro.parallel.construct`).
 
-The output contract is unchanged from
-:func:`~repro.core.csr_fnd.csr_fnd_decomposition`: λ is elementwise
-identical and the *condensed* hierarchy is node-for-node identical to
-the sequential CSR engine, for (1,2), (2,3) and (3,4), at every worker
-count.  Only the non-maximal skeleton differs — the level-wise build
-materialises one sub-nucleus per (level, component), a subset of the
-sequential T* that condenses to the same nucleus tree.  When sharding
-cannot pay (one worker, or a host without spare cores — see
-:func:`~repro.parallel.bulk.sharding_effective`) the whole pipeline
-degrades to the sequential direct path.
+``backend="csr"`` runs the pipeline in process; ``csr-parallel`` runs the
+same functions with a :class:`~repro.parallel.pool.WorkerPool` when one
+can pay (:func:`~repro.parallel.bulk.worker_pool`), exporting the static
+arrays to shared memory once for the peel and the construction.  λ is
+elementwise and the *condensed* hierarchy node-for-node identical to the
+object engine for (1,2), (2,3) and (3,4) at every worker count; the
+skeleton holds one sub-nucleus per (level, component), which condenses to
+the same nucleus tree as the paper's T*.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.csr_fnd import csr_fnd_decomposition
+from repro.core.csr_peel import (
+    nucleus34_incidence_arrays,
+    truss_incidence_arrays,
+)
 from repro.core.fnd import FndInstrumentation
 from repro.core.hierarchy import Hierarchy
 from repro.core.peeling import PeelingResult
@@ -43,7 +41,7 @@ from repro.graph.csr import CSRGraph, csr_arrays_int64
 from repro.parallel.bulk import (
     _bulk_incidence_peel,
     bulk_core_peel,
-    sharding_effective,
+    worker_pool,
 )
 from repro.parallel.construct import (
     core_hierarchy_from_lambda,
@@ -53,69 +51,88 @@ from repro.parallel.incidence import (
     parallel_nucleus34_incidence,
     parallel_truss_incidence,
 )
-from repro.parallel.pool import WorkerPool
-from repro.parallel.shm import SharedArrayBundle
 
-__all__ = ["parallel_fnd_decomposition"]
+if TYPE_CHECKING:
+    from repro.parallel.pool import WorkerPool
+
+__all__ = ["FND_RS", "frontier_fnd", "parallel_fnd_decomposition"]
+
+#: the (r, s) pairs the frontier engine runs FND for (the paper's
+#: evaluated cases)
+FND_RS = ((1, 2), (2, 3), (3, 4))
+
+
+def frontier_fnd(csr: CSRGraph, r: int, s: int,
+                 pool: WorkerPool | None = None,
+                 instrumentation: FndInstrumentation | None = None,
+                 ) -> tuple[PeelingResult, Hierarchy, CellView]:
+    """FND for ``(r, s)`` in :data:`FND_RS`: ``(peeling, hierarchy, view)``.
+
+    The view construction is free for (1,2)/(2,3) and reuses the triangle
+    enumeration the set-up already materialised for (3,4) — no object
+    graph, and no second pass over the cliques.  Only the peel ``order``
+    depends on the engine: it is round order, still smallest-last.
+    """
+    if (r, s) == (1, 2):
+        arrays = csr_arrays_int64(csr)
+        static = {"indptr": arrays["indptr"], "indices": arrays["indices"]}
+        view: CellView = VertexView(csr)
+    elif (r, s) == (2, 3):
+        if pool is None:
+            sup, ptr, comps = truss_incidence_arrays(csr)
+        else:
+            sup, ptr, comp1, comp2 = parallel_truss_incidence(csr, pool)
+            comps = (comp1, comp2)
+        view = CSREdgeView(csr)
+    elif (r, s) == (3, 4):
+        if pool is None:
+            triangles, sup, ptr, comps = nucleus34_incidence_arrays(csr)
+        else:
+            triangles, sup, ptr, comps = parallel_nucleus34_incidence(
+                csr, pool)
+        # the peel settles sup in place: keep the initial ω₄ degrees
+        view = CSRTriangleView(csr, _enumeration=(triangles, sup.tolist()))
+    else:
+        raise InvalidParameterError(
+            f"no FND on the CSR engine for (r, s) = ({r}, {s}); "
+            f"supported: {FND_RS}")
+    if r > 1:
+        static = {"ptr": ptr}
+        for i, comp in enumerate(comps):
+            static[f"c{i + 1}"] = comp
+    with _exported(static, pool) as bundle:
+        if r == 1:
+            shared = static if bundle is None else bundle
+            peeling = bulk_core_peel(csr, pool, static=shared)
+            lam = np.asarray(peeling.lam, dtype=np.int64)
+            hierarchy = core_hierarchy_from_lambda(
+                csr, lam, pool, instrumentation, static_bundle=shared)
+        else:
+            peeling = _bulk_incidence_peel(sup, ptr, comps, pool,
+                                           static=bundle)
+            lam = np.asarray(peeling.lam, dtype=np.int64)
+            hierarchy = incidence_hierarchy_from_lambda(
+                r, s, lam, ptr, comps, pool, instrumentation,
+                static_bundle=bundle)
+    return peeling, hierarchy, view
+
+
+def _exported(static: dict, pool: WorkerPool | None):
+    """The static arrays in shared memory for a pooled run (one export
+    serves the peel and the construction), else nothing."""
+    if pool is None:
+        return nullcontext(None)
+    from repro.parallel.shm import SharedArrayBundle
+
+    return SharedArrayBundle.create(static)
 
 
 def parallel_fnd_decomposition(
         csr: CSRGraph, r: int, s: int, workers: int,
         instrumentation: FndInstrumentation | None = None,
 ) -> tuple[PeelingResult, Hierarchy, CellView]:
-    """Direct FND with set-up, peel *and* construction over ``workers``.
-
-    Same contract as :func:`~repro.core.csr_fnd.csr_fnd_decomposition`:
-    ``(peeling, hierarchy, view)`` with λ elementwise and the condensed
-    hierarchy node-for-node equal to the sequential CSR engine (only the
-    peel ``order`` follows the bulk rounds instead of the single-cell
-    pops).  Degrades to the sequential direct path when sharding cannot
-    pay.
-    """
-    if workers == 1 or not sharding_effective():
-        return csr_fnd_decomposition(csr, r, s, instrumentation)
-    if (r, s) == (1, 2):
-        with WorkerPool(workers) as pool:
-            arrays = csr_arrays_int64(csr)
-            # one shared export of the adjacency serves peel + construction
-            with SharedArrayBundle.create(
-                    {"indptr": arrays["indptr"],
-                     "indices": arrays["indices"]}) as static:
-                peeling = bulk_core_peel(csr, pool=pool, static=static)
-                lam = np.asarray(peeling.lam, dtype=np.int64)
-                hierarchy = core_hierarchy_from_lambda(
-                    csr, lam, pool=pool, instrumentation=instrumentation,
-                    static_bundle=static)
-        return peeling, hierarchy, VertexView(csr)
-    if (r, s) == (2, 3):
-        with WorkerPool(workers) as pool:
-            sup, ptr, comp1, comp2 = parallel_truss_incidence(csr, pool)
-            with SharedArrayBundle.create(
-                    {"ptr": ptr, "c1": comp1, "c2": comp2}) as static:
-                peeling = _bulk_incidence_peel(sup, ptr, (comp1, comp2),
-                                               pool, static=static)
-                lam = np.asarray(peeling.lam, dtype=np.int64)
-                hierarchy = incidence_hierarchy_from_lambda(
-                    2, 3, lam, ptr, (comp1, comp2), pool=pool,
-                    instrumentation=instrumentation, static_bundle=static)
-        return peeling, hierarchy, CSREdgeView(csr)
-    if (r, s) == (3, 4):
-        with WorkerPool(workers) as pool:
-            triangles, sup, ptr, comps = parallel_nucleus34_incidence(
-                csr, pool)
-            degrees = sup.tolist()  # the bulk peel settles sup in place
-            named = {"ptr": ptr}
-            for i, comp in enumerate(comps):
-                named[f"c{i + 1}"] = comp
-            with SharedArrayBundle.create(named) as static:
-                peeling = _bulk_incidence_peel(sup, ptr, comps, pool,
-                                               static=static)
-                lam = np.asarray(peeling.lam, dtype=np.int64)
-                hierarchy = incidence_hierarchy_from_lambda(
-                    3, 4, lam, ptr, comps, pool=pool,
-                    instrumentation=instrumentation, static_bundle=static)
-        view = CSRTriangleView(csr, _enumeration=(triangles, degrees))
-        return peeling, hierarchy, view
-    raise InvalidParameterError(
-        f"no parallel FND for (r, s) = ({r}, {s}); "
-        f"supported: ((1, 2), (2, 3), (3, 4))")
+    """:func:`frontier_fnd` over its own ``workers``-process pool (in
+    process when a pool cannot pay, see
+    :func:`~repro.parallel.bulk.worker_pool`)."""
+    with worker_pool(csr, workers) as pool:
+        return frontier_fnd(csr, r, s, pool, instrumentation)

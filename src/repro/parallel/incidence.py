@@ -10,12 +10,14 @@ sequential output — so the merged listing (and everything derived from
 it) is byte-identical for every worker count.
 
 The incidence fill itself (one stable argsort) stays in the parent: it is
-already vectorised, and its output feeds straight into either the
-round-synchronous bulk peel (:mod:`repro.parallel.bulk`) or the
-sequential extended peel + BuildHierarchy of :mod:`repro.core.csr_fnd`.
+already vectorised, and its output feeds straight into the frontier
+peel (:mod:`repro.parallel.bulk`) and the level-wise construction
+(:mod:`repro.parallel.construct`).
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,8 +32,9 @@ from repro.graph.csr import (
     triangle_triples,
 )
 from repro.parallel.kernels import weighted_cuts
-from repro.parallel.pool import WorkerPool
-from repro.parallel.shm import SharedArrayBundle
+
+if TYPE_CHECKING:
+    from repro.parallel.pool import WorkerPool
 
 __all__ = [
     "parallel_nucleus34_incidence",
@@ -49,6 +52,8 @@ def parallel_triangle_edge_ids(csr: CSRGraph, pool: WorkerPool):
     reproduces the sequential :func:`~repro.graph.csr.csr_triangle_edge_ids`
     output exactly.
     """
+    from repro.parallel.shm import SharedArrayBundle
+
     forward = csr_forward_structure(csr)
     counts = np.diff(forward["fptr"])
     cuts = weighted_cuts(counts * (counts - 1) // 2, pool.workers)
@@ -94,6 +99,8 @@ def parallel_nucleus34_incidence(csr: CSRGraph, pool: WorkerPool):
         from repro.core.csr_peel import nucleus34_incidence_arrays
 
         return nucleus34_incidence_arrays(csr)
+    from repro.parallel.shm import SharedArrayBundle
+
     tri_edges = parallel_triangle_edge_ids(csr, pool)
     tu, tv, tw = triangle_triples(csr_arrays_int64(csr), *tri_edges)
     order = np.lexsort((tw, tv, tu))

@@ -17,6 +17,7 @@ import numpy as np
 from repro.graph.csr import run_slots as _gather_slots
 
 __all__ = [
+    "component_roots",
     "core_decrement",
     "core_level_edges",
     "incidence_decrement",
@@ -134,43 +135,55 @@ def incidence_level_edges(ptr, comps, lam, frontier, k):
     return a, b
 
 
+def component_roots(x, y, size: int):
+    """Component label of every node ``0 .. size-1`` under pairs ``(x, y)``.
+
+    Hooking and pointer jumping (Shiloach–Vishkin style) in numpy: each
+    round hooks the larger root of every pair whose roots differ under
+    the smaller one, then jumps pointers until every node points at its
+    root.  A component that hooks nowhere in one round has a neighbour
+    hooked below it by the next, so the unresolved pairs die out after
+    O(log size) rounds.  The label of a component is its smallest node.
+    """
+    label = np.arange(size, dtype=np.int64)
+    while len(x):
+        lx = label[x]
+        ly = label[y]
+        differ = lx != ly
+        if not differ.any():
+            break
+        x, y, lx, ly = x[differ], y[differ], lx[differ], ly[differ]
+        np.minimum.at(label, np.maximum(lx, ly), np.minimum(lx, ly))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return label
+
+
 def spanning_forest_reduce(a, b):
-    """Reduce union pairs to the spanning edges of a local union-find.
+    """Reduce union pairs to one star per connected component.
 
     The worker-side compression step of the parallel hierarchy
-    construction: running a union-find over the raw ``(a, b)`` pairs,
-    only the pairs that actually merged two components are kept — a
-    spanning forest of the shard's connectivity, usually a tiny fraction
-    of the raw pair count.  The kept pairs are a subset of the input in
-    input order (after a first-occurrence dedup), so the parent's merge
-    over worker outputs is deterministic and every kept pair still has
-    its original (owner, companion) orientation.
+    construction: the pairs' components are labelled with
+    :func:`component_roots`, and each component comes back as a star
+    centred on its smallest owner (a value of ``a``) — ``nodes −
+    components`` pairs, usually a tiny fraction of the raw pair count.
+    Every pair keeps an owner first, the orientation the parent's level
+    merge reads; the output is sorted by the non-centre node, so it is
+    deterministic.
     """
     if len(a) == 0:
         return _EMPTY, _EMPTY
     nodes, inverse = np.unique(np.concatenate((a, b)), return_inverse=True)
-    la = inverse[:len(a)]
-    lb = inverse[len(a):]
-    _, first = np.unique(la * len(nodes) + lb, return_index=True)
-    first.sort()
-    parent = list(range(len(nodes)))
-    keep: list[int] = []
-    for idx in first.tolist():
-        x = parent[la[idx]]
-        while parent[x] != x:
-            x = parent[x]
-        y = parent[lb[idx]]
-        while parent[y] != y:
-            y = parent[y]
-        parent[la[idx]] = x
-        parent[lb[idx]] = y
-        if x != y:
-            parent[x] = y
-            keep.append(idx)
-    if len(keep) == len(a):
-        return a, b
-    keep_arr = np.asarray(keep, dtype=np.int64)
-    return a[keep_arr], b[keep_arr]
+    owners = inverse[:len(a)]
+    root = component_roots(owners, inverse[len(a):], len(nodes))
+    centre = np.full(len(nodes), len(nodes), dtype=np.int64)
+    np.minimum.at(centre, root[owners], owners)
+    hub = centre[root]
+    leaf = np.flatnonzero(hub != np.arange(len(nodes)))
+    return nodes[hub[leaf]], nodes[leaf]
 
 
 def weighted_cuts(weights, parts: int) -> list[int]:

@@ -200,9 +200,7 @@ class SharedRootedForest:
         """Claim ``count`` contiguous slots as fresh nodes; first id back.
 
         The batch counterpart of :meth:`make_node` — one vectorised write
-        per array instead of ``count`` scalar stores.  The level-wise
-        parallel hierarchy construction uses it to mint a whole
-        λ-frontier of singleton sub-nuclei per round.
+        per array instead of ``count`` scalar stores.
         """
         first = self.size
         end = first + count
@@ -217,7 +215,7 @@ class SharedRootedForest:
     def adopt_roots(self, new_root: int) -> None:
         """Parent every live parentless node except ``new_root`` to it.
 
-        Vectorised final step of the hierarchy construction: the
+        Vectorised final step of an FND-style construction: the
         surviving tree roots become children of the λ = 0 whole-graph
         node.  Only ``parent`` is written; ``root`` shortcuts are left
         as compressed.

@@ -57,8 +57,11 @@ def lam_sha(lam) -> str:
 
 
 def canonical_sha(hierarchy) -> str:
-    return hashlib.sha256(
-        repr(hierarchy.canonical_nuclei()).encode()).hexdigest()
+    # sorted: a set's repr follows its insertion order, which differs
+    # between engines that number their tree nodes differently
+    nuclei = sorted((k, sorted(cells))
+                    for k, cells in hierarchy.canonical_nuclei())
+    return hashlib.sha256(repr(nuclei).encode()).hexdigest()
 
 
 def vm_size_bytes() -> int:

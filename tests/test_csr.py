@@ -22,12 +22,7 @@ from repro.backends import (
     truss_peel,
 )
 from repro.core.bucket import FlatBucketQueue
-from repro.core.csr_peel import (
-    _truss_peel_replay,
-    _truss_peel_scan,
-    csr_core_peel,
-    csr_truss_peel,
-)
+from repro.core.csr_peel import truss_incidence
 from repro.core.peeling import peel
 from repro.core.views import EdgeView, VertexView, build_view
 from repro.errors import InvalidGraphError, InvalidParameterError
@@ -65,6 +60,17 @@ GENERATOR_SUITE = [
 ]
 
 _ids = [g.name for g in GENERATOR_SUITE]
+
+
+def _python_incidence_truss_peel(csr: CSRGraph) -> list[int]:
+    """λ₃ from the frontier rounds over the pure-python incidence."""
+    import numpy as np
+
+    from repro.parallel.bulk import _bulk_incidence_peel
+
+    sup, ptr, comp1, comp2 = (np.asarray(column, dtype=np.int64) for column
+                              in truss_incidence(csr, use_numpy=False))
+    return _bulk_incidence_peel(sup, ptr, (comp1, comp2), None).lam
 
 
 def _build_variants(graph: Graph) -> list[CSRGraph]:
@@ -186,36 +192,37 @@ class TestPeels:
     @pytest.mark.parametrize("graph", GENERATOR_SUITE, ids=_ids)
     def test_core_peel_matches(self, graph):
         expected = peel(VertexView(graph))
-        result = csr_core_peel(CSRGraph.from_graph(graph))
+        result = core_peel(CSRGraph.from_graph(graph))
         assert result.lam == expected.lam
         assert result.max_lambda == expected.max_lambda
 
     @pytest.mark.parametrize("graph", GENERATOR_SUITE, ids=_ids)
     def test_truss_peel_matches_both_strategies(self, graph):
+        # the frontier rounds over the numpy incidence and over the
+        # pure-python reference incidence (the small-graph fallback)
         expected = peel(EdgeView(graph))
         csr = CSRGraph.from_graph(graph)
-        assert _truss_peel_scan(csr).lam == expected.lam
-        if HAVE_NUMPY:
-            assert _truss_peel_replay(csr).lam == expected.lam
-        assert csr_truss_peel(csr).max_lambda == expected.max_lambda
+        result = truss_peel(csr)
+        assert result.lam == expected.lam
+        assert _python_incidence_truss_peel(csr) == expected.lam
+        assert result.max_lambda == expected.max_lambda
 
     @given(small_graphs())
     @settings(max_examples=60)
     def test_core_peel_matches_random(self, g):
-        assert csr_core_peel(as_csr(g)).lam == peel(VertexView(g)).lam
+        assert core_peel(as_csr(g)).lam == peel(VertexView(g)).lam
 
     @given(dense_small_graphs())
     @settings(max_examples=40, deadline=None)
     def test_truss_peel_matches_random(self, g):
         expected = peel(EdgeView(g)).lam
         csr = as_csr(g)
-        assert _truss_peel_scan(csr).lam == expected
-        if HAVE_NUMPY:
-            assert _truss_peel_replay(csr).lam == expected
+        assert truss_peel(csr).lam == expected
+        assert _python_incidence_truss_peel(csr) == expected
 
     def test_core_peel_order_is_degeneracy_order(self):
         g = generators.powerlaw_cluster(80, 4, 0.5, seed=9)
-        result = csr_core_peel(as_csr(g))
+        result = core_peel(as_csr(g))
         position = {v: i for i, v in enumerate(result.order)}
         for v in g.vertices():
             later = sum(1 for w in g.neighbors(v) if position[w] > position[v])

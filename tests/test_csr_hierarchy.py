@@ -20,8 +20,6 @@ from repro.backends import (
     nucleus34_peel,
     truss_peel,
 )
-from repro.core.csr_fnd import csr_fnd_decomposition
-from repro.core.csr_peel import csr_core_peel
 from repro.core.decomposition import nucleus_decomposition
 from repro.core.fnd import fnd_decomposition
 from repro.core.lcps import lcps_hierarchy
@@ -32,6 +30,7 @@ from repro.examples_graphs import figure2_graph, figure4_graph, figure5_graph
 from repro.graph import generators
 from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
+from repro.parallel.fnd import frontier_fnd
 
 from _graphs import dense_small_graphs, small_graphs
 
@@ -97,15 +96,15 @@ class TestCsrFndParity:
     def test_unsupported_rs_rejected(self):
         csr = as_csr(generators.complete_graph(5))
         with pytest.raises(InvalidParameterError):
-            csr_fnd_decomposition(csr, 1, 3)
+            frontier_fnd(csr, 1, 3)
 
     def test_instrumentation_matches_structure(self):
         from repro.core.fnd import FndInstrumentation
 
         g = generators.powerlaw_cluster(80, 4, 0.5, seed=2)
         stats = FndInstrumentation()
-        _, hierarchy, _ = csr_fnd_decomposition(as_csr(g), 1, 2,
-                                                instrumentation=stats)
+        _, hierarchy, _ = frontier_fnd(as_csr(g), 1, 2,
+                                       instrumentation=stats)
         assert stats.num_subnuclei == hierarchy.num_subnuclei
 
     @given(small_graphs(max_n=11))
@@ -199,7 +198,7 @@ class TestLcpsCsr:
     @settings(max_examples=30, deadline=None)
     def test_csr_vs_object_random(self, g):
         csr = as_csr(g)
-        peeling = csr_core_peel(csr)
+        peeling = core_peel(csr)
         on_csr = lcps_hierarchy(csr, peeling)
         on_obj = lcps_hierarchy(g, peeling)
         on_csr.validate()
@@ -214,8 +213,8 @@ class TestDispatchDefaults:
         """Regression: `core_peel(as_csr(g))` used to silently convert back
         and run the object engine (`backend` defaulted to "object")."""
         calls = []
-        real = backends.csr_core_peel
-        monkeypatch.setattr(backends, "csr_core_peel",
+        real = backends.bulk_core_peel
+        monkeypatch.setattr(backends, "bulk_core_peel",
                             lambda csr: calls.append("csr") or real(csr))
         csr = as_csr(generators.complete_graph(5))
         result = core_peel(csr)
@@ -224,16 +223,16 @@ class TestDispatchDefaults:
 
     def test_truss_peel_csr_input_runs_csr_engine(self, monkeypatch):
         calls = []
-        real = backends.csr_truss_peel
-        monkeypatch.setattr(backends, "csr_truss_peel",
+        real = backends.bulk_truss_peel
+        monkeypatch.setattr(backends, "bulk_truss_peel",
                             lambda csr: calls.append("csr") or real(csr))
         truss_peel(as_csr(generators.complete_graph(5)))
         assert calls == ["csr"]
 
     def test_nucleus34_peel_csr_input_runs_csr_engine(self, monkeypatch):
         calls = []
-        real = backends.csr_nucleus34_peel
-        monkeypatch.setattr(backends, "csr_nucleus34_peel",
+        real = backends.bulk_nucleus34_peel
+        monkeypatch.setattr(backends, "bulk_nucleus34_peel",
                             lambda csr: calls.append("csr") or real(csr))
         nucleus34_peel(as_csr(generators.complete_graph(5)))
         assert calls == ["csr"]
@@ -250,7 +249,7 @@ class TestDispatchDefaults:
         assert isinstance(decompose(csr, 1, 2, backend="object").graph, Graph)
 
     def test_object_input_still_defaults_to_object_engine(self, monkeypatch):
-        monkeypatch.setattr(backends, "csr_core_peel",
+        monkeypatch.setattr(backends, "bulk_core_peel",
                             lambda csr: pytest.fail("object input ran CSR"))
         core_peel(generators.complete_graph(4))
 

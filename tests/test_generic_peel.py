@@ -1,26 +1,17 @@
-"""The generic peel kernel: λ parity with the tuned direct peels.
+"""The generic peel kernel: validation and bucket-kind agreement.
 
-The tentpole claim — one flat-array skeleton parameterised by (initial
-values, decrement rule, bucket kind) reproduces every tuned peel element
-for element — is proven here, on fixtures and on random graphs.
+One flat-array skeleton parameterised by (initial values, decrement rule,
+bucket kind) hosts the scenario variants; their parity suites (directed,
+temporal, weighted, uncertain) cover the unit-rule path against the
+object engines.
 """
 
 import pytest
-from hypothesis import given, settings
 
 from repro.backends import as_csr
-from repro.core.csr_peel import csr_core_peel, csr_nucleus34_peel, csr_truss_peel
-from repro.core.generic_peel import (
-    BUCKET_KINDS,
-    generic_peel,
-    kernel_core_peel,
-    kernel_nucleus34_peel,
-    kernel_truss_peel,
-)
+from repro.core.generic_peel import BUCKET_KINDS, generic_peel
 from repro.errors import InvalidParameterError
 from repro.kcore import core_numbers
-
-from _graphs import dense_small_graphs, small_graphs
 
 
 def _no_rule(cell, peeled):
@@ -68,36 +59,6 @@ class TestValidation:
         assert result.lam == [] and result.max_lambda == 0
 
 
-class TestKernelInstancesOnFixtures:
-    def test_core_parity(self, social):
-        csr = as_csr(social)
-        direct = csr_core_peel(csr)
-        kernel = kernel_core_peel(csr)
-        assert kernel.lam == direct.lam
-        assert kernel.max_lambda == direct.max_lambda
-        assert kernel.order == direct.order
-
-    def test_truss_parity(self, social):
-        csr = as_csr(social)
-        direct = csr_truss_peel(csr)
-        kernel = kernel_truss_peel(csr)
-        assert kernel.lam == direct.lam
-        assert kernel.max_lambda == direct.max_lambda
-
-    def test_nucleus34_parity(self, social):
-        csr = as_csr(social)
-        direct = csr_nucleus34_peel(csr)
-        kernel = kernel_nucleus34_peel(csr)
-        assert kernel.lam == direct.lam
-        assert kernel.max_lambda == direct.max_lambda
-
-    def test_k5_levels(self, k5):
-        csr = as_csr(k5)
-        assert kernel_core_peel(csr).lam == [4] * 5
-        assert kernel_truss_peel(csr).lam == [3] * 10
-        assert kernel_nucleus34_peel(csr).lam == [2] * 10
-
-
 class TestBucketKindsAgree:
     """One decomposition, three bucket engines, identical λ.
 
@@ -124,7 +85,12 @@ class TestBucketKindsAgree:
         expected = core_numbers(social)
         degrees = list(csr.degrees())
         rule = self._revalue_core(csr)
-        assert kernel_core_peel(csr).lam == expected
+        indptr, indices, _ = csr.hot_arrays()
+
+        def incident(v, peeled):
+            return (indices[p] for p in range(indptr[v], indptr[v + 1]))
+
+        assert generic_peel(degrees, unit_rule=incident).lam == expected
         assert generic_peel(degrees, revalue_rule=rule,
                             bucket="heap").lam == expected
         assert generic_peel(list(csr.degrees()), revalue_rule=rule,
@@ -139,27 +105,3 @@ class TestBucketKindsAgree:
                               revalue_rule=rule, bucket="heap")
         assert floats.lam == [float(x) for x in ints.lam]
         assert isinstance(floats.max_lambda, float)
-
-
-@given(small_graphs(max_n=12))
-@settings(max_examples=50, deadline=None)
-def test_core_kernel_parity_random(g):
-    csr = as_csr(g)
-    direct = csr_core_peel(csr)
-    kernel = kernel_core_peel(csr)
-    assert kernel.lam == direct.lam
-    assert kernel.order == direct.order
-
-
-@given(dense_small_graphs(max_n=9))
-@settings(max_examples=30, deadline=None)
-def test_truss_kernel_parity_random(g):
-    csr = as_csr(g)
-    assert kernel_truss_peel(csr).lam == csr_truss_peel(csr).lam
-
-
-@given(dense_small_graphs(max_n=8))
-@settings(max_examples=25, deadline=None)
-def test_nucleus34_kernel_parity_random(g):
-    csr = as_csr(g)
-    assert kernel_nucleus34_peel(csr).lam == csr_nucleus34_peel(csr).lam

@@ -1,11 +1,10 @@
 """Coverage for remaining paths: LCPS skeleton export, (3,4) queries,
-disk directory placement, dataset export via CLI, generic API dispatch."""
+dataset export via CLI, generic API dispatch."""
 
 import pytest
 
 from repro.core.decomposition import nucleus_decomposition
 from repro.export import skeleton_to_dot, tree_to_dot
-from repro.external import DiskAdjacency
 from repro.graph import generators
 from repro.queries import HierarchyIndex
 
@@ -42,14 +41,6 @@ class TestQueriesOn34:
         index = HierarchyIndex(result)
         communities = index.communities_of_vertex(0, 1)
         assert len(communities) == 1
-
-
-class TestDiskDirectory:
-    def test_custom_directory(self, tmp_path, k4):
-        with DiskAdjacency(k4, directory=tmp_path) as disk:
-            assert disk.neighbors(0) == [1, 2, 3]
-            files = list(tmp_path.glob("repro-adj-*"))
-            assert len(files) == 1
 
 
 class TestGenericApiDispatch:

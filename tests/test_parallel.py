@@ -5,9 +5,9 @@ Covers the four layers of :mod:`repro.parallel`:
 * shm — zero-copy bundle round-trips (in-process and cross-process) and
   the shared rooted forest;
 * kernels — decrement/sharding helpers against brute-force oracles;
-* bulk — round-synchronous peel λ parity with the sequential CSR engine,
-  in-process and through a real worker pool (sharding forced, so the
-  worker protocol is exercised even on single-core hosts);
+* bulk — round-synchronous peel λ parity with the object engine,
+  in-process and through a real worker pool (sharding forced and the
+  pool gate lowered, so the worker protocol is exercised on any host);
 * dispatch — the ``csr-parallel`` backend, worker-count resolution and
   validation, and the guarantee that ``workers=1`` never spawns a pool.
 """
@@ -30,12 +30,7 @@ from repro.backends import (
     resolve_backend,
     truss_peel,
 )
-from repro.core.csr_peel import (
-    csr_core_peel,
-    csr_nucleus34_peel,
-    csr_truss_peel,
-    nucleus34_incidence,
-)
+from repro.core.csr_peel import nucleus34_incidence
 from repro.core.disjoint_set import ArrayRootedForest
 from repro.errors import InvalidParameterError
 from repro.graph import generators
@@ -79,8 +74,10 @@ def powerlaw_csr() -> CSRGraph:
 
 @pytest.fixture
 def forced_sharding(monkeypatch):
-    """Exercise the worker protocol even on single-core hosts."""
+    """Exercise the worker protocol even on single-core hosts, at any
+    input size."""
     monkeypatch.setenv(FORCE_SHARDING_ENV, "1")
+    monkeypatch.setattr(bulk_module, "POOL_CROSSOVER_EDGES", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +197,15 @@ class TestBulkPeels:
     @pytest.mark.parametrize("seed", range(10))
     def test_lambda_parity_random(self, seed):
         csr = random_csr(seed)
-        assert bulk_core_peel(csr).lam == csr_core_peel(csr).lam
-        assert bulk_truss_peel(csr).lam == csr_truss_peel(csr).lam
-        assert bulk_nucleus34_peel(csr).lam == csr_nucleus34_peel(csr).lam
+        assert bulk_core_peel(csr).lam == core_peel(csr, backend="object").lam
+        assert bulk_truss_peel(csr).lam == truss_peel(csr, backend="object").lam
+        assert bulk_nucleus34_peel(csr).lam == nucleus34_peel(csr, backend="object").lam
 
     def test_lambda_parity_powerlaw(self, powerlaw_csr):
         assert bulk_core_peel(powerlaw_csr).lam == \
-            csr_core_peel(powerlaw_csr).lam
+            core_peel(powerlaw_csr, backend="object").lam
         assert bulk_truss_peel(powerlaw_csr).lam == \
-            csr_truss_peel(powerlaw_csr).lam
+            truss_peel(powerlaw_csr, backend="object").lam
 
     def test_long_cascade_stays_linear(self):
         # a path graph peels in ~n/2 frontier rounds; the bucket-driven
@@ -221,7 +218,7 @@ class TestBulkPeels:
         start = time.perf_counter()
         result = bulk_core_peel(csr)
         elapsed = time.perf_counter() - start
-        assert result.lam == csr_core_peel(csr).lam
+        assert result.lam == core_peel(csr, backend="object").lam
         assert elapsed < 10.0  # quadratic behaviour would take minutes
 
     def test_bulk_order_is_valid_peel_order(self, powerlaw_csr):
@@ -285,11 +282,11 @@ class TestWorkerPool:
     def test_pool_peel_parity(self, powerlaw_csr):
         with WorkerPool(2) as pool:
             assert bulk_core_peel(powerlaw_csr, pool=pool).lam == \
-                csr_core_peel(powerlaw_csr).lam
+                core_peel(powerlaw_csr, backend="object").lam
             assert bulk_truss_peel(powerlaw_csr, pool=pool).lam == \
-                csr_truss_peel(powerlaw_csr).lam
+                truss_peel(powerlaw_csr, backend="object").lam
             assert bulk_nucleus34_peel(powerlaw_csr, pool=pool).lam == \
-                csr_nucleus34_peel(powerlaw_csr).lam
+                nucleus34_peel(powerlaw_csr, backend="object").lam
 
     def test_pool_survives_task_errors(self):
         with WorkerPool(2) as pool:
@@ -303,7 +300,7 @@ class TestWorkerPool:
             csr = CSRGraph(n, edges)
             with WorkerPool(2) as pool:
                 assert bulk_core_peel(csr, pool=pool).lam == \
-                    csr_core_peel(csr).lam
+                    core_peel(csr, backend="object").lam
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +317,8 @@ class TestBackendDispatch:
 
     def test_peel_parity_through_backend(self, powerlaw_csr,
                                          forced_sharding):
-        for func, seq in [(core_peel, csr_core_peel),
-                          (truss_peel, csr_truss_peel),
-                          (nucleus34_peel, csr_nucleus34_peel)]:
-            expected = seq(powerlaw_csr).lam
+        for func in (core_peel, truss_peel, nucleus34_peel):
+            expected = func(powerlaw_csr, backend="object").lam
             assert func(powerlaw_csr, backend="csr-parallel",
                         workers=1).lam == expected
             assert func(powerlaw_csr, backend="csr-parallel",
@@ -377,9 +372,7 @@ class TestBackendDispatch:
             raise AssertionError("a process pool was spawned for workers=1")
 
         monkeypatch.setattr("repro.parallel.pool.WorkerPool.__init__", boom)
-        monkeypatch.setattr("repro.parallel.bulk.WorkerPool.__init__", boom,
-                            raising=False)
-        expected = csr_core_peel(powerlaw_csr).lam
+        expected = core_peel(powerlaw_csr, backend="object").lam
         assert core_peel(powerlaw_csr, backend="csr-parallel",
                          workers=1).lam == expected
         assert decompose(powerlaw_csr, 2, 3, backend="csr-parallel",
@@ -390,8 +383,9 @@ class TestBackendDispatch:
                                                 powerlaw_csr):
         monkeypatch.setenv(WORKERS_ENV, "2")
         monkeypatch.setenv(FORCE_SHARDING_ENV, "1")
+        monkeypatch.setattr(bulk_module, "POOL_CROSSOVER_EDGES", 0)
         result = core_peel(powerlaw_csr, backend="csr-parallel")
-        assert result.lam == csr_core_peel(powerlaw_csr).lam
+        assert result.lam == core_peel(powerlaw_csr, backend="object").lam
 
     def test_sharding_effective_override(self, monkeypatch):
         monkeypatch.setenv(FORCE_SHARDING_ENV, "1")
@@ -406,10 +400,11 @@ class TestBackendDispatch:
                                                powerlaw_csr):
         # with sharding off, a multi-worker request must not spawn a pool
         monkeypatch.setenv(FORCE_SHARDING_ENV, "0")
+        monkeypatch.setattr(bulk_module, "POOL_CROSSOVER_EDGES", 0)
 
         def boom(*args, **kwargs):
             raise AssertionError("pool spawned although sharding is off")
 
-        monkeypatch.setattr(bulk_module.WorkerPool, "__init__", boom)
+        monkeypatch.setattr("repro.parallel.pool.WorkerPool.__init__", boom)
         result = core_peel(powerlaw_csr, backend="csr-parallel", workers=4)
-        assert result.lam == csr_core_peel(powerlaw_csr).lam
+        assert result.lam == core_peel(powerlaw_csr, backend="object").lam

@@ -2,16 +2,17 @@
 
 The contract under test: ``decompose(..., backend="csr-parallel",
 workers=N)`` produces λ elementwise identical and a *condensed*
-hierarchy node-for-node identical to the sequential CSR FND engine, for
-(1,2), (2,3) and (3,4), at every worker count, deterministically.
+hierarchy node-for-node identical to the in-process CSR engine (itself
+held to the object engine), for (1,2), (2,3) and (3,4), at every worker
+count, deterministically.
 Covers the layers bottom-up:
 
 * the level-edge kernels against brute-force oracles;
 * the worker-side spanning-forest reduction;
 * the batch forest primitives (``make_nodes`` / ``adopt_roots``) on
   both the flat and the shared rooted forest;
-* the in-process (``pool=None``) level-wise build vs the sequential
-  fused engine;
+* the in-process (``pool=None``) level-wise build vs the object
+  engine's FND;
 * the full pooled pipeline — including every-level farming, repeated-run
   determinism, and the single-core / ``workers=1`` degradation paths;
 * the sparse pool-farmed decrement merge of the bulk peels.
@@ -26,14 +27,14 @@ import pytest
 
 import repro.parallel.bulk as bulk_module
 import repro.parallel.construct as construct_module
-import repro.parallel.fnd as parallel_fnd_module
-from repro.backends import as_backend, decompose
-from repro.core.csr_peel import (
-    csr_core_peel,
-    csr_nucleus34_peel,
-    csr_truss_peel,
-    truss_incidence_arrays,
+from repro.backends import (
+    as_backend,
+    core_peel,
+    decompose,
+    nucleus34_peel,
+    truss_peel,
 )
+from repro.core.csr_peel import truss_incidence_arrays
 from repro.core.disjoint_set import ArrayRootedForest
 from repro.graph import generators
 from repro.graph.csr import CSRGraph, csr_arrays_int64
@@ -85,6 +86,7 @@ def powerlaw_csr() -> CSRGraph:
 @pytest.fixture
 def forced_sharding(monkeypatch):
     monkeypatch.setenv(FORCE_SHARDING_ENV, "1")
+    monkeypatch.setattr(bulk_module, "POOL_CROSSOVER_EDGES", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +98,7 @@ class TestLevelEdgeKernels:
         csr = random_csr(seed)
         arrays = csr_arrays_int64(csr)
         indptr, indices = arrays["indptr"], arrays["indices"]
-        lam = np.asarray(csr_core_peel(csr).lam, dtype=np.int64)
+        lam = np.asarray(core_peel(csr, backend="object").lam, dtype=np.int64)
         for k in range(1, int(lam.max(initial=0)) + 1):
             frontier = np.flatnonzero(lam == k)
             a, b = core_level_edges(indptr, indices, lam, frontier, k)
@@ -115,7 +117,7 @@ class TestLevelEdgeKernels:
     def test_incidence_level_edges_match_brute_force(self, seed):
         csr = random_csr(seed, max_n=30)
         sup, ptr, comps = truss_incidence_arrays(csr)
-        lam = np.asarray(csr_truss_peel(csr).lam, dtype=np.int64)
+        lam = np.asarray(truss_peel(csr, backend="object").lam, dtype=np.int64)
         for k in range(1, int(lam.max(initial=0)) + 1):
             frontier = np.flatnonzero(lam == k)
             a, b = incidence_level_edges(ptr, comps, lam, frontier, k)
@@ -139,14 +141,14 @@ class TestLevelEdgeKernels:
         a = np.array([rng.choice(nodes) for _ in range(300)], dtype=np.int64)
         b = np.array([rng.choice(nodes) for _ in range(300)], dtype=np.int64)
         ra, rb = spanning_forest_reduce(a, b)
-        # a spanning forest: subset of the input pairs, no redundant edge
-        assert set(zip(ra.tolist(), rb.tolist())) <= set(
-            zip(a.tolist(), b.tolist()))
+        # one star per component: the same components, no redundant pair,
+        # and every pair led by one of the input owners
         touched = set(a.tolist()) | set(b.tolist())
         full = _components(zip(a.tolist(), b.tolist()), touched)
         reduced = _components(zip(ra.tolist(), rb.tolist()), touched)
         assert full == reduced
         assert len(ra) == len(touched) - len(full)
+        assert set(ra.tolist()) <= set(a.tolist())
 
     def test_spanning_forest_reduce_empty_and_deterministic(self):
         empty = np.empty(0, dtype=np.int64)
@@ -219,40 +221,40 @@ class TestLevelwiseConstruction:
     @pytest.mark.parametrize("seed", range(8))
     def test_core_hierarchy_matches_sequential(self, seed):
         csr = random_csr(seed)
-        sequential = decompose(csr, 1, 2, algorithm="fnd", backend="csr")
-        lam = np.asarray(csr_core_peel(csr).lam, dtype=np.int64)
+        reference = decompose(csr, 1, 2, algorithm="fnd", backend="object")
+        lam = np.asarray(core_peel(csr, backend="object").lam, dtype=np.int64)
         hierarchy = core_hierarchy_from_lambda(csr, lam)
         hierarchy.validate()
         assert condensed_signature(hierarchy) == \
-            condensed_signature(sequential.hierarchy)
+            condensed_signature(reference.hierarchy)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_truss_hierarchy_matches_sequential(self, seed):
         csr = random_csr(seed, max_n=30)
-        sequential = decompose(csr, 2, 3, algorithm="fnd", backend="csr")
+        reference = decompose(csr, 2, 3, algorithm="fnd", backend="object")
         _, ptr, comps = truss_incidence_arrays(csr)
-        lam = np.asarray(csr_truss_peel(csr).lam, dtype=np.int64)
+        lam = np.asarray(truss_peel(csr, backend="object").lam, dtype=np.int64)
         hierarchy = incidence_hierarchy_from_lambda(2, 3, lam, ptr, comps)
         hierarchy.validate()
         assert condensed_signature(hierarchy) == \
-            condensed_signature(sequential.hierarchy)
+            condensed_signature(reference.hierarchy)
 
     def test_nucleus34_hierarchy_matches_sequential(self, powerlaw_csr):
         from repro.core.csr_peel import nucleus34_incidence_arrays
 
-        sequential = decompose(powerlaw_csr, 3, 4, algorithm="fnd",
-                               backend="csr")
+        reference = decompose(powerlaw_csr, 3, 4, algorithm="fnd",
+                              backend="object")
         _, _, ptr, comps = nucleus34_incidence_arrays(powerlaw_csr)
-        lam = np.asarray(csr_nucleus34_peel(powerlaw_csr).lam,
+        lam = np.asarray(nucleus34_peel(powerlaw_csr, backend="object").lam,
                          dtype=np.int64)
         hierarchy = incidence_hierarchy_from_lambda(3, 4, lam, ptr, comps)
         hierarchy.validate()
         assert condensed_signature(hierarchy) == \
-            condensed_signature(sequential.hierarchy)
+            condensed_signature(reference.hierarchy)
 
     def test_empty_and_edgeless_graphs(self):
         for csr in (CSRGraph(0, []), CSRGraph(5, [])):
-            lam = np.asarray(csr_core_peel(csr).lam, dtype=np.int64)
+            lam = np.asarray(core_peel(csr, backend="object").lam, dtype=np.int64)
             hierarchy = core_hierarchy_from_lambda(csr, lam)
             hierarchy.validate()
             assert hierarchy.num_subnuclei == 0
@@ -313,8 +315,9 @@ class TestParallelFndParity:
     def test_single_core_hosts_degrade_to_sequential_path(
             self, powerlaw_csr, monkeypatch):
         monkeypatch.setenv(FORCE_SHARDING_ENV, "0")
+        monkeypatch.setattr(bulk_module, "POOL_CROSSOVER_EDGES", 0)
         monkeypatch.setattr(
-            parallel_fnd_module, "WorkerPool",
+            "repro.parallel.pool.WorkerPool",
             _RaisingPool)  # the degraded path must never build a pool
         sequential = decompose(powerlaw_csr, 2, 3, algorithm="fnd",
                                backend="csr")
@@ -326,7 +329,7 @@ class TestParallelFndParity:
 
     def test_workers_one_never_builds_a_pool(
             self, powerlaw_csr, forced_sharding, monkeypatch):
-        monkeypatch.setattr(parallel_fnd_module, "WorkerPool", _RaisingPool)
+        monkeypatch.setattr("repro.parallel.pool.WorkerPool", _RaisingPool)
         result = decompose(powerlaw_csr, 1, 2, algorithm="fnd",
                            backend="csr-parallel", workers=1)
         sequential = decompose(powerlaw_csr, 1, 2, algorithm="fnd",
@@ -365,13 +368,13 @@ class TestSparseShardedDecrement:
                                             every_round_farmed):
         with WorkerPool(2) as pool:
             assert bulk_core_peel(powerlaw_csr, pool).lam == \
-                csr_core_peel(powerlaw_csr).lam
+                core_peel(powerlaw_csr, backend="object").lam
             assert bulk_truss_peel(powerlaw_csr, pool).lam == \
-                csr_truss_peel(powerlaw_csr).lam
+                truss_peel(powerlaw_csr, backend="object").lam
 
     def test_farmed_nucleus34_matches_sequential(self, every_round_farmed):
         csr = as_backend(generators.powerlaw_cluster(150, 6, 0.6, seed=2),
                          "csr")
         with WorkerPool(3) as pool:
             assert bulk_nucleus34_peel(csr, pool).lam == \
-                csr_nucleus34_peel(csr).lam
+                nucleus34_peel(csr, backend="object").lam
