@@ -146,7 +146,8 @@ def resolve_backend(graph: AnyGraph, backend: str | None) -> str:
 
 
 def as_csr(graph: AnyGraph) -> CSRGraph:
-    """The CSR representation of ``graph`` (no-op if already CSR)."""
+    """The CSR representation of ``graph`` (no-op if already CSR; a
+    :class:`Graph` hands over the CSR it holds, building it only once)."""
     if isinstance(graph, CSRGraph):
         return graph
     if isinstance(graph, Graph):

@@ -30,7 +30,9 @@ uncompressed ``.npz`` (one flat binary blob per array, loadable lazily), so
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 import zipfile
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -40,6 +42,7 @@ from repro.analysis.density import edge_density
 from repro.core.decomposition import Decomposition
 from repro.core.hierarchy import Hierarchy
 from repro.errors import GraphFormatError, InvalidParameterError
+from repro.graph.csr import sorted_unique
 from repro.queries import CommunityLevel
 
 try:  # the index is array-native; there is no object fallback
@@ -263,7 +266,7 @@ class FlatHierarchyIndex:
         self._cell_verts = verts.reshape(num_cells, r) if num_cells else None
         nodes = np.repeat(self.cell_node.astype(np.int64), r)
         num_nodes = len(self.node_k)
-        pairs = np.unique(verts * num_nodes + nodes)
+        pairs = sorted_unique(verts * num_nodes + nodes)
         owners = pairs // num_nodes
         self.vert_nodes = (pairs % num_nodes).astype(np.int32)
         counts = np.bincount(owners, minlength=self.n).astype(np.int64)
@@ -412,7 +415,7 @@ class FlatHierarchyIndex:
         keep = tops >= 0
         owner = owner[keep]
         tops = tops[keep].astype(np.int64)
-        pairs = np.unique(owner * self.num_nodes + tops)
+        pairs = sorted_unique(owner * self.num_nodes + tops)
         out: list[list[np.ndarray]] = [[] for _ in range(len(vertices))]
         cache: dict[int, np.ndarray] = {}
         for pair in pairs.tolist():
@@ -496,7 +499,7 @@ class FlatHierarchyIndex:
                     "(stats=False); re-save with stats=True or rebuild from "
                     "a decomposition to answer profile queries")
             if getattr(self, "_cell_verts", None) is not None:
-                vertices = np.unique(
+                vertices = sorted_unique(
                     self._cell_verts[self.community_cells(node)])
                 nv = len(vertices)
                 mask = np.zeros(self.n, dtype=bool)
@@ -532,7 +535,7 @@ class FlatHierarchyIndex:
     # persistence
     # ------------------------------------------------------------------
     def save(self, path: str | Path, stats: bool = True) -> None:
-        """Persist the index as an uncompressed ``.npz``.
+        """Persist the index as an uncompressed ``.npz``, atomically.
 
         ``stats=True`` (default) additionally materialises the per-node
         profile statistics so a fresh process can answer *every* query
@@ -562,8 +565,21 @@ class FlatHierarchyIndex:
             assert self._stat_arrays is not None  # precompute_stats filled it
             nv, ne, density = self._stat_arrays
             payload.update(node_nv=nv, node_ne=ne, node_density=density)
-        with open(path, "wb") as handle:  # savez would append ".npz"
-            np.savez(handle, **payload)
+        # write a sibling temp file and rename it over the target, so a
+        # crash mid-write leaves the previous index intact
+        path = Path(path)
+        # one writer per process and thread can hold this name
+        tmp = path.with_name(
+            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            with open(tmp, "wb") as handle:  # savez would append ".npz"
+                np.savez(handle, **payload)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path, graph: Any = None, view: Any = None, *,

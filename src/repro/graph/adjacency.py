@@ -13,6 +13,11 @@ The representation is tuned for peeling and clique enumeration workloads:
 Graphs are immutable once constructed.  Build them with
 :meth:`Graph.from_edges`, :func:`repro.graph.io` loaders, or the generators
 in :mod:`repro.graph.generators`.
+
+A graph may also hold its flat CSR form (:class:`~repro.graph.csr.CSRGraph`):
+the edge-list loader builds that first and wraps it with
+:meth:`Graph.from_csr`, and the set/list adjacency is then built only when
+an object-engine method first reads it.
 """
 
 from __future__ import annotations
@@ -67,7 +72,8 @@ class EdgeIndex:
 class Graph:
     """An immutable, undirected, simple graph on vertices ``0 .. n-1``."""
 
-    __slots__ = ("_n", "_m", "_adj_set", "_adj_sorted", "_edge_index", "name")
+    __slots__ = ("_n", "_m", "_adj_set", "_adj_sorted", "_edge_index", "_csr",
+                 "name")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: str = ""):
         if n < 0:
@@ -85,7 +91,37 @@ class Graph:
         self._adj_sorted = [sorted(s) for s in adj_set]
         self._m = sum(len(s) for s in adj_set) // 2
         self._edge_index: EdgeIndex | None = None
+        self._csr = None
         self.name = name
+
+    @classmethod
+    def from_csr(cls, csr) -> "Graph":
+        """A graph holding ``csr`` (a :class:`~repro.graph.csr.CSRGraph`).
+
+        Nothing is copied: the set/list adjacency is built from the CSR
+        arrays when an object-engine method first reads it, and
+        :meth:`CSRGraph.from_graph` hands ``csr`` back.
+        """
+        self = cls.__new__(cls)
+        self._n = csr.n
+        self._m = csr.m
+        self._edge_index = None
+        self._csr = csr
+        self.name = csr.name
+        return self
+
+    def __getattr__(self, name: str):
+        # only reached for an unset slot: the adjacency of a graph made by
+        # from_csr, built here once; later reads find the filled slots
+        if name not in ("_adj_set", "_adj_sorted"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        csr = self._csr
+        ptr = csr.indptr.tolist()
+        flat = csr.indices.tolist()
+        self._adj_sorted = [flat[ptr[v]:ptr[v + 1]] for v in range(self._n)]
+        self._adj_set = [set(run) for run in self._adj_sorted]
+        return getattr(self, name)
 
     # ------------------------------------------------------------------
     # construction helpers

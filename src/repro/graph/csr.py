@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.errors import InvalidGraphError
@@ -45,6 +46,7 @@ __all__ = [
     "CSRGraph",
     "HAVE_NUMPY",
     "csr_arrays_int64",
+    "csr_build_arrays",
     "csr_edge_support",
     "csr_k4_triangle_ids",
     "csr_triangle_edge_ids",
@@ -53,6 +55,8 @@ __all__ = [
     "csr_triangle_k4_counts",
     "fill_incidence",
     "k4_pair_kernel",
+    "run_heads",
+    "sorted_unique",
     "triangle_pair_kernel",
     "triangle_run_pointers",
     "triangle_triples",
@@ -79,6 +83,70 @@ def _from_numpy(arr) -> array:
     out = array("i")
     out.frombytes(arr.astype(_np.int32, copy=False).tobytes())
     return out
+
+
+def run_heads(values):
+    """Mask of the elements of a 1-d array that differ from their
+    predecessor: the first element of every run of equal values."""
+    head = _np.empty(len(values), dtype=bool)
+    head[:1] = True
+    _np.not_equal(values[1:], values[:-1], out=head[1:])
+    return head
+
+
+def sorted_unique(keys):
+    """``np.unique(keys)`` for integer keys: one sort and a neighbour mask.
+
+    Without flags, numpy 2.x's ``np.unique`` answers from a hash table,
+    which on integer keys is many times slower than sorting them (the
+    sort runs vectorised); every flagless dedup of integer keys goes
+    through here instead.  Returns the sorted distinct keys, flattened,
+    in the input dtype.
+    """
+    keys = _np.sort(keys, axis=None)
+    return keys[run_heads(keys)]
+
+
+def csr_build_arrays(n: int, u, v) -> tuple:
+    """``(indptr, indices, eids, esrc, etgt)`` as int64 arrays for the
+    simple graph on ``n`` vertices with edges ``{u[i], v[i]}``.
+
+    The one CSR builder: every in-memory construction path ends here.
+    Endpoints must be in range and self-loop free; duplicates and both
+    orientations are fine.  A sort-based dedup of the keys ``lo·n + hi``
+    yields the edges in lexicographic order, which is their id order.
+    One stable scatter then lays out the adjacency: vertex ``w``'s run
+    holds its smaller neighbours (the edges with ``etgt == w``, in id
+    order) followed by its larger ones (the edges with ``esrc == w``,
+    contiguous in id order), so every run comes out ascending.
+    """
+    u = _np.asarray(u, dtype=_np.int64)
+    v = _np.asarray(v, dtype=_np.int64)
+    keys = sorted_unique(_np.minimum(u, v) * n + _np.maximum(u, v))
+    m = len(keys)
+    indptr = _np.zeros(n + 1, dtype=_np.int64)
+    if m == 0:
+        empty = _np.empty(0, dtype=_np.int64)
+        return indptr, empty, empty, empty, empty
+    esrc, etgt = _np.divmod(keys, n)
+    eid = _np.arange(m, dtype=_np.int64)
+    below = _np.bincount(etgt, minlength=n)  # smaller neighbours per vertex
+    above = _np.bincount(esrc, minlength=n)
+    _np.cumsum(below + above, out=indptr[1:])
+    indices = _np.empty(2 * m, dtype=_np.int64)
+    eids = _np.empty(2 * m, dtype=_np.int64)
+    # smaller-neighbour slots: the j-th edge in (etgt, id) order lands at
+    # indptr[w] + j - (edges with etgt < w), i.e. (edges with esrc < w) + j
+    owner, by_tgt = _np.divmod(_np.sort(etgt * m + eid), m)
+    slots = (_np.cumsum(above) - above)[owner] + eid  # eid doubles as j
+    indices[slots] = esrc[by_tgt]
+    eids[slots] = by_tgt
+    # larger-neighbour slots: edge e lands at indptr[w] + below[w] + (e -
+    # first edge with esrc == w), i.e. (edges with etgt <= w) + e
+    slots = _np.cumsum(below)[esrc] + eid
+    indices[slots] = etgt
+    eids[slots] = eid
+    return indptr, indices, eids, esrc, etgt
 
 
 class CSRGraph:
@@ -167,24 +235,14 @@ class CSRGraph:
         if (pairs[:, 0] == pairs[:, 1]).any():
             loop = pairs[pairs[:, 0] == pairs[:, 1]][0, 0]
             raise InvalidGraphError(f"self loop on vertex {loop} is not allowed")
-        lo = _np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = _np.maximum(pairs[:, 0], pairs[:, 1])
-        keys = _np.unique(lo * n + hi)  # dedup + lexicographic sort in one shot
-        src = keys // n
-        tgt = keys % n
-        m = len(keys)
-        eid = _np.arange(m, dtype=_np.int64)
-        both_src = _np.concatenate([src, tgt])
-        both_tgt = _np.concatenate([tgt, src])
-        both_eid = _np.concatenate([eid, eid])
-        order = _np.lexsort((both_tgt, both_src))
-        indptr = _np.zeros(n + 1, dtype=_np.int64)
-        _np.cumsum(_np.bincount(both_src, minlength=n), out=indptr[1:])
+        self._set_arrays(*csr_build_arrays(n, pairs[:, 0], pairs[:, 1]))
+
+    def _set_arrays(self, indptr, indices, eids, esrc, etgt) -> None:
         self.indptr = _from_numpy(indptr)
-        self.indices = _from_numpy(both_tgt[order])
-        self.eids = _from_numpy(both_eid[order])
-        self.esrc = _from_numpy(src)
-        self.etgt = _from_numpy(tgt)
+        self.indices = _from_numpy(indices)
+        self.eids = _from_numpy(eids)
+        self.esrc = _from_numpy(esrc)
+        self.etgt = _from_numpy(etgt)
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None,
@@ -196,44 +254,42 @@ class CSRGraph:
         return cls(n, edge_list, name=name, use_numpy=use_numpy)
 
     @classmethod
-    def from_graph(cls, graph: Graph) -> "CSRGraph":
-        """Convert an object-backend :class:`Graph` (already deduplicated and
-        sorted, so this skips normalisation entirely)."""
+    def from_arrays(cls, n: int, u, v, name: str = "") -> "CSRGraph":
+        """Build from aligned endpoint arrays of vertex ids in ``0..n-1``
+        (no self loops; duplicates and both orientations are fine) with
+        :func:`csr_build_arrays`, no per-edge Python objects."""
         self = cls.__new__(cls)
-        n = graph.n
-        m = graph.m
         self._n = n
-        self.name = graph.name
+        self.name = name
         self._hot = None
         self._edge_index = None
-        indptr = _zeros(n + 1)
-        indices = array("i")
-        for v in range(n):
-            neighbors = graph.neighbors(v)
-            indptr[v + 1] = indptr[v] + len(neighbors)
-            indices.extend(neighbors)
-        eids = _zeros(2 * m)
-        esrc = _zeros(m)
-        etgt = _zeros(m)
-        cursor = indptr.tolist()
-        counter = 0
-        for u in range(n):
-            for p in range(cursor[u], indptr[u + 1]):
-                v = indices[p]
-                if v > u:
-                    # the reverse slot for (v, u) is the next unclaimed
-                    # smaller-id slot of v: forward scans visit u ascending
-                    # and sorted adjacency keeps all of them in a prefix.
-                    eids[p] = counter
-                    q = cursor[v]
-                    eids[q] = counter
-                    cursor[v] = q + 1
-                    esrc[counter] = u
-                    etgt[counter] = v
-                    counter += 1
-        self.indptr, self.indices, self.eids = indptr, indices, eids
-        self.esrc, self.etgt = esrc, etgt
+        self._set_arrays(*csr_build_arrays(n, u, v))
         return self
+
+    @classmethod
+    def from_graph(cls, graph: Graph) -> "CSRGraph":
+        """The CSR form of an object-backend :class:`Graph`.
+
+        A graph that already holds its CSR (one from
+        :func:`~repro.graph.io.load_edge_list` or :meth:`to_object`, or one
+        converted before) hands it over without a copy; otherwise the
+        sorted adjacency runs go through :func:`csr_build_arrays` and the
+        graph keeps the result.
+        """
+        held = graph._csr
+        if held is None:
+            n = graph.n
+            runs = list(map(graph.neighbors, range(n)))
+            nbrs = _np.fromiter(chain.from_iterable(runs), dtype=_np.int64,
+                                count=2 * graph.m)
+            owners = _np.repeat(_np.arange(n, dtype=_np.int64),
+                                _np.fromiter(map(len, runs), dtype=_np.int64,
+                                             count=n))
+            forward = owners < nbrs
+            held = cls.from_arrays(n, owners[forward], nbrs[forward])
+            graph._csr = held
+        held.name = graph.name
+        return held
 
     @classmethod
     def empty(cls, n: int = 0, name: str = "") -> "CSRGraph":
@@ -346,8 +402,10 @@ class CSRGraph:
         return self._edge_index
 
     def to_object(self) -> Graph:
-        """Convert back to the object (set/list) representation."""
-        return Graph(self._n, list(self.edges()), name=self.name)
+        """The object (set/list) representation, holding this CSR: no copy
+        is made, and the set/list adjacency is built on first object-engine
+        use."""
+        return Graph.from_csr(self)
 
     def subgraph(self, vertices: Iterable[int], relabel: bool = True) -> Graph:
         """Induced subgraph, as an object :class:`Graph` (reporting path)."""

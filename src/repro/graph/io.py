@@ -11,18 +11,31 @@ Formats:
 All loaders relabel arbitrary (possibly sparse, possibly string) vertex ids to
 the dense ``0..n-1`` range and drop self loops and duplicate edges, matching
 the preprocessing the paper applies (directions ignored, simple graphs).
+
+Edge lists are read array-first: :class:`EdgeBlocks` tokenises the file in
+byte blocks with numpy and gives vertex tokens dense ids, one
+:class:`~repro.graph.csr.CSRGraph` build dedups and lays out the edges, and
+the returned :class:`Graph` holds that CSR, building its set/list adjacency
+only if an object-engine method asks for it.  The disk builder
+(:func:`repro.external.build.build_diskcsr`) reads files through the same
+:class:`EdgeBlocks`.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.adjacency import Graph
+from repro.graph.csr import CSRGraph, run_heads
 
 __all__ = [
+    "BLOCK_BYTES",
+    "EdgeBlocks",
     "dedup_edges",
     "load_edge_list",
     "save_edge_list",
@@ -79,10 +92,25 @@ def relabel_edges(raw_edges: Iterable[tuple[object, object]]) -> tuple[int, list
     return len(ids), edges
 
 
-def load_edge_list(path: str | Path, name: str = "") -> Graph:
-    """Load a whitespace-separated edge list file."""
-    path = Path(path)
-    raw: list[tuple[object, object]] = []
+#: bytes the edge-list parser reads per block (each block is cut back to
+#: its last line break, so lines never straddle two blocks); the parse
+#: holds O(block) arrays at a time
+BLOCK_BYTES = 1 << 22
+
+#: the bytes ``str.split()``/``str.strip()`` treat as whitespace in ASCII
+_IS_SPACE = np.zeros(256, dtype=bool)
+_IS_SPACE[list(b"\t\n\x0b\x0c\r \x1c\x1d\x1e\x1f")] = True
+
+#: the top ``k`` bytes of a big-endian 64-bit word, for ``k = 0..8``
+_TOP_BYTES = [((1 << 8 * k) - 1) << 8 * (8 - k) for k in range(9)]
+_ONES = 0x0101010101010101
+
+
+def _line_pairs(path: Path) -> Iterator[tuple[str, str]]:
+    """The first two tokens of every data line, read line by line in text
+    mode: the reference semantics of an edge-list file, and the parse of
+    files the byte-block parser cannot take (any byte >= 0x80, where text
+    decoding and unicode whitespace differ from a byte split)."""
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -91,9 +119,231 @@ def load_edge_list(path: str | Path, name: str = "") -> Graph:
             parts = line.split()
             if len(parts) < 2:
                 raise GraphFormatError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            raw.append((parts[0], parts[1]))
-    n, edges = relabel_edges(raw)
-    return Graph(n, edges, name=name or path.stem)
+            yield parts[0], parts[1]
+
+
+def _line_blocks(path: Path, block_bytes: int) -> Iterator[bytes]:
+    """The file's bytes in blocks that end right after a line break.
+
+    A CR at the very end of a read is held back with the rest of its
+    line: the next read may start with the LF that makes it one CRLF.
+    """
+    with open(path, "rb") as handle:
+        carry = b""
+        while True:
+            chunk = handle.read(block_bytes)
+            if not chunk:
+                if carry:
+                    yield carry
+                return
+            buf = carry + chunk
+            cut = 1 + max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1))
+            carry = buf[cut:]
+            if cut:
+                yield buf[:cut]
+
+
+def _is_ascii(path: Path, block_bytes: int) -> bool:
+    with open(path, "rb") as handle:
+        while chunk := handle.read(block_bytes):
+            if not chunk.isascii():
+                return False
+    return True
+
+
+def _token_keys(data: bytes, starts, lengths):
+    """One key per token, equal exactly when the token bytes are.
+
+    Each byte is stored plus one (every byte is < 0x80, so this cannot
+    carry), which keeps the zero padding unambiguous.  Keys are the
+    big-endian words of the padded bytes: ``uint64`` when every token
+    fits in 8 bytes, otherwise fixed-width bytes of 8 per word.
+    """
+    words = max(1, -(-int(lengths.max(initial=0)) // 8))
+    buf = np.frombuffer(data + bytes(8 * words), dtype=np.uint8)
+    # every byte offset read as the big-endian word starting there
+    window = np.ndarray(shape=(len(buf) - 7,), dtype=">u8", buffer=buf,
+                        strides=(1,))
+    top = np.array(_TOP_BYTES, dtype=np.uint64)
+    columns = []
+    for word in range(words):
+        keep = top[np.clip(lengths - 8 * word, 0, 8)]
+        raw = window[starts + 8 * word].astype(np.uint64)
+        columns.append((raw & keep) + (keep & np.uint64(_ONES)))
+    if words == 1:
+        return columns[0]
+    return np.stack(columns, axis=1).astype(">u8").view(f"S{8 * words}").ravel()
+
+
+def _widen(keys, width: int):
+    """``keys`` as fixed-width byte keys of ``width`` bytes."""
+    if keys.dtype == np.uint64:
+        keys = keys.astype(">u8").view("S8")
+    return keys.astype(f"S{width}")
+
+
+class _TokenIds:
+    """Token key -> dense id, ids given in first-seen order; one table
+    carries across all blocks of a file (sorted keys, aligned ids)."""
+
+    def __init__(self) -> None:
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.ids = np.empty(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def assign(self, tokens):
+        """The ids of ``tokens`` (keys in stream order); unseen ones get
+        the next ids in the order they first appear."""
+        if len(tokens) == 0:
+            return np.empty(0, dtype=np.int64)
+        if tokens.dtype != self.keys.dtype:
+            width = max(8, tokens.dtype.itemsize, self.keys.dtype.itemsize)
+            tokens = _widen(tokens, width)
+            if self.keys.dtype != tokens.dtype:
+                self.keys = _widen(self.keys, width)
+                order = np.argsort(self.keys)
+                self.keys = self.keys[order]
+                self.ids = self.ids[order]
+        order = np.argsort(tokens)
+        ordered = tokens[order]
+        head = run_heads(ordered)
+        heads = np.flatnonzero(head)
+        distinct = ordered[heads]
+        first_seen = np.minimum.reduceat(order, heads)
+        pos = np.searchsorted(self.keys, distinct)
+        known = pos < len(self.keys)
+        known[known] = self.keys[pos[known]] == distinct[known]
+        fresh = np.flatnonzero(~known)
+        ids = np.empty(len(distinct), dtype=np.int64)
+        ids[known] = self.ids[pos[known]]
+        ids[fresh[np.argsort(first_seen[fresh])]] = len(self.keys) + np.arange(
+            len(fresh), dtype=np.int64)
+        self.keys = np.insert(self.keys, pos[fresh], distinct[fresh])
+        self.ids = np.insert(self.ids, pos[fresh], ids[fresh])
+        out = np.empty(len(tokens), dtype=np.int64)
+        out[order] = ids[np.cumsum(head) - 1]
+        return out
+
+
+def _block_rows(data: bytes, path: Path, first_line: int):
+    """Tokenise one block: ``(ustart, ulen, vstart, vlen, breaks)``, the
+    first two tokens of every data line and the block's line-break count.
+
+    Tokens split on :data:`_IS_SPACE`; lines end at LF, CRLF or a lone CR,
+    as in text mode.  A line is a comment when its first token starts
+    with ``#`` or ``%``; any other line with one token is malformed.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    space = np.ones(len(raw) + 2, dtype=bool)
+    space[1:-1] = _IS_SPACE[raw]
+    # byte offsets where whitespace-ness flips: token starts, then ends
+    flips = np.flatnonzero(space[1:] != space[:-1])
+    starts, ends = flips[0::2], flips[1::2]
+    brk = raw == 10
+    carriage = raw == 13
+    if carriage.any():
+        brk[1:] &= ~carriage[:-1]  # the LF of a CRLF ends no second line
+        brk |= carriage
+    breaks = np.flatnonzero(brk)
+    if len(starts) == 0:
+        return (np.empty(0, dtype=np.int64),) * 4 + (len(breaks),)
+    line = np.searchsorted(breaks, starts)
+    first = np.flatnonzero(run_heads(line))
+    count = np.diff(first, append=len(line))
+    lead = raw[starts[first]]
+    data_line = (lead != ord("#")) & (lead != ord("%"))
+    short = data_line & (count < 2)
+    if short.any():
+        bad = first[np.argmax(short)]
+        lineno = first_line + int(line[bad]) + 1
+        text = data[starts[bad]:ends[bad]].decode("ascii")
+        raise GraphFormatError(f"{path}:{lineno}: expected 'u v', got {text!r}")
+    rows = first[data_line]
+    return (starts[rows], ends[rows] - starts[rows], starts[rows + 1],
+            ends[rows + 1] - starts[rows + 1], len(breaks))
+
+
+class EdgeBlocks:
+    """The dense endpoint ids of an edge-list file, one block at a time.
+
+    Iterating yields an aligned pair of int64 arrays ``(u, v)`` per block
+    of about :data:`BLOCK_BYTES` bytes; :attr:`n` counts the distinct vertex
+    tokens seen so far.  The semantics are :func:`load_edge_list`'s:
+    ``#``/``%`` comment lines and blank lines are skipped, a data line
+    keeps its first two whitespace-separated tokens, a line with one token
+    raises :class:`GraphFormatError` naming its line number, self loops
+    are dropped before any id is given out, and tokens (compared as
+    strings, so ``01`` and ``1`` differ) get dense ids in first-seen
+    order.  Duplicate edges pass through.
+
+    ASCII files are tokenised with numpy, block by block; the id table
+    (O(n)) is the only state carried between blocks.  Any other file is
+    read line by line in text mode, exactly as a per-line parser would.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self.block_bytes = BLOCK_BYTES
+        self.n = 0
+
+    def __iter__(self) -> Iterator[tuple]:
+        if _is_ascii(self.path, self.block_bytes):
+            return self._byte_blocks()
+        return self._text_blocks()
+
+    def _byte_blocks(self) -> Iterator[tuple]:
+        table = _TokenIds()
+        lines = 0
+        for data in _line_blocks(self.path, self.block_bytes):
+            ustart, ulen, vstart, vlen, breaks = _block_rows(
+                data, self.path, lines)
+            lines += breaks
+            count = len(ustart)
+            keys = _token_keys(data, np.concatenate((ustart, vstart)),
+                               np.concatenate((ulen, vlen)))
+            kept = np.flatnonzero(keys[:count] != keys[count:])
+            # interleave u, v so stream order is the first-seen order
+            ids = table.assign(np.stack(
+                (keys[:count][kept], keys[count:][kept]), axis=1).ravel())
+            self.n = len(table)
+            yield ids[0::2], ids[1::2]
+
+    def _text_blocks(self) -> Iterator[tuple]:
+        ids: dict[str, int] = {}
+        us: list[int] = []
+        vs: list[int] = []
+        for raw_u, raw_v in _line_pairs(self.path):
+            if raw_u == raw_v:
+                continue
+            us.append(ids.setdefault(raw_u, len(ids)))
+            vs.append(ids.setdefault(raw_v, len(ids)))
+            if len(us) * 16 >= self.block_bytes:  # ~16 bytes per line
+                self.n = len(ids)
+                yield np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+                us.clear()
+                vs.clear()
+        self.n = len(ids)
+        yield np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+
+
+def load_edge_list(path: str | Path, name: str = "") -> Graph:
+    """Load a whitespace-separated edge list file.
+
+    The file goes through :class:`EdgeBlocks` and one CSR build; the
+    returned graph holds that :class:`~repro.graph.csr.CSRGraph` and
+    builds its set/list adjacency only on first object-engine use.
+    """
+    path = Path(path)
+    blocks = EdgeBlocks(path)
+    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for block_u, block_v in blocks:
+        us.append(block_u)
+        vs.append(block_v)
+    u, v = np.concatenate(us), np.concatenate(vs)
+    csr = CSRGraph.from_arrays(blocks.n, u, v, name=name or path.stem)
+    return Graph.from_csr(csr)
 
 
 def save_edge_list(graph: Graph, path: str | Path) -> None:
@@ -113,8 +363,10 @@ def load_mtx(path: str | Path, name: str = "") -> Graph:
         if not header.startswith("%%MatrixMarket"):
             raise GraphFormatError(f"{path}: missing MatrixMarket header")
         line = handle.readline()
+        lines_read = 2  # physical lines consumed so far, the size line included
         while line.startswith("%"):
             line = handle.readline()
+            lines_read += 1
         dims = line.split()
         if len(dims) < 2:
             raise GraphFormatError(f"{path}: bad dimensions line {line!r}")
@@ -123,7 +375,7 @@ def load_mtx(path: str | Path, name: str = "") -> Graph:
         n = max(rows, cols)
         edges: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
-        for lineno, line in enumerate(handle, start=1):
+        for lineno, line in enumerate(handle, start=lines_read + 1):
             line = line.strip()
             if not line or line.startswith("%"):
                 continue

@@ -141,6 +141,14 @@ class NucleusServer:
     # ------------------------------------------------------------------
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        sock = writer.get_extra_info("socket")
+        if sock is not None and sock.family in (socket.AF_INET,
+                                                socket.AF_INET6):
+            # asyncio turns Nagle off only on sockets whose proto is
+            # IPPROTO_TCP; run_server's socket.create_server leaves it 0,
+            # and a client that delays its ACKs would then wait one
+            # delayed-ACK interval per reply
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.metrics.connections_total += 1
         self.metrics.connections_open += 1
         try:

@@ -199,6 +199,31 @@ class TestPersistence:
         attached = FlatHierarchyIndex.load(path, graph=parity_graph)
         assert attached.profile(0) == built.profile(0)
 
+    def test_failed_save_keeps_previous_index(self, built, tmp_path,
+                                              monkeypatch):
+        """A save that dies mid-write leaves the old file byte-identical
+        and no temp file behind."""
+        path = tmp_path / "index.npz"
+        built.save(path)
+        before = path.read_bytes()
+
+        def dies_mid_write(handle, **arrays):
+            handle.write(before[:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", dies_mid_write)
+        with pytest.raises(OSError, match="disk full"):
+            built.save(path)
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["index.npz"]
+
+    def test_save_replaces_existing_index(self, built, tmp_path):
+        path = tmp_path / "index.npz"
+        path.write_bytes(b"stale")
+        built.save(path, stats=False)
+        assert FlatHierarchyIndex.load(path).num_nodes == built.num_nodes
+        assert [entry.name for entry in tmp_path.iterdir()] == ["index.npz"]
+
     def test_malformed_file_raises(self, tmp_path):
         path = tmp_path / "junk.npz"
         path.write_bytes(b"this is not a zip archive")

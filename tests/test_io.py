@@ -88,6 +88,18 @@ class TestMtx:
         with pytest.raises(GraphFormatError):
             load_mtx(path)
 
+    def test_error_names_the_physical_line(self, tmp_path):
+        """Header, comment and size lines count: the bad entry below is
+        on line 5 of the file."""
+        path = tmp_path / "g.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n"
+                        "% comment\n"
+                        "3 3 2\n"
+                        "2 1\n"
+                        "9 1\n")
+        with pytest.raises(GraphFormatError, match=r"g\.mtx:5: entry \(9, 1\)"):
+            load_mtx(path)
+
 
 class TestJson:
     def test_round_trip(self, tmp_path):

@@ -1,6 +1,7 @@
 """The serving tier: mmap loads, the registry, the coalescer, both wire
 protocols, and the `repro-nucleus serve` process end to end."""
 
+import asyncio
 import json
 import os
 import signal
@@ -21,6 +22,7 @@ from repro.flatindex import FlatHierarchyIndex, mmap_npz
 from repro.graph import generators
 from repro.serve import (
     IndexRegistry,
+    NucleusServer,
     ServeClient,
     ServeError,
     ServerConfig,
@@ -353,6 +355,41 @@ class TestHttpServer:
             server, f"/query/max_nucleus?cell={flat.num_cells + 1}")
         assert not payload["ok"]
         assert "out of range" in payload["error"]
+
+
+class TestNagleOff:
+    def test_accepted_connection_has_nodelay(self, registry):
+        """``run_server`` binds with ``socket.create_server``, whose proto
+        is 0, so asyncio leaves Nagle on; every accepted TCP connection
+        must still get TCP_NODELAY."""
+        seen = []
+
+        async def scenario() -> bytes:
+            server = NucleusServer(registry, ServerConfig())
+            serve_ndjson = server._serve_ndjson
+
+            async def spy(reader, writer, first):
+                sock = writer.get_extra_info("socket")
+                seen.append(sock.getsockopt(socket.IPPROTO_TCP,
+                                            socket.TCP_NODELAY))
+                await serve_ndjson(reader, writer, first)
+
+            server._serve_ndjson = spy
+            sock = socket.create_server(("127.0.0.1", 0))
+            assert sock.proto == 0
+            await server.start(sock=sock)
+            reader, writer = await asyncio.open_connection(
+                *sock.getsockname()[:2])
+            writer.write(b'{"op": "ping"}\n')
+            await writer.drain()
+            reply = await reader.readline()
+            writer.close()
+            await writer.wait_closed()
+            await server.aclose()
+            return reply
+
+        assert b"pong" in asyncio.run(scenario())
+        assert len(seen) == 1 and seen[0] != 0
 
 
 # ---------------------------------------------------------------------------
