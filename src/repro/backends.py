@@ -117,13 +117,11 @@ def _resolve_parallel_workers(workers: int | None) -> int:
     return resolve_workers(workers)
 
 
-def _diskcsr_type() -> type | None:
-    """The :class:`DiskCSRGraph` type, or ``None`` when numpy is absent
-    (lazy import keeps the disk engine out of in-memory runs)."""
-    try:
-        from repro.external.diskcsr import DiskCSRGraph
-    except ImportError:  # pragma: no cover - diskcsr itself guards numpy
-        return None
+def _diskcsr_type() -> type:
+    """The :class:`DiskCSRGraph` type (lazy import keeps the disk engine
+    out of in-memory runs)."""
+    from repro.external.diskcsr import DiskCSRGraph
+
     return DiskCSRGraph
 
 
@@ -137,8 +135,7 @@ def resolve_backend(graph: AnyGraph, backend: str | None) -> str:
     if backend is None:
         if isinstance(graph, CSRGraph):
             return "csr"
-        disk_cls = _diskcsr_type()
-        if disk_cls is not None and isinstance(graph, disk_cls):
+        if isinstance(graph, _diskcsr_type()):
             return "disk"
         return "object"
     _check(backend)
@@ -152,8 +149,9 @@ def as_csr(graph: AnyGraph) -> CSRGraph:
         return graph
     if isinstance(graph, Graph):
         return CSRGraph.from_graph(graph)
-    # disk (or any duck-typed flat) representation: edges stream sorted
-    return CSRGraph(graph.n, graph.edges(), name=graph.name)
+    # the disk representation: its endpoint columns are already valid
+    return CSRGraph.from_arrays(graph.n, graph.esrc, graph.etgt,
+                                name=graph.name)
 
 
 def as_object(graph: AnyGraph) -> Graph:
@@ -178,8 +176,7 @@ def as_disk(graph: AnyGraph) -> "DiskCSRGraph":
 def _ensure_disk(graph: AnyGraph) -> "tuple[DiskCSRGraph, bool]":
     """``(disk_graph, converted)`` — ``converted`` means this call built a
     temporary owned directory the caller must ``close()``."""
-    disk_cls = _diskcsr_type()
-    if disk_cls is not None and isinstance(graph, disk_cls):
+    if isinstance(graph, _diskcsr_type()):
         return cast("DiskCSRGraph", graph), False
     return as_disk(graph), True
 

@@ -187,32 +187,6 @@ class ArrayRootedForest:
         self.rank.append(0)
         return idx
 
-    def make_nodes(self, count: int) -> int:
-        """Create ``count`` isolated nodes at once; returns the first id.
-
-        The new ids are contiguous (``first .. first + count - 1``) — a
-        whole frontier of singleton sub-nuclei in one call.
-        """
-        first = len(self.parent)
-        self.parent.extend([-1] * count)
-        self.root.extend([-1] * count)
-        self.rank.extend([0] * count)
-        return first
-
-    def adopt_roots(self, new_root: int) -> None:
-        """Give every parentless node other than ``new_root`` that parent.
-
-        The final step of every FND-style construction: collect the
-        surviving tree roots under the λ = 0 whole-graph node.  Only
-        ``parent`` is written — ``root`` shortcuts keep whatever they
-        compressed to, exactly like the sequential loop in
-        :func:`repro.external.engine._finish`.
-        """
-        parent = self.parent
-        for node in range(len(parent)):
-            if parent[node] < 0 and node != new_root:
-                parent[node] = new_root
-
     def find(self, x: int, compress: bool = True) -> int:
         """Greatest ancestor of ``x`` via ``root`` pointers (Find-r)."""
         root = self.root
@@ -247,11 +221,6 @@ class ArrayRootedForest:
         """Make ``child_root`` (a current root) a child of ``new_parent``."""
         self.parent[child_root] = new_parent
         self.root[child_root] = new_parent
-
-    #: alias matching :class:`repro.parallel.shm.SharedRootedForest` (where
-    #: the bare name ``attach`` is taken by the bundle-attach classmethod),
-    #: so one caller can drive either forest uniformly
-    attach_node = attach
 
     def parents_or_none(self) -> list[int | None]:
         """The parent array with ``-1`` mapped back to ``None``."""

@@ -22,13 +22,10 @@ import json
 from pathlib import Path
 from zipfile import BadZipFile
 
-from repro.core.hierarchy import Hierarchy, NucleusTree
-from repro.errors import GraphFormatError, InvalidParameterError
+import numpy as np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+from repro.core.hierarchy import Hierarchy, NucleusTree
+from repro.errors import GraphFormatError
 
 __all__ = [
     "hierarchy_to_json",
@@ -106,39 +103,31 @@ def save_hierarchy_npz(hierarchy: Hierarchy, path: str | Path) -> None:
     contiguous binary blob per array, so loading is an ``fread`` per
     array instead of a JSON parse over every int.
     """
-    if _np is None:
-        raise InvalidParameterError(
-            "hierarchy .npz persistence requires numpy (use the JSON "
-            "format instead)")
     with open(path, "wb") as handle:  # savez would append ".npz"
         _save_hierarchy_arrays(handle, hierarchy)
 
 
 def _save_hierarchy_arrays(handle, hierarchy: Hierarchy) -> None:
-    _np.savez(
+    np.savez(
         handle,
-        format=_np.int64(HIERARCHY_NPZ_FORMAT),
-        r=_np.int64(hierarchy.r),
-        s=_np.int64(hierarchy.s),
-        algorithm=_np.str_(hierarchy.algorithm),
-        lam=_np.asarray(hierarchy.lam, dtype=_np.int64),
-        node_lambda=_np.asarray(hierarchy.node_lambda, dtype=_np.int64),
-        parent=_np.asarray(
+        format=np.int64(HIERARCHY_NPZ_FORMAT),
+        r=np.int64(hierarchy.r),
+        s=np.int64(hierarchy.s),
+        algorithm=np.str_(hierarchy.algorithm),
+        lam=np.asarray(hierarchy.lam, dtype=np.int64),
+        node_lambda=np.asarray(hierarchy.node_lambda, dtype=np.int64),
+        parent=np.asarray(
             [-1 if p is None else p for p in hierarchy.parent],
-            dtype=_np.int64),
-        comp=_np.asarray(hierarchy.comp, dtype=_np.int64),
-        root=_np.int64(hierarchy.root),
+            dtype=np.int64),
+        comp=np.asarray(hierarchy.comp, dtype=np.int64),
+        root=np.int64(hierarchy.root),
     )
 
 
 def load_hierarchy_npz(path: str | Path) -> Hierarchy:
     """Inverse of :func:`save_hierarchy_npz`."""
-    if _np is None:
-        raise InvalidParameterError(
-            "hierarchy .npz persistence requires numpy (use the JSON "
-            "format instead)")
     try:
-        with _np.load(path, allow_pickle=False) as payload:
+        with np.load(path, allow_pickle=False) as payload:
             missing = [key for key in _NPZ_KEYS if key not in payload.files]
             if missing:
                 raise GraphFormatError(

@@ -38,17 +38,14 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 from zipfile import BadZipFile
 
+import numpy as np
+
 from repro.analysis.density import edge_density
 from repro.core.decomposition import Decomposition
 from repro.core.hierarchy import Hierarchy
 from repro.errors import GraphFormatError, InvalidParameterError
 from repro.graph.csr import sorted_unique
 from repro.queries import CommunityLevel
-
-try:  # the index is array-native; there is no object fallback
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    np = None  # type: ignore[assignment]
 
 __all__ = ["FlatHierarchyIndex", "FLAT_INDEX_FORMAT", "mmap_npz"]
 
@@ -65,13 +62,6 @@ _REQUIRED_KEYS = (
 
 #: optional per-node profile statistics (written by ``save(stats=True)``)
 _STAT_KEYS = ("node_nv", "node_ne", "node_density")
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise InvalidParameterError(
-            "FlatHierarchyIndex requires numpy (the flat query index has no "
-            "object fallback; use repro.queries.HierarchyIndex instead)")
 
 
 def _read_npy_header(handle: Any, version: tuple[int, int]) -> Any:
@@ -166,7 +156,6 @@ class FlatHierarchyIndex:
     def __init__(self, decomposition: Decomposition | None = None, *,
                  hierarchy: Hierarchy | None = None,
                  graph: Any = None, view: Any = None) -> None:
-        _require_numpy()
         if decomposition is not None:
             hierarchy = decomposition.hierarchy
             graph = decomposition.graph
@@ -254,9 +243,8 @@ class FlatHierarchyIndex:
                 verts = np.asarray(triples, dtype=np.int64).reshape(-1)
             elif r == 2 and hasattr(self.graph, "esrc"):
                 verts = np.column_stack([
-                    np.frombuffer(self.graph.esrc, dtype=np.int32),
-                    np.frombuffer(self.graph.etgt, dtype=np.int32),
-                ]).astype(np.int64).reshape(-1)
+                    self.graph.esrc, self.graph.etgt,
+                ]).astype(np.int64, copy=False).reshape(-1)
             else:
                 verts = np.empty(num_cells * r, dtype=np.int64)
                 cell_vertices = self.view.cell_vertices
@@ -470,8 +458,7 @@ class FlatHierarchyIndex:
         if arrays is None:
             graph = self.graph
             if hasattr(graph, "esrc"):  # CSR: already flat
-                src = np.frombuffer(graph.esrc, dtype=np.int32)
-                tgt = np.frombuffer(graph.etgt, dtype=np.int32)
+                src, tgt = graph.esrc, graph.etgt
             else:
                 index = graph.edge_index
                 src = np.asarray(index.source, dtype=np.int64)
@@ -598,7 +585,6 @@ class FlatHierarchyIndex:
         be mapped falls back to an eager load.  ``mmap_mode=None`` (the
         default) loads eagerly.
         """
-        _require_numpy()
         if mmap_mode not in (None, "r"):
             raise InvalidParameterError(
                 f"mmap_mode must be None or 'r', got {mmap_mode!r} "

@@ -3,7 +3,7 @@
 :class:`~repro.graph.adjacency.Graph` keeps one Python ``set`` plus one
 ``list`` per vertex, which is convenient but costs a pointer chase and a
 small-object allocation on every step of the peel inner loop.  This module
-stores the whole adjacency in four flat typed arrays instead:
+stores the whole adjacency in flat arrays instead:
 
 * ``indptr[v] .. indptr[v+1]`` delimits the neighbour slots of ``v``;
 * ``indices[p]`` is the neighbour in slot ``p`` (sorted ascending);
@@ -16,38 +16,39 @@ Edge ids are assigned in lexicographic endpoint order, exactly matching
 :class:`~repro.graph.adjacency.EdgeIndex`, so λ arrays computed on either
 backend are comparable element-for-element.
 
-Storage is ``array('i')`` (32-bit, C-contiguous).  Construction has an
-optional numpy fast path (dedup + CSR fill fully vectorised); the
-per-element python loops (LCPS, the reference incidence builders, the
-variant kernels) instead use :meth:`CSRGraph.hot_arrays`, which caches
-plain-``list`` copies — CPython indexes a list of cached references faster
-than it can re-box ints out of a typed array.
+Storage is the five int64 numpy arrays :func:`csr_build_arrays` returns,
+marked read-only: the CSR engine (:mod:`repro.parallel`) and the
+incidence builders of :mod:`repro.core.csr_peel` read the graph's own
+arrays, with no copy.  The scalar accessors return Python ints and
+lists, as :class:`Graph`'s do.  The per-element python loops (LCPS, the
+cell views, the variant kernels) use :meth:`CSRGraph.hot_arrays`, which
+caches plain-``list`` copies — CPython indexes a list of cached
+references faster than it can box ints out of an array.
 
-Also here: the CSR merge-intersection enumerators (edge triangle supports,
-triangles, four-clique counts) that the (2,3)/(3,4) cell views build on.
+Also here: the clique listing the (2,3)/(3,4) engines build on.  There
+is one path, vectorised: degree-oriented wedges close into triangles,
+and triangles sharing their lowest edge pair up into four-cliques.  A
+triangle ``u < v < w`` is keyed ``eid(u, v)·n + w``, which stays below
+``m·n``, so no vertex count forces a slower path.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from itertools import chain
+from numbers import Integral
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.errors import InvalidGraphError
 from repro.graph.adjacency import Graph, normalize_edge
 
-try:  # optional fast path; everything works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
-
 __all__ = [
     "CSRGraph",
-    "HAVE_NUMPY",
-    "csr_arrays_int64",
     "csr_build_arrays",
     "csr_edge_support",
+    "csr_k4_arrays",
     "csr_k4_triangle_ids",
     "csr_triangle_edge_ids",
     "csr_forward_structure",
@@ -55,42 +56,22 @@ __all__ = [
     "csr_triangle_k4_counts",
     "fill_incidence",
     "k4_pair_kernel",
+    "k4_setup",
+    "lex_triangle_vertices",
+    "lex_triangles",
     "run_heads",
     "sorted_unique",
     "triangle_pair_kernel",
     "triangle_run_pointers",
-    "triangle_triples",
 ]
-
-#: whether the optional numpy fast paths are available in this environment
-HAVE_NUMPY = _np is not None
-
-#: below this many input pairs the numpy round-trip costs more than it saves
-_NUMPY_MIN_EDGES = 512
-
-#: the int-key index algebra encodes a vertex triple as (u·n + v)·n + w,
-#: which must stay below 2^63; graphs past this bound take the python path
-_MAX_KEYED_N = 1 << 21
-
-
-def _zeros(count: int) -> array:
-    """A zero-filled ``array('i')`` of the given length."""
-    return array("i", bytes(4 * count))
-
-
-def _from_numpy(arr) -> array:
-    """Convert an int numpy array to ``array('i')`` without a Python loop."""
-    out = array("i")
-    out.frombytes(arr.astype(_np.int32, copy=False).tobytes())
-    return out
 
 
 def run_heads(values):
     """Mask of the elements of a 1-d array that differ from their
     predecessor: the first element of every run of equal values."""
-    head = _np.empty(len(values), dtype=bool)
+    head = np.empty(len(values), dtype=bool)
     head[:1] = True
-    _np.not_equal(values[1:], values[:-1], out=head[1:])
+    np.not_equal(values[1:], values[:-1], out=head[1:])
     return head
 
 
@@ -103,7 +84,7 @@ def sorted_unique(keys):
     through here instead.  Returns the sorted distinct keys, flattened,
     in the input dtype.
     """
-    keys = _np.sort(keys, axis=None)
+    keys = np.sort(keys, axis=None)
     return keys[run_heads(keys)]
 
 
@@ -120,33 +101,70 @@ def csr_build_arrays(n: int, u, v) -> tuple:
     order) followed by its larger ones (the edges with ``esrc == w``,
     contiguous in id order), so every run comes out ascending.
     """
-    u = _np.asarray(u, dtype=_np.int64)
-    v = _np.asarray(v, dtype=_np.int64)
-    keys = sorted_unique(_np.minimum(u, v) * n + _np.maximum(u, v))
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    keys = sorted_unique(np.minimum(u, v) * n + np.maximum(u, v))
     m = len(keys)
-    indptr = _np.zeros(n + 1, dtype=_np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
     if m == 0:
-        empty = _np.empty(0, dtype=_np.int64)
+        empty = np.empty(0, dtype=np.int64)
         return indptr, empty, empty, empty, empty
-    esrc, etgt = _np.divmod(keys, n)
-    eid = _np.arange(m, dtype=_np.int64)
-    below = _np.bincount(etgt, minlength=n)  # smaller neighbours per vertex
-    above = _np.bincount(esrc, minlength=n)
-    _np.cumsum(below + above, out=indptr[1:])
-    indices = _np.empty(2 * m, dtype=_np.int64)
-    eids = _np.empty(2 * m, dtype=_np.int64)
+    esrc, etgt = np.divmod(keys, n)
+    eid = np.arange(m, dtype=np.int64)
+    below = np.bincount(etgt, minlength=n)  # smaller neighbours per vertex
+    above = np.bincount(esrc, minlength=n)
+    np.cumsum(below + above, out=indptr[1:])
+    indices = np.empty(2 * m, dtype=np.int64)
+    eids = np.empty(2 * m, dtype=np.int64)
     # smaller-neighbour slots: the j-th edge in (etgt, id) order lands at
     # indptr[w] + j - (edges with etgt < w), i.e. (edges with esrc < w) + j
-    owner, by_tgt = _np.divmod(_np.sort(etgt * m + eid), m)
-    slots = (_np.cumsum(above) - above)[owner] + eid  # eid doubles as j
+    owner, by_tgt = np.divmod(np.sort(etgt * m + eid), m)
+    slots = (np.cumsum(above) - above)[owner] + eid  # eid doubles as j
     indices[slots] = esrc[by_tgt]
     eids[slots] = by_tgt
     # larger-neighbour slots: edge e lands at indptr[w] + below[w] + (e -
     # first edge with esrc == w), i.e. (edges with etgt <= w) + e
-    slots = _np.cumsum(below)[esrc] + eid
+    slots = np.cumsum(below)[esrc] + eid
     indices[slots] = etgt
     eids[slots] = eid
     return indptr, indices, eids, esrc, etgt
+
+
+def _check_edge(n: int, u, v) -> None:
+    """Raise for a self loop, then for an out-of-range endpoint — the
+    order and messages of :class:`~repro.graph.adjacency.Graph`."""
+    if u == v:
+        raise InvalidGraphError(f"self loop on vertex {u} is not allowed")
+    if not (0 <= u < n and 0 <= v < n):
+        raise InvalidGraphError(f"edge ({u}, {v}) out of range for n={n}")
+
+
+def _checked_pairs(n: int, edges: Iterable[tuple[int, int]]):
+    """``edges`` as two aligned endpoint arrays, validated edge by edge
+    in input order: the first bad edge raises, a non-integer endpoint
+    included (it is rejected, never truncated)."""
+    edge_list = list(edges)
+    if not edge_list:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    try:
+        pairs = np.asarray(edge_list)
+    except ValueError:  # ragged rows: the loop below unpacks them
+        pairs = None
+    if (pairs is None or pairs.dtype.kind not in "iu"
+            or pairs.shape != (len(edge_list), 2)):
+        for u, v in edge_list:
+            if not (isinstance(u, Integral) and isinstance(v, Integral)):
+                raise TypeError(
+                    f"edge ({u!r}, {v!r}) has a non-integer endpoint")
+            _check_edge(n, u, v)
+        pairs = np.asarray(edge_list, dtype=np.int64)
+    u, v = pairs[:, 0], pairs[:, 1]
+    bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+    if bad.any():
+        first = int(bad.argmax())
+        _check_edge(n, int(u[first]), int(v[first]))
+    return u, v
 
 
 class CSRGraph:
@@ -157,101 +175,37 @@ class CSRGraph:
     ``edges``, ``common_neighbors``, ``edge_index``…) so the generic cell
     views and clique enumerators accept either representation; the CSR
     engine (:mod:`repro.parallel`) and the incidence builders of
-    :mod:`repro.core.csr_peel` bypass that API and walk the arrays
+    :mod:`repro.core.csr_peel` bypass that API and read the read-only
+    int64 arrays ``indptr``, ``indices``, ``eids``, ``esrc`` and ``etgt``
     directly.
     """
 
     __slots__ = ("indptr", "indices", "eids", "esrc", "etgt", "name",
                  "_n", "_hot", "_edge_index")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: str = "",
-                 use_numpy: bool | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]],
+                 name: str = ""):
         if n < 0:
             raise InvalidGraphError(f"vertex count must be non-negative, got {n}")
-        edge_list = list(edges)
+        self._init(n, name, csr_build_arrays(n, *_checked_pairs(n, edges)))
+
+    def _init(self, n: int, name: str, arrays: tuple) -> None:
+        for array in arrays:
+            array.flags.writeable = False
+        self.indptr, self.indices, self.eids, self.esrc, self.etgt = arrays
         self._n = n
         self.name = name
         self._hot = None
         self._edge_index = None
-        numpy_wanted = (_np is not None if use_numpy is None else use_numpy)
-        if use_numpy and _np is None:
-            raise InvalidGraphError("numpy fast path requested but numpy is missing")
-        if numpy_wanted and _np is not None and len(edge_list) >= (
-                0 if use_numpy else _NUMPY_MIN_EDGES):
-            self._build_numpy(n, edge_list)
-        else:
-            self._build_python(n, edge_list)
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def _build_python(self, n: int, edge_list: list[tuple[int, int]]) -> None:
-        unique: set[tuple[int, int]] = set()
-        for u, v in edge_list:
-            if u == v:
-                raise InvalidGraphError(f"self loop on vertex {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidGraphError(f"edge ({u}, {v}) out of range for n={n}")
-            unique.add(normalize_edge(u, v))
-        ordered = sorted(unique)
-        m = len(ordered)
-        indptr = _zeros(n + 1)
-        for u, v in ordered:
-            indptr[u + 1] += 1
-            indptr[v + 1] += 1
-        for v in range(n):
-            indptr[v + 1] += indptr[v]
-        indices = _zeros(2 * m)
-        eids = _zeros(2 * m)
-        esrc = _zeros(m)
-        etgt = _zeros(m)
-        cursor = indptr.tolist()
-        for eid, (u, v) in enumerate(ordered):
-            # lexicographic edge order makes each adjacency run come out
-            # sorted: all smaller-id neighbours of x are written (in order)
-            # before any larger-id ones.
-            p = cursor[u]
-            indices[p] = v
-            eids[p] = eid
-            cursor[u] = p + 1
-            p = cursor[v]
-            indices[p] = u
-            eids[p] = eid
-            cursor[v] = p + 1
-            esrc[eid] = u
-            etgt[eid] = v
-        self.indptr, self.indices, self.eids = indptr, indices, eids
-        self.esrc, self.etgt = esrc, etgt
-
-    def _build_numpy(self, n: int, edge_list: list[tuple[int, int]]) -> None:
-        if not edge_list:
-            self._build_python(n, edge_list)
-            return
-        pairs = _np.asarray(edge_list, dtype=_np.int64).reshape(-1, 2)
-        if pairs.min() < 0 or pairs.max() >= n:
-            bad = pairs[(pairs.min(axis=1) < 0) | (pairs.max(axis=1) >= n)][0]
-            raise InvalidGraphError(
-                f"edge ({bad[0]}, {bad[1]}) out of range for n={n}")
-        if (pairs[:, 0] == pairs[:, 1]).any():
-            loop = pairs[pairs[:, 0] == pairs[:, 1]][0, 0]
-            raise InvalidGraphError(f"self loop on vertex {loop} is not allowed")
-        self._set_arrays(*csr_build_arrays(n, pairs[:, 0], pairs[:, 1]))
-
-    def _set_arrays(self, indptr, indices, eids, esrc, etgt) -> None:
-        self.indptr = _from_numpy(indptr)
-        self.indices = _from_numpy(indices)
-        self.eids = _from_numpy(eids)
-        self.esrc = _from_numpy(esrc)
-        self.etgt = _from_numpy(etgt)
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None,
-                   name: str = "", use_numpy: bool | None = None) -> "CSRGraph":
+                   name: str = "") -> "CSRGraph":
         """Build from an edge iterable, inferring ``n`` when omitted."""
         edge_list = list(edges)
         if n is None:
             n = 1 + max((max(u, v) for u, v in edge_list), default=-1)
-        return cls(n, edge_list, name=name, use_numpy=use_numpy)
+        return cls(n, edge_list, name=name)
 
     @classmethod
     def from_arrays(cls, n: int, u, v, name: str = "") -> "CSRGraph":
@@ -259,11 +213,7 @@ class CSRGraph:
         (no self loops; duplicates and both orientations are fine) with
         :func:`csr_build_arrays`, no per-edge Python objects."""
         self = cls.__new__(cls)
-        self._n = n
-        self.name = name
-        self._hot = None
-        self._edge_index = None
-        self._set_arrays(*csr_build_arrays(n, u, v))
+        self._init(n, name, csr_build_arrays(n, u, v))
         return self
 
     @classmethod
@@ -280,11 +230,11 @@ class CSRGraph:
         if held is None:
             n = graph.n
             runs = list(map(graph.neighbors, range(n)))
-            nbrs = _np.fromiter(chain.from_iterable(runs), dtype=_np.int64,
-                                count=2 * graph.m)
-            owners = _np.repeat(_np.arange(n, dtype=_np.int64),
-                                _np.fromiter(map(len, runs), dtype=_np.int64,
-                                             count=n))
+            nbrs = np.fromiter(chain.from_iterable(runs), dtype=np.int64,
+                               count=2 * graph.m)
+            owners = np.repeat(np.arange(n, dtype=np.int64),
+                               np.fromiter(map(len, runs), dtype=np.int64,
+                                           count=n))
             forward = owners < nbrs
             held = cls.from_arrays(n, owners[forward], nbrs[forward])
             graph._csr = held
@@ -311,46 +261,45 @@ class CSRGraph:
 
     def degree(self, v: int) -> int:
         """Degree of vertex ``v``."""
-        return self.indptr[v + 1] - self.indptr[v]
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def degrees(self) -> list[int]:
         """Degrees of all vertices, indexed by vertex id."""
-        indptr = self.indptr
-        return [indptr[v + 1] - indptr[v] for v in range(self._n)]
+        return np.diff(self.indptr).tolist()
 
-    def neighbors(self, v: int):
-        """Sorted neighbours of ``v`` as a flat slice (do not mutate)."""
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+    def neighbors(self, v: int) -> list[int]:
+        """Sorted neighbours of ``v``."""
+        return self.indices[self.indptr[v]:self.indptr[v + 1]].tolist()
 
     def neighbor_set(self, v: int) -> set[int]:
         """Neighbour set of ``v`` (built on demand)."""
         return set(self.neighbors(v))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether the edge ``{u, v}`` exists (binary search)."""
+    def _slot(self, u: int, v: int) -> int | None:
+        """The adjacency slot of ``v`` in ``u``'s run (binary search), or
+        ``None`` if ``{u, v}`` is not an edge."""
         if not 0 <= u < self._n:
-            return False
-        lo, hi = self.indptr[u], self.indptr[u + 1]
+            return None
+        lo, hi = int(self.indptr[u]), int(self.indptr[u + 1])
         p = bisect_left(self.indices, v, lo, hi)
-        return p < hi and self.indices[p] == v
+        return p if p < hi and self.indices[p] == v else None
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether the edge ``{u, v}`` exists."""
+        return self._slot(u, v) is not None
 
     def edge_id(self, u: int, v: int) -> int | None:
         """Dense id of edge ``{u, v}``, or ``None`` if absent."""
-        if not 0 <= u < self._n:
-            return None
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        p = bisect_left(self.indices, v, lo, hi)
-        if p < hi and self.indices[p] == v:
-            return self.eids[p]
-        return None
+        p = self._slot(u, v)
+        return None if p is None else int(self.eids[p])
 
     def endpoints(self, eid: int) -> tuple[int, int]:
         """The (sorted) endpoints of edge ``eid``."""
-        return self.esrc[eid], self.etgt[eid]
+        return int(self.esrc[eid]), int(self.etgt[eid])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate edges once each, as sorted pairs, in lexicographic order."""
-        return zip(self.esrc, self.etgt, strict=True)
+        return zip(self.esrc.tolist(), self.etgt.tolist(), strict=True)
 
     def vertices(self) -> range:
         """Iterable of all vertex ids."""
@@ -386,7 +335,7 @@ class CSRGraph:
         """``(indptr, indices, eids)`` as plain lists, cached.
 
         Per-element loops index these millions of times; lists hand back
-        cached ``int`` references where ``array('i')`` would re-box a fresh
+        cached ``int`` references where an array would box a fresh
         object per access.  Costs one extra O(n + m) copy, paid once.
         """
         if self._hot is None:
@@ -431,12 +380,12 @@ class _CSREdgeIndex:
         self._graph = graph
 
     @property
-    def source(self):
-        return self._graph.esrc
+    def source(self) -> list[int]:
+        return self._graph.esrc.tolist()
 
     @property
-    def target(self):
-        return self._graph.etgt
+    def target(self) -> list[int]:
+        return self._graph.etgt.tolist()
 
     def __len__(self) -> int:
         return self._graph.m
@@ -458,15 +407,11 @@ class _CSREdgeIndex:
 
 
 # ---------------------------------------------------------------------------
-# merge-intersection enumerators
+# clique listing
 # ---------------------------------------------------------------------------
 def _suffix_start(indices: list[int], lo: int, hi: int, v: int) -> int:
     """First slot in ``indices[lo:hi]`` holding a neighbour id > ``v``."""
     return bisect_right(indices, v, lo, hi)
-
-
-#: below this many edges the numpy set-up cost beats its vectorisation gain
-_NUMPY_MIN_TRIANGLE_EDGES = 256
 
 
 def csr_triangle_edge_ids(csr: CSRGraph):
@@ -475,19 +420,18 @@ def csr_triangle_edge_ids(csr: CSRGraph):
     Fully vectorised: orient every edge toward the (degree, id)-larger
     endpoint, generate all wedge pairs inside each forward run with
     ``repeat``/``cumsum`` index algebra, and close them with one
-    ``searchsorted`` against the lexicographic edge-key array.  Requires
-    numpy (callers check :data:`HAVE_NUMPY`).
+    ``searchsorted`` against the lexicographic edge-key array.
     """
     n, m = csr.n, csr.m
     if m == 0:
-        empty = _np.empty(0, dtype=_np.int64)
+        empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
     fwd = csr_forward_structure(csr)
     fptr, fdst, feid, fkeys = (fwd["fptr"], fwd["fdst"], fwd["feid"],
                                fwd["fkeys"])
     # chunk the kernel over rank ranges so the transient pair arrays stay
     # bounded on dense graphs
-    counts = _np.diff(fptr)
+    counts = np.diff(fptr)
     pair_weights = counts * (counts - 1) // 2
     cuts = _chunk_starts(pair_weights)
     return _concat_columns(
@@ -495,28 +439,22 @@ def csr_triangle_edge_ids(csr: CSRGraph):
          for lo, hi in zip(cuts[:-1], cuts[1:], strict=True)], 3)
 
 
-def csr_edge_support(csr: CSRGraph, use_numpy: bool | None = None) -> list[int]:
+def csr_edge_support(csr: CSRGraph) -> list[int]:
     """Triangles containing each edge, indexed by edge id (initial ω₃).
 
-    With numpy present (and the graph non-trivial) the count is one
-    ``bincount`` over :func:`csr_triangle_edge_ids`.  The fallback finds
-    each triangle ``u < v < w`` once from its lowest edge ``(u, v)`` by
-    intersecting the two suffix runs ``> v``: the shorter run is scanned,
-    the longer bisected (runs are sorted, so the search window only ever
-    shrinks), and the aligned ``eids`` array turns every match into the
-    three edge ids with zero hash lookups.
+    On a :class:`CSRGraph` the count is one ``bincount`` over
+    :func:`csr_triangle_edge_ids`.  Other flat layouts (the disk
+    backend's windowed arrays) take the scalar loop instead: each
+    triangle ``u < v < w`` is found once from its lowest edge ``(u, v)``
+    by intersecting the two suffix runs ``> v`` — the shorter run is
+    scanned, the longer bisected (runs are sorted, so the search window
+    only ever shrinks), and the aligned ``eids`` array turns every match
+    into the three edge ids with zero hash lookups.
     """
-    if use_numpy is None:
-        # the vectorised listing needs the real typed arrays; duck-typed
-        # CSR layouts (the disk backend) take the scalar fallback
-        use_numpy = (_np is not None and csr.m >= _NUMPY_MIN_TRIANGLE_EDGES
-                     and isinstance(csr, CSRGraph))
-    if use_numpy:
-        if _np is None:
-            raise InvalidGraphError("numpy fast path requested but numpy is missing")
+    if isinstance(csr, CSRGraph):
         e1, e2, e3 = csr_triangle_edge_ids(csr)
-        return _np.bincount(_np.concatenate([e1, e2, e3]),
-                            minlength=csr.m).tolist()
+        return np.bincount(np.concatenate([e1, e2, e3]),
+                           minlength=csr.m).tolist()
     indptr, indices, eids = csr.hot_arrays()
     bisect = bisect_left
     support = [0] * csr.m
@@ -552,7 +490,8 @@ def csr_edge_support(csr: CSRGraph, use_numpy: bool | None = None) -> list[int]:
 
 
 def csr_triangles(csr: CSRGraph) -> Iterator[tuple[int, int, int]]:
-    """Enumerate each triangle once as ``(u, v, w)`` with ``u < v < w``."""
+    """Enumerate each triangle once as ``(u, v, w)`` with ``u < v < w``
+    (scalar merge scans, for the disk backend's windowed arrays)."""
     indptr, indices, _ = csr.hot_arrays()
     for u in range(csr.n):
         u_end = indptr[u + 1]
@@ -576,23 +515,6 @@ def csr_triangles(csr: CSRGraph) -> Iterator[tuple[int, int, int]]:
             pu += 1
 
 
-def csr_arrays_int64(csr: CSRGraph) -> dict:
-    """The five CSR arrays as int64 numpy arrays (keyed by attribute name).
-
-    This is the layout the index-algebra kernels below and the
-    shared-memory workers (:mod:`repro.parallel`) operate on; int64 keeps
-    every derived key (``u·n + v`` and ``(u·n + v)·n + w``) overflow-free
-    for any graph the 32-bit CSR can hold.
-    """
-    return {
-        "indptr": _np.frombuffer(csr.indptr, dtype=_np.int32).astype(_np.int64),
-        "indices": _np.frombuffer(csr.indices, dtype=_np.int32).astype(_np.int64),
-        "eids": _np.frombuffer(csr.eids, dtype=_np.int32).astype(_np.int64),
-        "esrc": _np.frombuffer(csr.esrc, dtype=_np.int32).astype(_np.int64),
-        "etgt": _np.frombuffer(csr.etgt, dtype=_np.int32).astype(_np.int64),
-    }
-
-
 def csr_forward_structure(csr: CSRGraph) -> dict:
     """The degree-ranked forward orientation as int64 numpy arrays.
 
@@ -607,19 +529,17 @@ def csr_forward_structure(csr: CSRGraph) -> dict:
     arrays and shard the kernel by rank ranges.
     """
     n, m = csr.n, csr.m
-    arrays = csr_arrays_int64(csr)
-    esrc, etgt, indptr = arrays["esrc"], arrays["etgt"], arrays["indptr"]
-    deg = _np.diff(indptr)
-    rank = _np.empty(n, dtype=_np.int64)
-    rank[_np.lexsort((_np.arange(n), deg))] = _np.arange(n)
-    ru, rv = rank[esrc], rank[etgt]
-    fsrc = _np.minimum(ru, rv)
-    fdst = _np.maximum(ru, rv)
-    order = _np.lexsort((fdst, fsrc))
+    deg = np.diff(csr.indptr)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
+    ru, rv = rank[csr.esrc], rank[csr.etgt]
+    fsrc = np.minimum(ru, rv)
+    fdst = np.maximum(ru, rv)
+    order = np.lexsort((fdst, fsrc))
     fsrc_s, fdst_s = fsrc[order], fdst[order]
-    feid = _np.arange(m, dtype=_np.int64)[order]
-    fptr = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(_np.bincount(fsrc_s, minlength=n), out=fptr[1:])
+    feid = np.arange(m, dtype=np.int64)[order]
+    fptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(fsrc_s, minlength=n), out=fptr[1:])
     return {"fptr": fptr, "fdst": fdst_s, "feid": feid,
             "fkeys": fsrc_s * n + fdst_s}
 
@@ -630,10 +550,10 @@ def run_slots(starts, ends):
     counts = ends - starts
     total = int(counts.sum())
     if total == 0:
-        return _np.empty(0, dtype=_np.int64), counts
-    offsets = _np.concatenate(([0], _np.cumsum(counts)[:-1]))
-    slots = _np.repeat(starts - offsets, counts) + _np.arange(
-        total, dtype=_np.int64)
+        return np.empty(0, dtype=np.int64), counts
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    slots = np.repeat(starts - offsets, counts) + np.arange(
+        total, dtype=np.int64)
     return slots, counts
 
 
@@ -646,17 +566,17 @@ def _run_slot_pairs(starts, ends):
     two slots).
     """
     slots, counts = run_slots(starts, ends)
-    empty = _np.empty(0, dtype=_np.int64)
+    empty = np.empty(0, dtype=np.int64)
     if len(slots) == 0:
         return empty, empty
-    reps = _np.repeat(ends, counts) - slots - 1
+    reps = np.repeat(ends, counts) - slots - 1
     pairs = int(reps.sum())
     if pairs == 0:
         return empty, empty
-    idx_i = _np.repeat(slots, reps)
-    group_start = _np.concatenate(([0], _np.cumsum(reps)[:-1]))
-    idx_j = idx_i + 1 + (_np.arange(pairs, dtype=_np.int64)
-                         - _np.repeat(group_start, reps))
+    idx_i = np.repeat(slots, reps)
+    group_start = np.concatenate(([0], np.cumsum(reps)[:-1]))
+    idx_j = idx_i + 1 + (np.arange(pairs, dtype=np.int64)
+                         - np.repeat(group_start, reps))
     return idx_i, idx_j
 
 
@@ -664,11 +584,11 @@ def _concat_columns(parts: list[tuple], columns: int) -> tuple:
     """Column-wise concatenation of aligned array tuples (drops empties)."""
     parts = [p for p in parts if len(p[0])]
     if not parts:
-        empty = _np.empty(0, dtype=_np.int64)
+        empty = np.empty(0, dtype=np.int64)
         return (empty,) * columns
     if len(parts) == 1:
         return parts[0]
-    return tuple(_np.concatenate([p[col] for p in parts])
+    return tuple(np.concatenate([p[col] for p in parts])
                  for col in range(columns))
 
 
@@ -677,19 +597,19 @@ def fill_incidence(occ_columns, comp_rows, size: int):
 
     ``occ_columns[j][i]`` is the cell owning occurrence ``j`` of s-clique
     ``i``; ``comp_rows[j]`` the tuple of its companion columns.  Stacking
-    clique-major and stable-sorting by cell reproduces the sequential
-    cursor fill slot for slot — the one incidence-layout algorithm shared
-    by the (2,3)/(3,4) builders and the parallel sharded set-up (keep it
+    clique-major and stable-sorting by cell lays each cell's slots out in
+    clique order — the one incidence-layout algorithm shared by the
+    (2,3)/(3,4) builders and the parallel sharded set-up (keep it
     single-sourced: the cross-backend parity contract depends on every
     builder producing this same layout discipline).
     """
-    occ = _np.stack(occ_columns, axis=1).ravel()
-    sup = _np.bincount(occ, minlength=size).astype(_np.int64)
-    ptr = _np.zeros(size + 1, dtype=_np.int64)
-    _np.cumsum(sup, out=ptr[1:])
-    order = _np.argsort(occ, kind="stable")
+    occ = np.stack(occ_columns, axis=1).ravel()
+    sup = np.bincount(occ, minlength=size).astype(np.int64)
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(sup, out=ptr[1:])
+    order = np.argsort(occ, kind="stable")
     comps = tuple(
-        _np.stack(columns, axis=1).ravel()[order]
+        np.stack(columns, axis=1).ravel()[order]
         for columns in zip(*comp_rows, strict=True))
     return sup, ptr, comps
 
@@ -707,10 +627,10 @@ def triangle_pair_kernel(fptr, fdst, feid, fkeys, n: int, lo: int, hi: int):
     """
     idx_i, idx_j = _run_slot_pairs(fptr[lo:hi], fptr[lo + 1:hi + 1])
     if len(idx_i) == 0:
-        empty = _np.empty(0, dtype=_np.int64)
+        empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
     probe = fdst[idx_i] * n + fdst[idx_j]
-    pos = _np.minimum(_np.searchsorted(fkeys, probe), len(fkeys) - 1)
+    pos = np.minimum(np.searchsorted(fkeys, probe), len(fkeys) - 1)
     closed = fkeys[pos] == probe
     return feid[idx_i[closed]], feid[idx_j[closed]], feid[pos[closed]]
 
@@ -722,116 +642,119 @@ _KERNEL_CHUNK_PAIRS = 1 << 21
 
 def _chunk_starts(weights) -> list[int]:
     """Boundaries splitting ``weights`` into ~equal chunks of bounded sum."""
-    total = _np.concatenate(([0], _np.cumsum(weights)))
+    total = np.concatenate(([0], np.cumsum(weights)))
     cuts = [0]
     count = len(weights)
     while cuts[-1] < count:
         lo = cuts[-1]
-        hi = int(_np.searchsorted(total, total[lo] + _KERNEL_CHUNK_PAIRS,
-                                  side="left"))
+        hi = int(np.searchsorted(total, total[lo] + _KERNEL_CHUNK_PAIRS,
+                                 side="left"))
         cuts.append(min(max(hi, lo + 1), count))
     return cuts
 
 
-def triangle_triples(arrays: dict, e1, e2, e3):
-    """Vertex triples ``(tu, tv, tw)`` of triangles given as edge-id rows.
+def lex_triangles(etgt, n: int, e1, e2, e3):
+    """Triangles given as edge-id rows, in lex order: ``(keys, uv, uw, vw)``.
 
-    Each vertex of a triangle appears in exactly two of its edges, so the
-    endpoint sum is ``2(u + v + w)``; with the min and max that pins the
-    middle vertex without any adjacency probe.
+    A triangle ``u < v < w`` has lex edge ids ``uv < uw < vw``, so each
+    row's minimum, middle and maximum name its three edges without any
+    adjacency probe.  Its key ``uv·n + w`` (``w`` = ``etgt[vw]``) orders
+    triangles lexicographically by ``(u, v, w)`` and stays below ``m·n``;
+    the position of a triangle in the sorted keys is its id on both
+    backends.
     """
-    esrc, etgt = arrays["esrc"], arrays["etgt"]
-    s1, t1 = esrc[e1], etgt[e1]
-    s2, t2 = esrc[e2], etgt[e2]
-    s3, t3 = esrc[e3], etgt[e3]
-    tu = _np.minimum(_np.minimum(s1, s2), s3)
-    tw = _np.maximum(_np.maximum(t1, t2), t3)
-    tv = (s1 + t1 + s2 + t2 + s3 + t3) // 2 - tu - tw
-    return tu, tv, tw
+    uv = np.minimum(np.minimum(e1, e2), e3)
+    vw = np.maximum(np.maximum(e1, e2), e3)
+    uw = e1 + e2 + e3 - uv - vw
+    keys = uv * n + etgt[vw]
+    order = np.argsort(keys)  # keys are distinct: any sort agrees
+    return keys[order], uv[order], uw[order], vw[order]
 
 
-def _lex_triangles_numpy(csr: CSRGraph):
-    """The lex-ordered triangle listing ``(tu, tv, tw)``, vectorised.
-
-    Degree-oriented wedge enumeration (hub runs stay short) followed by
-    one lexsort back into lexicographic triple order — the order that
-    defines triangle ids on both backends.
-    """
-    e1, e2, e3 = csr_triangle_edge_ids(csr)
-    tu, tv, tw = triangle_triples(csr_arrays_int64(csr), e1, e2, e3)
-    order = _np.lexsort((tw, tv, tu))
-    return tu[order], tv[order], tw[order]
+def lex_triangle_vertices(csr: CSRGraph, keys) -> list[tuple[int, int, int]]:
+    """The vertex triples ``(u, v, w)`` of triangles keyed ``uv·n + w``."""
+    uv, w = np.divmod(keys, csr.n)
+    return list(zip(csr.esrc[uv].tolist(), csr.etgt[uv].tolist(),
+                    w.tolist(), strict=True))
 
 
-def triangle_run_pointers(tu, tv, n: int):
+def triangle_run_pointers(uv):
     """Boundaries of the runs of triangles sharing their lowest edge.
 
     ``run_ptr[g] .. run_ptr[g+1]`` delimits the ``g``-th maximal run of
-    lex-consecutive triangles with equal ``(u, v)`` — exactly the groups
-    the K₄ pair kernel enumerates within.
+    lex-consecutive triangles with equal lowest edge id ``uv`` — exactly
+    the groups the K₄ pair kernel enumerates within.
     """
-    count = len(tu)
-    if count == 0:
-        return _np.zeros(1, dtype=_np.int64)
-    key_uv = tu * n + tv
-    change = _np.flatnonzero(key_uv[1:] != key_uv[:-1]) + 1
-    return _np.concatenate(([0], change, [count]))
+    return np.append(np.flatnonzero(run_heads(uv)), len(uv))
 
 
-def k4_pair_kernel(tri_keys, tu, tv, tw, run_ptr, n: int, glo: int, ghi: int):
+def k4_setup(csr: CSRGraph, e1, e2, e3) -> dict:
+    """The arrays :func:`k4_pair_kernel` reads, from the triangle rows.
+
+    ``tri_keys`` are the ascending lex triangle keys (positions = triangle
+    ids), ``tri_uw``/``tri_vw`` each triangle's middle and highest edge
+    ids, ``tri_w`` its third vertex, and ``run_ptr`` the lowest-edge runs.
+    Shared-memory workers attach this dict and shard the kernel by run.
+    """
+    keys, uv, uw, vw = lex_triangles(csr.etgt, csr.n, e1, e2, e3)
+    return {"tri_keys": keys, "tri_uw": uw, "tri_vw": vw,
+            "tri_w": csr.etgt[vw], "run_ptr": triangle_run_pointers(uv)}
+
+
+def k4_pair_kernel(tri_keys, tri_uw, tri_vw, tri_w, run_ptr, n: int,
+                   glo: int, ghi: int):
     """All four-cliques whose lowest-edge run index falls in ``[glo, ghi)``.
 
     The (3,4) analogue of :func:`triangle_pair_kernel`, one level up the
     same index algebra: triangles sharing their lowest edge ``(u, v)`` sit
-    in one lex run, every pair ``(w, x)`` of their third vertices is a K₄
-    candidate, and the closing test *and* the id of the witness triangle
-    ``(u, w, x)`` come from a single ``searchsorted`` against ``tri_keys``
-    (the ascending ``(u·n + v)·n + w`` triple keys, whose positions are
-    the lex triangle ids).  ``(v, w, x)`` is then complete by implication
-    and a second ``searchsorted`` fetches its id.
+    in one lex run, and every pair ``w < x`` of their third vertices is a
+    K₄ candidate.  The edge ``(w, x)`` exists iff ``(u, w, x)`` is a
+    triangle, so one ``searchsorted`` of its key ``eid(u, w)·n + x``
+    against ``tri_keys`` is both the closing test and the lookup of its
+    id.  ``(v, w, x)`` is then complete by implication, and a second
+    ``searchsorted`` of ``eid(v, w)·n + x`` fetches its id.
 
     Returns the four aligned triangle-id arrays ``(q1, q2, q3, q4)`` for
     the cliques ``u < v < w < x``: ids of ``(u,v,w)``, ``(u,v,x)``,
-    ``(u,w,x)``, ``(v,w,x)`` — in the same order as the pure-python
-    :func:`csr_k4_triangle_ids` enumeration.
+    ``(u,w,x)``, ``(v,w,x)``, ordered by ``(u, v, w, x)``; consecutive run
+    ranges concatenate to exactly the full-range output.
     """
     idx_i, idx_j = _run_slot_pairs(run_ptr[glo:ghi], run_ptr[glo + 1:ghi + 1])
     if len(idx_i) == 0:
-        empty = _np.empty(0, dtype=_np.int64)
+        empty = np.empty(0, dtype=np.int64)
         return (empty,) * 4
-    u = tu[idx_i]
-    w = tw[idx_i]
-    x = tw[idx_j]
-    probe = (u * n + w) * n + x
-    pos = _np.minimum(_np.searchsorted(tri_keys, probe), len(tri_keys) - 1)
+    x = tri_w[idx_j]
+    probe = tri_uw[idx_i] * n + x
+    pos = np.minimum(np.searchsorted(tri_keys, probe), len(tri_keys) - 1)
     found = tri_keys[pos] == probe
     idx_i = idx_i[found]
-    idx_j = idx_j[found]
-    q3 = pos[found]
     # (u,v,w), (u,v,x), (u,w,x) all present means every K4 edge exists, so
     # (v,w,x) is a triangle too and the search is guaranteed to hit
-    q4 = _np.searchsorted(
-        tri_keys, (tv[idx_i] * n + w[found]) * n + x[found])
-    return idx_i, idx_j, q3, q4
+    q4 = np.searchsorted(tri_keys, tri_vw[idx_i] * n + x[found])
+    return idx_i, idx_j[found], pos[found], q4
 
 
-def _k4_numpy(csr: CSRGraph):
-    """Vectorised K₄ listing: ``(tu, tv, tw, q1, q2, q3, q4)`` arrays."""
-    n = csr.n
-    tu, tv, tw = _lex_triangles_numpy(csr)
-    tri_keys = (tu * n + tv) * n + tw
-    run_ptr = triangle_run_pointers(tu, tv, n)
-    # chunk runs by their pair counts so the transient arrays stay bounded
-    run_sizes = run_ptr[1:] - run_ptr[:-1]
+def csr_k4_arrays(csr: CSRGraph) -> tuple:
+    """Vectorised K₄ listing: ``(tri_keys, (q1, q2, q3, q4))``.
+
+    ``tri_keys`` are the lex triangle keys (see :func:`lex_triangles`) and
+    the four aligned arrays the triangle ids of every four-clique (see
+    :func:`k4_pair_kernel`).  The kernel runs over chunks of lowest-edge
+    runs balanced by pair count, so the transient arrays stay bounded.
+    """
+    k4 = k4_setup(csr, *csr_triangle_edge_ids(csr))
+    run_ptr = k4["run_ptr"]
+    run_sizes = np.diff(run_ptr)
     cuts = _chunk_starts(run_sizes * (run_sizes - 1) // 2)
-    q1, q2, q3, q4 = _concat_columns(
-        [k4_pair_kernel(tri_keys, tu, tv, tw, run_ptr, n, glo, ghi)
+    quads = _concat_columns(
+        [k4_pair_kernel(k4["tri_keys"], k4["tri_uw"], k4["tri_vw"],
+                        k4["tri_w"], run_ptr, csr.n, glo, ghi)
          for glo, ghi in zip(cuts[:-1], cuts[1:], strict=True)], 4)
-    return tu, tv, tw, q1, q2, q3, q4
+    return k4["tri_keys"], quads
 
 
 def csr_k4_triangle_ids(
-        csr: CSRGraph, use_numpy: bool | None = None,
+        csr: CSRGraph,
 ) -> tuple[list[tuple[int, int, int]],
            tuple[list[int], list[int], list[int], list[int]]]:
     """All four-cliques as four aligned triangle-id lists, plus the triangles.
@@ -841,75 +764,17 @@ def csr_k4_triangle_ids(
     same ids both backends' (3,4) views use) and slot ``i`` of the four
     aligned lists holds the ids of the triangles ``(u,v,w)``, ``(u,v,x)``,
     ``(u,w,x)``, ``(v,w,x)`` of the ``i``-th four-clique ``u < v < w < x``.
-    This is the materialised triangle→K₄ incidence the direct (3,4) peel
-    and hierarchy construction replay.
-
-    Four-cliques are found once from their smallest edge ``(u, v)``: a pair
-    ``w < x`` of common neighbours beyond ``v`` completes one iff ``(w, x)``
-    is an edge.  Both the common-neighbour lists and the edge tests come
-    from the triangle list itself: triangles sharing their lowest edge sit
-    in one consecutive lex run (so their ids need no lookup at all), and
-    since ``w`` and ``x`` are both adjacent to ``u``, the edge ``(w, x)``
-    exists iff ``(u, w, x)`` is a triangle — one probe of the id map, whose
-    value the K₄ record needs anyway.
-
-    With numpy present (``use_numpy=None`` auto-selects) the same
-    enumeration runs fully vectorised through :func:`triangle_pair_kernel`
-    and :func:`k4_pair_kernel`; output is identical, clique for clique.
+    A list view of :func:`csr_k4_arrays`.
     """
-    n = csr.n
-    if use_numpy is None:
-        use_numpy = (_np is not None and csr.m >= _NUMPY_MIN_TRIANGLE_EDGES
-                     and n < _MAX_KEYED_N and isinstance(csr, CSRGraph))
-    if use_numpy:
-        if _np is None:
-            raise InvalidGraphError("numpy fast path requested but numpy is missing")
-        tu, tv, tw, q1, q2, q3, q4 = _k4_numpy(csr)
-        triangles = list(zip(tu.tolist(), tv.tolist(), tw.tolist(), strict=True))
-        return triangles, (q1.tolist(), q2.tolist(), q3.tolist(), q4.tolist())
-    triangles = list(csr_triangles(csr))
-    # encoded int keys hash faster than tuple keys in the pair probes below
-    tri_id: dict[int, int] = {
-        (a * n + b) * n + c: tid for tid, (a, b, c) in enumerate(triangles)}
-    q1: list[int] = []
-    q2: list[int] = []
-    q3: list[int] = []
-    q4: list[int] = []
-    get = tri_id.get
-    num_tris = len(triangles)
-    base = 0
-    while base < num_tris:
-        u, v, _w = triangles[base]
-        end = base + 1
-        while end < num_tris:
-            tu, tv, _x = triangles[end]
-            if tu != u or tv != v:
-                break
-            end += 1
-        # triangles[base:end] share the lowest edge (u, v); their third
-        # vertices are exactly the common neighbours of u and v beyond v
-        for i in range(base, end - 1):
-            w = triangles[i][2]
-            uw = (u * n + w) * n
-            vw = (v * n + w) * n
-            for j in range(i + 1, end):
-                x = triangles[j][2]
-                t_uwx = get(uw + x)
-                if t_uwx is not None:
-                    q1.append(i)
-                    q2.append(j)
-                    q3.append(t_uwx)
-                    q4.append(tri_id[vw + x])
-        base = end
-    return triangles, (q1, q2, q3, q4)
+    keys, quads = csr_k4_arrays(csr)
+    return (lex_triangle_vertices(csr, keys),
+            tuple(q.tolist() for q in quads))
 
 
 def csr_triangle_k4_counts(
         csr: CSRGraph) -> tuple[dict[tuple[int, int, int], int], list[int]]:
     """Triangle ids plus four-cliques containing each triangle (initial ω₄)."""
-    triangles, quads = csr_k4_triangle_ids(csr)
-    counts = [0] * len(triangles)
-    for quad in quads:
-        for tid in quad:
-            counts[tid] += 1
-    return {tri: tid for tid, tri in enumerate(triangles)}, counts
+    keys, quads = csr_k4_arrays(csr)
+    counts = np.bincount(np.concatenate(quads), minlength=len(keys))
+    return ({tri: tid for tid, tri in
+             enumerate(lex_triangle_vertices(csr, keys))}, counts.tolist())

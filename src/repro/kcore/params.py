@@ -21,16 +21,6 @@ __all__ = ["EdgeValues", "edge_values", "require_count", "require_fraction"]
 EdgeValues = Union[Mapping[tuple[int, int], float], Sequence[float]]
 
 
-def _endpoints(graph) -> list[tuple[int, int]]:
-    """Lexicographic (u, v) per edge id, on any graph representation."""
-    esrc = getattr(graph, "esrc", None)
-    if esrc is not None:
-        etgt = graph.etgt
-        return [(int(esrc[e]), int(etgt[e])) for e in range(graph.m)]
-    index = graph.edge_index
-    return [index.endpoints(eid) for eid in range(len(index))]
-
-
 def edge_values(graph, values: EdgeValues, *, kind: str = "weight",
                 plural: str | None = None,
                 lo: float | None = None,
@@ -43,7 +33,8 @@ def edge_values(graph, values: EdgeValues, *, kind: str = "weight",
     plural = plural or kind + "s"
     if isinstance(values, Mapping):
         out = []
-        for u, v in _endpoints(graph):
+        # every representation iterates its edges in id (lexicographic) order
+        for u, v in graph.edges():
             if (u, v) in values:
                 out.append(float(values[(u, v)]))
             elif (v, u) in values:

@@ -1,12 +1,11 @@
 """RL002 shm-lifecycle.
 
-A ``SharedMemory(create=True)`` / ``SharedArrayBundle.create`` /
-``share_forest`` acquisition owns a kernel object that outlives the
-process on leak.  Every acquisition must either:
+A ``SharedMemory(create=True)`` / ``SharedArrayBundle.create``
+acquisition owns a kernel object that outlives the process on leak.  Every acquisition must either:
 
 * be used directly as a ``with`` context manager,
 * reach ``close()``/``unlink()`` in a ``try/finally`` (dotted access on
-  the bound name counts, e.g. ``forest.bundle.unlink()``),
+  the bound name counts, e.g. ``state.bundle.unlink()``),
 * clean up and re-raise in an ``except`` handler, or
 * escape the function (returned/yielded, stored into an attribute or
   container, or passed to another call) — ownership moved elsewhere.
@@ -27,8 +26,7 @@ from repro.lint.registry import (
     walk_skipping,
 )
 
-_CREATOR_OWNERS = {"SharedArrayBundle", "SharedRootedForest"}
-_CREATOR_NAMES = {"share_forest"}
+_CREATOR_OWNERS = {"SharedArrayBundle"}
 _CLEANUP_ATTRS = {"close", "unlink"}
 
 
@@ -37,10 +35,7 @@ def _is_acquisition(call: ast.Call) -> bool:
     if isinstance(func, ast.Attribute) and func.attr == "create":
         if dotted_name(func.value).rsplit(".", 1)[-1] in _CREATOR_OWNERS:
             return True
-    name = dotted_name(func).rsplit(".", 1)[-1]
-    if name in _CREATOR_NAMES:
-        return True
-    if name == "SharedMemory":
+    if dotted_name(func).rsplit(".", 1)[-1] == "SharedMemory":
         return any(kw.arg == "create"
                    and isinstance(kw.value, ast.Constant)
                    and kw.value.value is True for kw in call.keywords)

@@ -57,8 +57,6 @@ _EXPORTS = {
     "WorkerPool": "pool",
     "resolve_workers": "pool",
     "SharedArrayBundle": "shm",
-    "SharedRootedForest": "shm",
-    "share_forest": "shm",
 }
 
 __all__ = sorted(_EXPORTS)

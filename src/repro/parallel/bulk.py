@@ -32,7 +32,7 @@ from repro.core.csr_peel import (
     truss_incidence_arrays,
 )
 from repro.core.peeling import PeelingResult
-from repro.graph.csr import CSRGraph, csr_arrays_int64
+from repro.graph.csr import CSRGraph
 from repro.parallel.incidence import (
     parallel_nucleus34_incidence,
     parallel_truss_incidence,
@@ -266,16 +266,14 @@ def _peel(sup, static: dict, weights, task: tuple, decrement,
 
 
 def bulk_core_peel(csr: CSRGraph, pool: WorkerPool | None = None,
-                   static=None) -> PeelingResult:
+                   static: SharedArrayBundle | None = None) -> PeelingResult:
     """(1,2) bulk peel: core numbers λ₂, frontier rounds over the CSR.
 
-    ``static`` may hand in the int64 ``indptr``/``indices`` arrays
-    already converted — with a pool, the :class:`SharedArrayBundle`
-    exporting them (the FND pipeline shares the adjacency once across its
-    peel and construction phases).
+    With a pool, ``static`` may hand in the :class:`SharedArrayBundle`
+    already exporting ``indptr``/``indices`` (the FND pipeline shares the
+    adjacency once across its peel and construction phases).
     """
-    arrays = csr_arrays_int64(csr) if static is None else static
-    indptr, indices = arrays["indptr"], arrays["indices"]
+    indptr, indices = csr.indptr, csr.indices
     sup = np.diff(indptr)
 
     def decrement(peel_round, frontier, rnd):
@@ -309,11 +307,8 @@ def bulk_truss_peel(csr: CSRGraph, pool: WorkerPool | None = None,
     """(2,3) bulk peel: λ₃ per lex edge id, frontier rounds over the
     materialised edge→triangle incidence (built sharded when a pool is
     given)."""
-    if pool is None:
-        sup, ptr, comps = truss_incidence_arrays(csr)
-    else:
-        sup, ptr, comp1, comp2 = parallel_truss_incidence(csr, pool)
-        comps = (comp1, comp2)
+    sup, ptr, comps = (truss_incidence_arrays(csr) if pool is None
+                       else parallel_truss_incidence(csr, pool))
     return _bulk_incidence_peel(sup, ptr, comps, pool)
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.core.fnd import FndInstrumentation
 from repro.core.hierarchy import Hierarchy
-from repro.graph.csr import CSRGraph, csr_arrays_int64
+from repro.graph.csr import CSRGraph
 from repro.parallel.kernels import (
     component_roots,
     core_level_edges,
@@ -230,19 +230,15 @@ def _run_construction(r: int, s: int, lam, static: dict, weights,
 def core_hierarchy_from_lambda(
         csr: CSRGraph, lam, pool: WorkerPool | None = None,
         instrumentation: FndInstrumentation | None = None,
-        static_bundle=None) -> Hierarchy:
+        static_bundle: SharedArrayBundle | None = None) -> Hierarchy:
     """(1,2) hierarchy from settled core numbers, adjacency-driven.
 
-    ``static_bundle`` may hand in the int64 ``indptr`` / ``indices``
-    arrays already converted — with a pool, the
-    :class:`~repro.parallel.shm.SharedArrayBundle` exporting them — so
-    the CSR arrays are converted and exported once per pipeline.
+    With a pool, ``static_bundle`` may hand in the
+    :class:`~repro.parallel.shm.SharedArrayBundle` already exporting
+    ``indptr`` / ``indices``, so the adjacency is exported once per
+    pipeline.
     """
-    if static_bundle is not None:
-        indptr, indices = static_bundle["indptr"], static_bundle["indices"]
-    else:
-        arrays = csr_arrays_int64(csr)
-        indptr, indices = arrays["indptr"], arrays["indices"]
+    indptr, indices = csr.indptr, csr.indices
 
     def local_edges(lam_arr, frontier, k):
         return core_level_edges(indptr, indices, lam_arr, frontier, k)

@@ -37,7 +37,7 @@ from repro.core.hierarchy import Hierarchy
 from repro.core.peeling import PeelingResult
 from repro.core.views import CellView, CSREdgeView, CSRTriangleView, VertexView
 from repro.errors import InvalidParameterError
-from repro.graph.csr import CSRGraph, csr_arrays_int64
+from repro.graph.csr import CSRGraph
 from repro.parallel.bulk import (
     _bulk_incidence_peel,
     bulk_core_peel,
@@ -74,15 +74,11 @@ def frontier_fnd(csr: CSRGraph, r: int, s: int,
     depends on the engine: it is round order, still smallest-last.
     """
     if (r, s) == (1, 2):
-        arrays = csr_arrays_int64(csr)
-        static = {"indptr": arrays["indptr"], "indices": arrays["indices"]}
+        static = {"indptr": csr.indptr, "indices": csr.indices}
         view: CellView = VertexView(csr)
     elif (r, s) == (2, 3):
-        if pool is None:
-            sup, ptr, comps = truss_incidence_arrays(csr)
-        else:
-            sup, ptr, comp1, comp2 = parallel_truss_incidence(csr, pool)
-            comps = (comp1, comp2)
+        sup, ptr, comps = (truss_incidence_arrays(csr) if pool is None
+                           else parallel_truss_incidence(csr, pool))
         view = CSREdgeView(csr)
     elif (r, s) == (3, 4):
         if pool is None:
@@ -102,11 +98,10 @@ def frontier_fnd(csr: CSRGraph, r: int, s: int,
             static[f"c{i + 1}"] = comp
     with _exported(static, pool) as bundle:
         if r == 1:
-            shared = static if bundle is None else bundle
-            peeling = bulk_core_peel(csr, pool, static=shared)
+            peeling = bulk_core_peel(csr, pool, static=bundle)
             lam = np.asarray(peeling.lam, dtype=np.int64)
             hierarchy = core_hierarchy_from_lambda(
-                csr, lam, pool, instrumentation, static_bundle=shared)
+                csr, lam, pool, instrumentation, static_bundle=bundle)
         else:
             peeling = _bulk_incidence_peel(sup, ptr, comps, pool,
                                            static=bundle)

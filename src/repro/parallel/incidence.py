@@ -21,15 +21,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.csr_peel import nucleus34_fill, truss_fill
 from repro.graph.csr import (
-    _MAX_KEYED_N,
     _concat_columns,
     CSRGraph,
-    csr_arrays_int64,
     csr_forward_structure,
-    fill_incidence,
-    triangle_run_pointers,
-    triangle_triples,
+    k4_setup,
 )
 from repro.parallel.kernels import weighted_cuts
 
@@ -69,60 +66,38 @@ def parallel_triangle_edge_ids(csr: CSRGraph, pool: WorkerPool):
 
 
 def parallel_truss_incidence(csr: CSRGraph, pool: WorkerPool):
-    """Sharded edge→triangle incidence: ``(sup, ptr, comp1, comp2)``.
+    """Sharded edge→triangle incidence: ``(sup, ptr, (comp1, comp2))``.
 
-    Same shape as :func:`~repro.core.csr_peel.truss_incidence`, as int64
-    numpy arrays; only the triangle listing is farmed out — the fill is
-    one argsort in the parent (:func:`~repro.graph.csr.fill_incidence`,
-    shared with the sequential builders).
+    Same shape and arrays as
+    :func:`~repro.core.csr_peel.truss_incidence_arrays`; only the
+    triangle listing is farmed out — the fill is one argsort in the
+    parent (:func:`~repro.core.csr_peel.truss_fill`, shared with the
+    sequential builder).
     """
-    e1, e2, e3 = parallel_triangle_edge_ids(csr, pool)
-    sup, ptr, (comp1, comp2) = fill_incidence(
-        [e1, e2, e3], [(e2, e3), (e1, e3), (e1, e2)], csr.m)
-    return sup, ptr, comp1, comp2
+    return truss_fill(csr.m, *parallel_triangle_edge_ids(csr, pool))
 
 
 def parallel_nucleus34_incidence(csr: CSRGraph, pool: WorkerPool):
     """Sharded triangle→K₄ incidence: ``(triangles, sup, ptr, comps)``.
 
-    Same shape as :func:`~repro.core.csr_peel.nucleus34_incidence` with
-    numpy arrays: the lex triangle triple list (ids = positions), initial
-    ω₄ supports, and the three aligned companion arrays.  Workers shard
-    first the triangle listing, then the K₄ pair kernel over
-    lowest-edge runs balanced by pair count.
-
-    Past :data:`~repro.graph.csr._MAX_KEYED_N` vertices the int64 triple
-    keys the K₄ kernel searches would overflow, so huge graphs fall back
-    to the (guarded) sequential builder rather than shard.
+    Same shape and arrays as
+    :func:`~repro.core.csr_peel.nucleus34_incidence_arrays`: the lex
+    triangle triple list (ids = positions), initial ω₄ supports, and the
+    three aligned companion arrays.  Workers shard first the triangle
+    listing, then the K₄ pair kernel over lowest-edge runs balanced by
+    pair count.
     """
-    if csr.n >= _MAX_KEYED_N:
-        from repro.core.csr_peel import nucleus34_incidence_arrays
-
-        return nucleus34_incidence_arrays(csr)
     from repro.parallel.shm import SharedArrayBundle
 
-    tri_edges = parallel_triangle_edge_ids(csr, pool)
-    tu, tv, tw = triangle_triples(csr_arrays_int64(csr), *tri_edges)
-    order = np.lexsort((tw, tv, tu))
-    tu, tv, tw = tu[order], tv[order], tw[order]
-    n = csr.n
-    run_ptr = triangle_run_pointers(tu, tv, n)
-    run_sizes = run_ptr[1:] - run_ptr[:-1]
+    k4 = k4_setup(csr, *parallel_triangle_edge_ids(csr, pool))
+    run_sizes = np.diff(k4["run_ptr"])
     cuts = weighted_cuts(run_sizes * (run_sizes - 1) // 2, pool.workers)
-    shared = {"tri_keys": (tu * n + tv) * n + tw, "tri_u": tu, "tri_v": tv,
-              "tri_w": tw, "run_ptr": run_ptr}
-    with SharedArrayBundle.create(shared) as bundle:
+    with SharedArrayBundle.create(k4) as bundle:
         pool.bind([bundle.spec])
         try:
             parts = pool.scatter(
-                [("k4", n, glo, ghi)
+                [("k4", csr.n, glo, ghi)
                  for glo, ghi in zip(cuts[:-1], cuts[1:], strict=True)])
         finally:
             pool.unbind()
-    q1, q2, q3, q4 = _concat_columns(parts, 4)
-    sup, ptr, comps = fill_incidence(
-        [q1, q2, q3, q4],
-        [(q2, q3, q4), (q1, q3, q4), (q1, q2, q4), (q1, q2, q3)],
-        len(tu))
-    triangles = list(zip(tu.tolist(), tv.tolist(), tw.tolist(), strict=True))
-    return triangles, sup, ptr, comps
+    return nucleus34_fill(csr, k4["tri_keys"], _concat_columns(parts, 4))

@@ -139,7 +139,7 @@ def _worker_main(conn, untrack: bool) -> None:
                 elif command == "k4":
                     _, n, glo, ghi = message
                     payload = k4_pair_kernel(
-                        arrays["tri_keys"], arrays["tri_u"], arrays["tri_v"],
+                        arrays["tri_keys"], arrays["tri_uw"], arrays["tri_vw"],
                         arrays["tri_w"], arrays["run_ptr"], n, glo, ghi)
                 else:
                     raise ValueError(f"unknown pool command {command!r}")

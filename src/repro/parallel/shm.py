@@ -1,18 +1,13 @@
 """Zero-copy shared-memory transport for the flat peeling state.
 
-The whole point of the CSR layout (and of the flat-int
-:class:`~repro.core.disjoint_set.ArrayRootedForest`) is that every piece
-of peeling state is a homogeneous typed array.  This module moves those
-arrays across process boundaries without serialising them:
-
-* :class:`SharedArrayBundle` exports a dict of numpy arrays into one
-  ``multiprocessing.shared_memory`` segment per array; its picklable
-  :attr:`SharedArrayBundle.spec` lets a worker :meth:`attach
-  <SharedArrayBundle.attach>` numpy views over the *same* pages — no
-  copy, no pickle of the payload, writes visible to every process.
-* :class:`SharedRootedForest` is the rooted-forest (Find-r / Link-r)
-  discipline over shared int64 arrays, so hierarchy-skeleton state built
-  by one process can be read — or extended — by another.
+The whole point of the CSR layout is that every piece of peeling state
+is a homogeneous typed array.  This module moves those arrays across
+process boundaries without serialising them: :class:`SharedArrayBundle`
+exports a dict of numpy arrays into one ``multiprocessing.shared_memory``
+segment per array; its picklable :attr:`SharedArrayBundle.spec` lets a
+worker :meth:`attach <SharedArrayBundle.attach>` numpy views over the
+*same* pages — no copy, no pickle of the payload, writes visible to
+every process.
 
 Owners must call :meth:`SharedArrayBundle.unlink` (workers only
 :meth:`SharedArrayBundle.close`); :class:`SharedArrayBundle` is a context
@@ -26,9 +21,7 @@ from typing import KeysView
 
 import numpy as np
 
-from repro.core.disjoint_set import ArrayRootedForest
-
-__all__ = ["SharedArrayBundle", "SharedRootedForest", "share_forest"]
+__all__ = ["SharedArrayBundle"]
 
 
 def _attach_segment(name: str, untrack: bool) -> shared_memory.SharedMemory:
@@ -151,139 +144,3 @@ class SharedArrayBundle:
             self.unlink()
         else:
             self.close()
-
-
-class SharedRootedForest:
-    """Find-r / Link-r over shared int64 arrays (fixed capacity).
-
-    The shared-memory counterpart of
-    :class:`~repro.core.disjoint_set.ArrayRootedForest`: same ``parent`` /
-    ``root`` / ``rank`` discipline and ``-1`` sentinels, but the three
-    arrays live in a :class:`SharedArrayBundle` so several processes can
-    inspect (or grow, one writer at a time) the same skeleton.  ``size``
-    tracks how many of the pre-sized slots are live nodes.
-    """
-
-    __slots__ = ("bundle", "parent", "root", "rank", "size")
-
-    def __init__(self, bundle: SharedArrayBundle, size: int) -> None:
-        self.bundle = bundle
-        self.parent = bundle["parent"]
-        self.root = bundle["root"]
-        self.rank = bundle["rank"]
-        self.size = size
-
-    @classmethod
-    def attach(cls, spec: tuple, size: int,
-               untrack: bool = False) -> "SharedRootedForest":
-        return cls(SharedArrayBundle.attach(spec, untrack), size)
-
-    def __len__(self) -> int:
-        return self.size
-
-    @property
-    def capacity(self) -> int:
-        return len(self.parent)
-
-    def make_node(self) -> int:
-        """Claim the next pre-sized slot as a fresh isolated node."""
-        idx = self.size
-        if idx >= self.capacity:
-            raise IndexError("shared forest capacity exhausted")
-        self.parent[idx] = -1
-        self.root[idx] = -1
-        self.rank[idx] = 0
-        self.size = idx + 1
-        return idx
-
-    def make_nodes(self, count: int) -> int:
-        """Claim ``count`` contiguous slots as fresh nodes; first id back.
-
-        The batch counterpart of :meth:`make_node` — one vectorised write
-        per array instead of ``count`` scalar stores.
-        """
-        first = self.size
-        end = first + count
-        if end > self.capacity:
-            raise IndexError("shared forest capacity exhausted")
-        self.parent[first:end] = -1
-        self.root[first:end] = -1
-        self.rank[first:end] = 0
-        self.size = end
-        return first
-
-    def adopt_roots(self, new_root: int) -> None:
-        """Parent every live parentless node except ``new_root`` to it.
-
-        Vectorised final step of an FND-style construction: the
-        surviving tree roots become children of the λ = 0 whole-graph
-        node.  Only ``parent`` is written; ``root`` shortcuts are left
-        as compressed.
-        """
-        live = self.parent[:self.size]
-        orphans = live < 0
-        orphans[new_root] = False
-        live[orphans] = new_root
-
-    def find(self, x: int, compress: bool = True) -> int:
-        """Greatest ancestor of ``x`` via ``root`` pointers (Find-r)."""
-        root = self.root
-        top = x
-        while root[top] >= 0:
-            top = int(root[top])
-        if compress:
-            while x != top:
-                nxt = int(root[x])
-                root[x] = top
-                x = nxt
-        return top
-
-    def link(self, x: int, y: int) -> int:
-        """Link-r on two roots; returns the surviving root."""
-        if x == y:
-            return x
-        if self.rank[x] > self.rank[y]:
-            x, y = y, x
-        # x goes under y
-        self.parent[x] = y
-        self.root[x] = y
-        if self.rank[x] == self.rank[y]:
-            self.rank[y] += 1
-        return y
-
-    def union(self, x: int, y: int) -> int:
-        """Union-r: merge the trees containing ``x`` and ``y``."""
-        return self.link(self.find(x), self.find(y))
-
-    def attach_node(self, child_root: int, new_parent: int) -> None:
-        """Make ``child_root`` (a current root) a child of ``new_parent``."""
-        self.parent[child_root] = new_parent
-        self.root[child_root] = new_parent
-
-    def to_array_forest(self) -> ArrayRootedForest:
-        """Copy the live slots back into a process-local forest."""
-        forest = ArrayRootedForest()
-        forest.parent = self.parent[:self.size].tolist()
-        forest.root = self.root[:self.size].tolist()
-        forest.rank = self.rank[:self.size].tolist()
-        return forest
-
-
-def share_forest(forest: ArrayRootedForest,
-                 capacity: int | None = None) -> SharedRootedForest:
-    """Export an :class:`ArrayRootedForest` into shared memory.
-
-    ``capacity`` pre-sizes the arrays (default: the current node count) so
-    the shared copy can still :meth:`~SharedRootedForest.make_node`.
-    """
-    size = len(forest)
-    capacity = size if capacity is None else max(capacity, size)
-    parent = np.full(capacity, -1, dtype=np.int64)
-    root = np.full(capacity, -1, dtype=np.int64)
-    rank = np.zeros(capacity, dtype=np.int64)
-    parent[:size] = forest.parent
-    root[:size] = forest.root
-    rank[:size] = forest.rank
-    bundle = SharedArrayBundle.create(
-        {"parent": parent, "root": root, "rank": rank})
-    return SharedRootedForest(bundle, size)

@@ -44,3 +44,20 @@ def to_networkx(graph: Graph) -> nx.Graph:
     nxg.add_nodes_from(range(graph.n))
     nxg.add_edges_from(graph.edges())
     return nxg
+
+
+def reference_csr_arrays(graph: Graph) -> dict[str, list[int]]:
+    """The five CSR arrays of ``graph``, read off its object adjacency and
+    :class:`~repro.graph.adjacency.EdgeIndex`: the oracle every CSR build
+    path must reproduce."""
+    index = graph.edge_index
+    indptr = [0]
+    indices: list[int] = []
+    eids: list[int] = []
+    for v in graph.vertices():
+        for w in graph.neighbors(v):
+            indices.append(w)
+            eids.append(index.id_of(v, w))
+        indptr.append(len(indices))
+    return {"indptr": indptr, "indices": indices, "eids": eids,
+            "esrc": list(index.source), "etgt": list(index.target)}

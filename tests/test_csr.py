@@ -8,6 +8,9 @@ certifies the CSR engine.
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -22,10 +25,10 @@ from repro.backends import (
     truss_peel,
 )
 from repro.core.bucket import FlatBucketQueue
-from repro.core.csr_peel import truss_incidence
 from repro.core.peeling import peel
 from repro.core.views import EdgeView, VertexView, build_view
 from repro.errors import InvalidGraphError, InvalidParameterError
+from repro.external.diskcsr import as_diskcsr
 from repro.graph import generators
 from repro.graph.adjacency import Graph
 from repro.graph.cliques import (
@@ -34,7 +37,6 @@ from repro.graph.cliques import (
     triangles,
 )
 from repro.graph.csr import (
-    HAVE_NUMPY,
     CSRGraph,
     csr_edge_support,
     csr_triangle_k4_counts,
@@ -43,7 +45,7 @@ from repro.graph.csr import (
 from repro.kcore.core import core_numbers, degeneracy
 from repro.ktruss.truss import truss_numbers
 
-from _graphs import dense_small_graphs, small_graphs
+from _graphs import dense_small_graphs, reference_csr_arrays, small_graphs
 
 GENERATOR_SUITE = [
     Graph.empty(0, name="empty"),
@@ -61,25 +63,35 @@ GENERATOR_SUITE = [
 
 _ids = [g.name for g in GENERATOR_SUITE]
 
+ARRAYS = ("indptr", "indices", "eids", "esrc", "etgt")
 
-def _python_incidence_truss_peel(csr: CSRGraph) -> list[int]:
-    """λ₃ from the frontier rounds over the pure-python incidence."""
-    import numpy as np
 
+def _reference_incidence_truss_peel(graph: Graph) -> list[int]:
+    """λ₃ from the frontier rounds over an edge→triangle incidence built
+    from the object graph's triangle listing and edge index."""
     from repro.parallel.bulk import _bulk_incidence_peel
 
-    sup, ptr, comp1, comp2 = (np.asarray(column, dtype=np.int64) for column
-                              in truss_incidence(csr, use_numpy=False))
-    return _bulk_incidence_peel(sup, ptr, (comp1, comp2), None).lam
+    index = graph.edge_index
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(graph.m)]
+    for u, v, w in triangles(graph):
+        uv, uw, vw = index.id_of(u, v), index.id_of(u, w), index.id_of(v, w)
+        rows[uv].append((uw, vw))
+        rows[uw].append((uv, vw))
+        rows[vw].append((uv, uw))
+    sup = np.array([len(row) for row in rows], dtype=np.int64)
+    ptr = np.concatenate(([0], np.cumsum(sup))).astype(np.int64)
+    comps = tuple(np.array([pair[i] for row in rows for pair in row],
+                           dtype=np.int64) for i in (0, 1))
+    return _bulk_incidence_peel(sup, ptr, comps, None).lam
 
 
 def _build_variants(graph: Graph) -> list[CSRGraph]:
+    """Every way to build a CSR: from the edge list, from duplicated and
+    reversed edges, and from the object graph."""
     edges = list(graph.edges())
-    variants = [CSRGraph(graph.n, edges, use_numpy=False),
-                CSRGraph.from_graph(graph)]
-    if HAVE_NUMPY:
-        variants.append(CSRGraph(graph.n, edges, use_numpy=True))
-    return variants
+    noisy = [(v, u) for u, v in reversed(edges)] + edges[::2]
+    return [CSRGraph(graph.n, edges), CSRGraph(graph.n, noisy),
+            CSRGraph.from_graph(graph)]
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +123,10 @@ class TestStructure:
 
     def test_build_paths_agree_exactly(self):
         graph = generators.powerlaw_cluster(300, 6, 0.5, seed=2)
-        python_built, from_graph, numpy_built = (
-            _build_variants(graph) if HAVE_NUMPY
-            else _build_variants(graph) + [None])
-        for other in (from_graph, numpy_built):
-            if other is None:
-                continue
-            assert other.indptr == python_built.indptr
-            assert other.indices == python_built.indices
-            assert other.eids == python_built.eids
-            assert other.esrc == python_built.esrc
-            assert other.etgt == python_built.etgt
+        expected = reference_csr_arrays(graph)
+        for csr in _build_variants(graph):
+            assert {key: getattr(csr, key).tolist()
+                    for key in expected} == expected
 
     def test_duplicate_and_reversed_edges_tolerated(self):
         csr = CSRGraph(3, [(0, 1), (1, 0), (0, 1), (1, 2)])
@@ -131,9 +136,28 @@ class TestStructure:
     def test_self_loop_rejected(self):
         with pytest.raises(InvalidGraphError):
             CSRGraph(3, [(1, 1)])
-        if HAVE_NUMPY:
-            with pytest.raises(InvalidGraphError):
-                CSRGraph(3, [(1, 1)], use_numpy=True)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (5, 5), (0, 7)],  # a self loop is checked before the range
+        [(0, 1), (0, 7), (1, 1)],  # the first bad edge in input order wins
+        [(2, -1), (1, 1)],
+        [(1, 2)] * 600 + [(2, 3)],  # well past any small-input size
+    ])
+    def test_bad_edges_rejected_like_graph(self, edges):
+        with pytest.raises(InvalidGraphError) as expected:
+            Graph(3, edges)
+        with pytest.raises(InvalidGraphError) as raised:
+            CSRGraph(3, edges)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1.5)],
+        [(0, 1), (1.0, 2)],  # integral floats are not truncated either
+        [(0, 1), ("1", 2)],
+    ])
+    def test_non_integer_endpoints_rejected(self, edges):
+        with pytest.raises(TypeError, match="non-integer endpoint"):
+            CSRGraph(3, edges)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidGraphError):
@@ -160,16 +184,64 @@ class TestStructure:
 
 
 # ---------------------------------------------------------------------------
+# storage contract
+# ---------------------------------------------------------------------------
+def _all_ints(values) -> bool:
+    return all(type(x) is int for x in values)
+
+
+class TestStorage:
+    @pytest.mark.parametrize("graph", GENERATOR_SUITE, ids=_ids)
+    def test_int64_read_only_arrays_and_python_int_accessors(self, graph):
+        csr = CSRGraph(graph.n, graph.edges())
+        arrays = {key: getattr(csr, key) for key in ARRAYS}
+        for key, array in arrays.items():
+            assert array.dtype == np.int64, key
+            assert not array.flags.writeable, key
+        snapshot = {key: array.tobytes() for key, array in arrays.items()}
+
+        assert type(csr.n) is int and type(csr.m) is int
+        assert type(csr.degrees()) is list and _all_ints(csr.degrees())
+        for v in csr.vertices():
+            assert type(csr.degree(v)) is int
+            assert type(csr.neighbors(v)) is list
+            assert _all_ints(csr.neighbors(v))
+            assert _all_ints(csr.neighbor_set(v))
+        for eid, (u, v) in enumerate(csr.edges()):
+            assert _all_ints((u, v)) and _all_ints(csr.endpoints(eid))
+            assert type(csr.edge_id(u, v)) is int
+            assert csr.has_edge(u, v) is True
+            assert _all_ints(csr.common_neighbors(u, v))
+        index = csr.edge_index
+        assert type(index.source) is list and _all_ints(index.source)
+        assert type(index.target) is list and _all_ints(index.target)
+
+        # engines read the graph's own arrays: decomposing twice leaves
+        # them untouched, and every answer is JSON-ready
+        for r, s in ((1, 2), (2, 3), (3, 4)):
+            for _ in range(2):
+                result = decompose(csr, r, s)
+                json.dumps(result.lam)
+                json.dumps([result.view.cell_vertices(c)
+                            for c in range(result.view.num_cells)])
+        for key, array in arrays.items():
+            assert getattr(csr, key) is array
+            assert array.tobytes() == snapshot[key], key
+
+
+# ---------------------------------------------------------------------------
 # triangle / clique enumeration parity
 # ---------------------------------------------------------------------------
 class TestEnumeration:
     @pytest.mark.parametrize("graph", GENERATOR_SUITE, ids=_ids)
     def test_edge_support_matches(self, graph):
+        # the vectorised count on a CSRGraph, the scalar merge scans on
+        # the disk backend's windowed arrays
         csr = CSRGraph.from_graph(graph)
         expected = edge_triangle_counts(graph)
-        assert csr_edge_support(csr, use_numpy=False) == expected
-        if HAVE_NUMPY:
-            assert csr_edge_support(csr, use_numpy=True) == expected
+        assert csr_edge_support(csr) == expected
+        with as_diskcsr(graph) as disk:
+            assert csr_edge_support(disk) == expected
 
     @pytest.mark.parametrize("graph", GENERATOR_SUITE, ids=_ids)
     def test_triangle_sets_match(self, graph):
@@ -183,6 +255,9 @@ class TestEnumeration:
         csr_id, csr_counts = csr_triangle_k4_counts(csr)
         assert {t: obj_counts[i] for t, i in obj_id.items()} == \
             {t: csr_counts[i] for t, i in csr_id.items()}
+        # the same listing runs over the disk backend's memory maps
+        with as_diskcsr(graph) as disk:
+            assert csr_triangle_k4_counts(disk) == (csr_id, csr_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +273,13 @@ class TestPeels:
 
     @pytest.mark.parametrize("graph", GENERATOR_SUITE, ids=_ids)
     def test_truss_peel_matches_both_strategies(self, graph):
-        # the frontier rounds over the numpy incidence and over the
-        # pure-python reference incidence (the small-graph fallback)
+        # the frontier rounds over the CSR engine's incidence and over one
+        # built from the object graph's triangle listing
         expected = peel(EdgeView(graph))
         csr = CSRGraph.from_graph(graph)
         result = truss_peel(csr)
         assert result.lam == expected.lam
-        assert _python_incidence_truss_peel(csr) == expected.lam
+        assert _reference_incidence_truss_peel(graph) == expected.lam
         assert result.max_lambda == expected.max_lambda
 
     @given(small_graphs())
@@ -216,9 +291,8 @@ class TestPeels:
     @settings(max_examples=40, deadline=None)
     def test_truss_peel_matches_random(self, g):
         expected = peel(EdgeView(g)).lam
-        csr = as_csr(g)
-        assert truss_peel(csr).lam == expected
-        assert _python_incidence_truss_peel(csr) == expected
+        assert truss_peel(as_csr(g)).lam == expected
+        assert _reference_incidence_truss_peel(g) == expected
 
     def test_core_peel_order_is_degeneracy_order(self):
         g = generators.powerlaw_cluster(80, 4, 0.5, seed=9)

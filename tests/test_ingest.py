@@ -3,9 +3,9 @@ reference, the one CSR builder, the lazily adjacent :class:`Graph`, and the
 disk builder that shares the parser.
 
 The oracle is the text-mode per-line loop (``io._line_pairs``) followed by
-:func:`relabel_edges` and the pure-python CSR build: every file in the
-corpus, and every generated ASCII file, must give the same ``n``, the same
-CSR arrays, an equal :class:`Graph` and the identical
+:func:`relabel_edges` and the object :class:`Graph`'s adjacency: every
+file in the corpus, and every generated ASCII file, must give the same
+``n``, the same CSR arrays, an equal :class:`Graph` and the identical
 :class:`GraphFormatError` message, at the default block size and at tiny
 ones (which cut lines, CRLFs and tokens' neighbourhoods across blocks).
 """
@@ -36,6 +36,8 @@ from repro.graph.io import (
     relabel_edges,
     save_edge_list,
 )
+
+from _graphs import reference_csr_arrays
 
 ARRAYS = ("indptr", "indices", "eids", "esrc", "etgt")
 
@@ -83,7 +85,7 @@ def reference(path: Path):
 
 
 def csr_arrays(csr) -> dict:
-    return {key: list(getattr(csr, key)) for key in ARRAYS}
+    return {key: getattr(csr, key).tolist() for key in ARRAYS}
 
 
 def load_in_blocks(path: Path, block_bytes: int) -> Graph:
@@ -102,8 +104,7 @@ def check_matches_reference(path: Path, block_bytes: int) -> None:
     graph = load_in_blocks(path, block_bytes)
     assert graph.n == n
     assert graph.m == len(edges)
-    assert csr_arrays(as_csr(graph)) == csr_arrays(
-        CSRGraph(n, edges, use_numpy=False))
+    assert csr_arrays(as_csr(graph)) == reference_csr_arrays(Graph(n, edges))
     assert graph == Graph(n, edges)
     assert graph.name == path.stem
 
@@ -243,8 +244,8 @@ class TestCSRBuilder:
         flipped = [(v, u) for u, v in edges[::2]]
         u, v = np.array(edges + flipped).T
         built = dict(zip(ARRAYS, csr_build_arrays(g.n, u, v)))
-        expected = csr_arrays(CSRGraph(g.n, edges, use_numpy=False))
-        assert {key: arr.tolist() for key, arr in built.items()} == expected
+        assert {key: arr.tolist() for key, arr in built.items()} == \
+            reference_csr_arrays(g)
 
     def test_empty_and_edgeless(self):
         for n in (0, 4):
@@ -257,8 +258,7 @@ class TestCSRBuilder:
         csr = CSRGraph.from_graph(g)
         assert CSRGraph.from_graph(g) is csr
         assert as_csr(g) is csr
-        assert csr_arrays(csr) == csr_arrays(
-            CSRGraph(g.n, list(g.edges()), use_numpy=False))
+        assert csr_arrays(csr) == reference_csr_arrays(g)
 
 
 def _lazy(graph: Graph) -> bool:

@@ -87,12 +87,12 @@ class TestShmLifecycle:
         assert codes(src, PARALLEL) == []
 
     def test_quiet_on_try_finally(self):
-        src = ("def worker(forest):\n"
-               "    shared = share_forest(forest)\n"
+        src = ("def worker(arrays):\n"
+               "    shared = SharedArrayBundle.create(arrays)\n"
                "    try:\n"
-               "        return shared.find(0)\n"
+               "        return shared['lam'].sum()\n"
                "    finally:\n"
-               "        shared.bundle.unlink()\n")
+               "        shared.unlink()\n")
         assert codes(src, PARALLEL) == []
 
     def test_quiet_on_ownership_escape(self):

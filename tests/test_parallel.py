@@ -2,8 +2,7 @@
 
 Covers the four layers of :mod:`repro.parallel`:
 
-* shm — zero-copy bundle round-trips (in-process and cross-process) and
-  the shared rooted forest;
+* shm — zero-copy bundle round-trips (in-process and cross-process);
 * kernels — decrement/sharding helpers against brute-force oracles;
 * bulk — round-synchronous peel λ parity with the object engine,
   in-process and through a real worker pool (sharding forced and the
@@ -16,6 +15,7 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -31,9 +31,10 @@ from repro.backends import (
     truss_peel,
 )
 from repro.core.csr_peel import nucleus34_incidence
-from repro.core.disjoint_set import ArrayRootedForest
 from repro.errors import InvalidParameterError
 from repro.graph import generators
+from repro.graph.adjacency import Graph
+from repro.graph.cliques import four_cliques, triangles
 from repro.graph.csr import (
     CSRGraph,
     csr_k4_triangle_ids,
@@ -42,7 +43,6 @@ from repro.graph.csr import (
 from repro.parallel import (
     WORKERS_ENV,
     SharedArrayBundle,
-    SharedRootedForest,
     WorkerPool,
     bulk_core_peel,
     bulk_nucleus34_peel,
@@ -50,7 +50,6 @@ from repro.parallel import (
     parallel_triangle_edge_ids,
     parallel_truss_incidence,
     resolve_workers,
-    share_forest,
     weighted_cuts,
 )
 from repro.parallel.bulk import FORCE_SHARDING_ENV, sharding_effective
@@ -123,36 +122,6 @@ class TestSharedMemory:
         with pytest.raises(FileNotFoundError):
             SharedArrayBundle.attach(spec)
 
-    def test_shared_forest_matches_array_forest(self):
-        forest = ArrayRootedForest()
-        nodes = [forest.make_node() for _ in range(8)]
-        forest.union(nodes[0], nodes[1])
-        forest.union(nodes[1], nodes[2])
-        forest.attach(forest.find(nodes[3]), nodes[4])
-        shared = share_forest(forest, capacity=12)
-        with shared.bundle:
-            assert len(shared) == len(forest)
-            for node in nodes:
-                assert shared.find(node, compress=False) == \
-                    forest.find(node, compress=False)
-            # keeps working as a forest: new nodes + unions in shared memory
-            extra = shared.make_node()
-            shared.union(extra, nodes[0])
-            attached = SharedRootedForest.attach(shared.bundle.spec,
-                                                 shared.size)
-            assert attached.find(extra) == shared.find(extra)
-            attached.bundle.close()
-            round_trip = shared.to_array_forest()
-            assert round_trip.parent[:len(forest)] != [] \
-                and len(round_trip) == shared.size
-
-    def test_shared_forest_capacity_exhausted(self):
-        shared = share_forest(ArrayRootedForest(), capacity=1)
-        with shared.bundle:
-            shared.make_node()
-            with pytest.raises(IndexError):
-                shared.make_node()
-
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -176,18 +145,44 @@ class TestKernels:
 # ---------------------------------------------------------------------------
 # vectorised K4 listing (the incidence set-up the workers shard)
 # ---------------------------------------------------------------------------
+def reference_k4(graph: Graph):
+    """Lex triangles and the K₄ triangle-id rows, from the object graph's
+    pure-python clique listings: ``(triangles, (q1, q2, q3, q4))``."""
+    tris = sorted(triangles(graph))
+    tri_id = {tri: tid for tid, tri in enumerate(tris)}
+    rows = [(tri_id[(u, v, w)], tri_id[(u, v, x)], tri_id[(u, w, x)],
+             tri_id[(v, w, x)])
+            for u, v, w, x in sorted(four_cliques(graph))]
+    return tris, tuple(list(column) for column in zip(*rows)) or ([],) * 4
+
+
+def reference_nucleus34_incidence(graph: Graph):
+    """The triangle→K₄ incidence filled clique by clique from
+    :func:`reference_k4`: ``(triangles, sup, ptr, comps)``."""
+    tris, quads = reference_k4(graph)
+    slots: list[list[tuple[int, ...]]] = [[] for _ in tris]
+    for quad in zip(*quads):
+        for i, tid in enumerate(quad):
+            slots[tid].append(quad[:i] + quad[i + 1:])
+    sup = [len(rows) for rows in slots]
+    ptr = [0, *accumulate(sup)]
+    comps = tuple([row[j] for rows in slots for row in rows]
+                  for j in range(3))
+    return tris, sup, ptr, comps
+
+
 class TestVectorisedK4:
     @pytest.mark.parametrize("seed", range(6))
     def test_numpy_k4_equals_python(self, seed):
         csr = random_csr(seed, max_n=40)
-        assert csr_k4_triangle_ids(csr, use_numpy=True) == \
-            csr_k4_triangle_ids(csr, use_numpy=False)
+        assert csr_k4_triangle_ids(csr) == \
+            reference_k4(Graph(csr.n, csr.edges()))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_numpy_incidence_equals_python(self, seed):
         csr = random_csr(seed + 100, max_n=40)
-        assert nucleus34_incidence(csr, use_numpy=True) == \
-            nucleus34_incidence(csr, use_numpy=False)
+        assert nucleus34_incidence(csr) == \
+            reference_nucleus34_incidence(Graph(csr.n, csr.edges()))
 
 
 # ---------------------------------------------------------------------------
@@ -251,23 +246,28 @@ class TestWorkerPool:
         for a, b in zip(two, three):
             assert np.array_equal(a, b)
 
-    def test_huge_vertex_ids_fall_back_without_key_overflow(self):
-        # past _MAX_KEYED_N the int64 triple keys would wrap; the parallel
-        # builder must fall back to the guarded sequential path
-        from repro.graph.csr import _MAX_KEYED_N
-
-        n = _MAX_KEYED_N + 8
-        clique = [(u, v) for i, u in enumerate([n - 4, n - 3, n - 2, n - 1])
-                  for v in [n - 4, n - 3, n - 2, n - 1][i + 1:]]
-        clique += [(u, v) for i, u in enumerate([0, 1, 2, 3])
-                   for v in [0, 1, 2, 3][i + 1:]]
-        csr = CSRGraph(n, clique)
-        sequential = nucleus34_incidence(csr)
-        with WorkerPool(2) as pool:
-            triangles, sup, ptr, comps = parallel_nucleus34_incidence(
-                csr, pool)
-        assert triangles == sequential[0]
-        assert sup.tolist() == sequential[1]
+    def test_huge_vertex_ids_match_unshifted_graph(self, forced_sharding):
+        # two layouts past the old 2**21-vertex cliff: every id shifted by
+        # 2**21, and ids ending at 2**21 + 15, where (u·n + v)·n + w triple
+        # keys pass 2**63 for some triangles and not for others.  The
+        # eid(u, v)·n + w keys stay below m·n, so each shifted graph (its
+        # low vertices isolated) takes the one listing path and, its cell
+        # ids unchanged, gets the unshifted graph's answers
+        graph = generators.powerlaw_cluster(80, 6, 0.6, seed=3)
+        base = as_backend(graph, "csr")
+        expected = {rs: decompose(graph, *rs, backend="object")
+                    for rs in ((2, 3), (3, 4))}
+        for shift in (1 << 21, (1 << 21) + 16 - base.n):
+            huge = CSRGraph.from_arrays(base.n + shift, base.esrc + shift,
+                                        base.etgt + shift)
+            for (r, s), want in expected.items():
+                assert want.max_lambda > 1
+                for backend in ("csr", "csr-parallel"):
+                    got = decompose(huge, r, s, backend=backend, workers=2)
+                    where = (shift, r, s, backend)
+                    assert got.lam == want.lam, where
+                    assert got.hierarchy.canonical_nuclei() == \
+                        want.hierarchy.canonical_nuclei(), where
 
     def test_sharded_nucleus34_incidence_matches_sequential(self):
         csr = random_csr(11, max_n=45)
@@ -277,7 +277,7 @@ class TestWorkerPool:
         s_tri, s_sup, s_ptr, s_comps = nucleus34_incidence(csr)
         assert triangles == s_tri
         assert sup.tolist() == s_sup and ptr.tolist() == s_ptr
-        assert [c.tolist() for c in comps] == [list(c) for c in s_comps]
+        assert [c.tolist() for c in comps] == list(s_comps)
 
     def test_pool_peel_parity(self, powerlaw_csr):
         with WorkerPool(2) as pool:

@@ -9,8 +9,6 @@ Covers the layers bottom-up:
 
 * the level-edge kernels against brute-force oracles;
 * the worker-side spanning-forest reduction;
-* the batch forest primitives (``make_nodes`` / ``adopt_roots``) on
-  both the flat and the shared rooted forest;
 * the in-process (``pool=None``) level-wise build vs the object
   engine's FND;
 * the full pooled pipeline — including every-level farming, repeated-run
@@ -35,9 +33,8 @@ from repro.backends import (
     truss_peel,
 )
 from repro.core.csr_peel import truss_incidence_arrays
-from repro.core.disjoint_set import ArrayRootedForest
 from repro.graph import generators
-from repro.graph.csr import CSRGraph, csr_arrays_int64
+from repro.graph.csr import CSRGraph
 from repro.parallel import (
     WorkerPool,
     bulk_core_peel,
@@ -48,7 +45,6 @@ from repro.parallel import (
     incidence_hierarchy_from_lambda,
     incidence_level_edges,
     merge_sparse_decrements,
-    share_forest,
     spanning_forest_reduce,
 )
 from repro.parallel.bulk import FORCE_SHARDING_ENV
@@ -96,8 +92,7 @@ class TestLevelEdgeKernels:
     @pytest.mark.parametrize("seed", range(6))
     def test_core_level_edges_match_brute_force(self, seed):
         csr = random_csr(seed)
-        arrays = csr_arrays_int64(csr)
-        indptr, indices = arrays["indptr"], arrays["indices"]
+        indptr, indices = csr.indptr, csr.indices
         lam = np.asarray(core_peel(csr, backend="object").lam, dtype=np.int64)
         for k in range(1, int(lam.max(initial=0)) + 1):
             frontier = np.flatnonzero(lam == k)
@@ -177,41 +172,6 @@ def _components(pairs, nodes):
     for x in nodes:
         groups.setdefault(find(x), set()).add(x)
     return {frozenset(g) for g in groups.values()}
-
-
-# ---------------------------------------------------------------------------
-# forest batch primitives
-# ---------------------------------------------------------------------------
-class TestForestBatchPrimitives:
-    def test_array_forest_make_nodes_and_adopt_roots(self):
-        forest = ArrayRootedForest()
-        first = forest.make_nodes(4)
-        assert first == 0 and len(forest) == 4
-        forest.link(0, 1)
-        root = forest.make_node()
-        forest.adopt_roots(root)
-        assert forest.parent == [1, root, root, root, -1]
-
-    def test_shared_forest_make_nodes_and_adopt_roots(self):
-        forest = share_forest(ArrayRootedForest(), capacity=6)
-        try:
-            first = forest.make_nodes(4)
-            assert first == 0 and len(forest) == 4
-            forest.link(2, 3)
-            root = forest.make_node()
-            forest.adopt_roots(root)
-            assert forest.parent[:forest.size].tolist() == [
-                root, root, 3, root, -1]
-            with pytest.raises(IndexError):
-                forest.make_nodes(2)
-        finally:
-            forest.bundle.unlink()
-
-    def test_attach_node_alias_matches_attach(self):
-        forest = ArrayRootedForest()
-        forest.make_nodes(3)
-        forest.attach_node(1, 0)
-        assert forest.parent[1] == 0 and forest.root[1] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -343,11 +343,13 @@ class TestHttpServer:
     def test_bad_routes(self, server):
         with pytest.raises(urllib.error.HTTPError) as caught:
             self._get(server, "/nope")
+        caught.value.close()
         assert caught.value.code == 404
         url = f"http://127.0.0.1:{server.port}/stats"
         with pytest.raises(urllib.error.HTTPError) as caught:
             urllib.request.urlopen(
                 urllib.request.Request(url, data=b"{}"))
+        caught.value.close()
         assert caught.value.code == 405
 
     def test_http_error_envelope(self, server, flat):
