@@ -565,20 +565,18 @@ def build_query_index(graph: AnyGraph, r: int = 1, s: int = 2,
 
 
 def load_query_index(path: str | Path, *, mmap_mode: str | None = "r",
-                     graph: Any = None,
-                     view: Any = None) -> "FlatHierarchyIndex":
+                     graph: Any = None) -> "FlatHierarchyIndex":
     """Load a persisted ``.npz`` flat index — the serve-many half.
 
     ``mmap_mode="r"`` (the default) memory-maps the arrays read-only, so
     the index costs one page-cache copy no matter how many processes
     serve it (what ``repro-nucleus serve`` workers and the CLI ``query``
     subcommand use); ``mmap_mode=None`` copies them into the process.
-    ``graph``/``view`` attach only when profile statistics were skipped
-    at save time (``stats=False``).  See also
+    ``graph`` (the index's own graph) attaches only when profile
+    statistics were skipped at save time (``stats=False``).  See also
     :class:`repro.serve.IndexRegistry` for serving several indexes from
     one process.
     """
     from repro.flatindex import FlatHierarchyIndex
 
-    return FlatHierarchyIndex.load(path, graph=graph, view=view,
-                                   mmap_mode=mmap_mode)
+    return FlatHierarchyIndex.load(path, graph=graph, mmap_mode=mmap_mode)

@@ -26,6 +26,36 @@ cells.  :meth:`FlatHierarchyIndex.save` persists the whole index as an
 uncompressed ``.npz`` (one flat binary blob per array, loadable lazily), so
 ``decompose → save`` runs once and a fresh process serves queries with
 :meth:`FlatHierarchyIndex.load` — no re-peeling, no graph needed.
+
+Node statistics (``node_nv`` / ``node_ne`` / ``node_density``, what
+:meth:`FlatHierarchyIndex.profile` reports) are counted for every node at
+once by :meth:`FlatHierarchyIndex.precompute_stats`, from the vertex map,
+the tour labels and the graph's edge endpoints.  Write N(v) for vertex
+``v``'s own nodes (``vert_nodes[vert_indptr[v]:vert_indptr[v + 1]]``): ``v``
+lies in node ``a`` exactly when ``a`` is an ancestor-or-self of a node of
+N(v), so the nodes holding ``v`` are the union of N(v)'s root paths.
+
+* **Root-path unions.**  Sort a group of nodes by preorder, put +1 on each
+  and -1 on the LCA of each consecutive pair.  A node's subtree sum of
+  these deltas (one ``cumsum`` difference over its preorder interval) is 1
+  when the union holds it and 0 otherwise.  With one group per vertex,
+  N(v), the summed counts are ``node_nv``.
+* **Induced edges by inclusion–exclusion.**  Edge ``(u, w)`` lies in ``a``
+  when ``a`` holds both ends, and [a ∈ A(u) ∩ A(w)] = [a ∈ A(u)] +
+  [a ∈ A(w)] - [a ∈ A(u) ∪ A(w)].  The first two terms are the vertex
+  pass weighted by degree; the last is the same count over each edge's
+  group N(u) ++ N(w).
+* **One own node at both ends.**  When N(u) = {x} and N(w) = {y}, the
+  edge's terms collapse to +1 at lca(x, y): no expansion and no sort.  At
+  r = 1 every vertex is one cell, so every edge takes this case.
+* **Vectorised LCA.**  In preorder, lca(x, y) is ``min(x, y)`` when that is
+  an ancestor of the other; the remaining pairs climb a binary-lifting
+  table built by pointer doubling.
+* **Bounded memory.**  The edge groups are expanded ``_STATS_CHUNK``
+  entries at a time, so the working set does not grow with m.
+
+The passes cost O((Σ_v |N(v)| + Σ_e (|N(u)| + |N(w)|)) · log depth), where
+masking all m edges once per node cost O(nodes · m).
 """
 
 from __future__ import annotations
@@ -40,11 +70,10 @@ from zipfile import BadZipFile
 
 import numpy as np
 
-from repro.analysis.density import edge_density
 from repro.core.decomposition import Decomposition
 from repro.core.hierarchy import Hierarchy
 from repro.errors import GraphFormatError, InvalidParameterError
-from repro.graph.csr import sorted_unique
+from repro.graph.csr import run_heads, sorted_unique
 from repro.queries import CommunityLevel
 
 __all__ = ["FlatHierarchyIndex", "FLAT_INDEX_FORMAT", "mmap_npz"]
@@ -61,7 +90,13 @@ _REQUIRED_KEYS = (
 )
 
 #: optional per-node profile statistics (written by ``save(stats=True)``)
+#: and the dtype kinds a persisted index must store them in
 _STAT_KEYS = ("node_nv", "node_ne", "node_density")
+_STAT_KINDS = ("iu", "iu", "f")
+
+#: group entries (own nodes of both endpoints) that one chunk of the
+#: stats edge pass expands, bounding its working memory for any m
+_STATS_CHUNK = 1 << 16
 
 
 def _read_npy_header(handle: Any, version: tuple[int, int]) -> Any:
@@ -143,6 +178,89 @@ def _multi_range(starts: Any, counts: Any) -> Any:
     return np.repeat(starts - before, counts) + np.arange(total, dtype=np.int64)
 
 
+def _lifting_table(up: Any) -> list[Any]:
+    """Binary-lifting table of a preorder-labelled tree whose root, 0, is
+    its own parent ``up[0]``: ``table[j][t]`` is the 2^j-th ancestor of
+    ``t``.  Pointer doubling, until every node has reached the root; a
+    tree is shallower than its node count, so a parent array with a cycle
+    stops there too."""
+    table = [up]
+    for _ in range(len(up).bit_length()):
+        jumped = table[-1][table[-1]]
+        if np.array_equal(jumped, table[-1]):
+            break
+        table.append(jumped)
+    return table
+
+
+def _preorder_lca(lo: Any, hi: Any, end: Any, table: list[Any]) -> Any:
+    """Pairwise LCA of preorder labels ``lo <= hi``; node ``t``'s subtree
+    is the label interval ``[t, end[t])``."""
+    out = lo.copy()
+    apart = np.nonzero(hi >= end[lo])[0]  # lo is no ancestor of hi
+    if len(apart):
+        below, other = lo[apart], hi[apart]
+        # climb to the highest ancestor of lo that is no ancestor of hi;
+        # every ancestor of lo sits at a label <= lo <= hi
+        for up in reversed(table):
+            step = up[below]
+            below = np.where(other >= end[step], step, below)
+        out[apart] = table[0][below]
+    return out
+
+
+def _subtree_sums(delta: Any, end: Any) -> Any:
+    """Per preorder label ``t``, the sum of ``delta`` over its subtree
+    ``[t, end[t])``."""
+    prefix = np.concatenate(([0], np.cumsum(delta)))
+    return prefix[end] - prefix[:-1]
+
+
+def _path_union_deltas(keys: Any, num_nodes: int, end: Any,
+                       table: list[Any]) -> tuple[Any, Any, Any, Any]:
+    """Delta positions that count unions of root paths.
+
+    ``keys`` are ``group * num_nodes + t`` for the preorder labels ``t`` of
+    each group's nodes.  Returns ``(group, t, pair_group, lca)``: +1 goes
+    on every ``t`` and -1 on every ``lca`` (one per consecutive pair of a
+    group in preorder), so a node's subtree sum of the deltas is the number
+    of groups whose union of root paths holds it.
+    """
+    group, label = np.divmod(np.sort(keys), num_nodes)
+    second = np.nonzero(~run_heads(group))[0]  # pairs (second - 1, second)
+    lca = _preorder_lca(label[second - 1], label[second], end, table)
+    return group, label, group[second], lca
+
+
+def _edge_union_deltas(src: Any, tgt: Any, indptr: Any, label: Any,
+                       end: Any, table: list[Any]) -> Any:
+    """Per preorder label, the summed root-path-union deltas of the groups
+    N(u) ++ N(w) of the edges ``(src[i], tgt[i])``, where N(v) is
+    ``label[indptr[v]:indptr[v + 1]]``.  The groups are expanded at most
+    ``_STATS_CHUNK`` entries at a time (and at least one edge)."""
+    num_nodes = len(end)
+    owned = np.diff(indptr)
+    sizes = np.cumsum(owned[src] + owned[tgt])
+    delta = np.zeros(num_nodes, dtype=np.int64)
+    start = 0
+    while start < len(sizes):
+        base = int(sizes[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(
+            sizes, base + _STATS_CHUNK, "right")))
+        local = np.arange(stop - start, dtype=np.int64)
+        keys = []
+        for ends in (src[start:stop], tgt[start:stop]):
+            entries = _multi_range(indptr[ends], owned[ends])
+            keys.append(np.repeat(local, owned[ends]) * num_nodes
+                        + label[entries])
+        _, plus, _, minus = _path_union_deltas(
+            np.concatenate(keys), num_nodes, end, table)
+        delta += np.bincount(plus, minlength=num_nodes)
+        delta -= np.bincount(minus, minlength=num_nodes)
+        start = stop
+    return delta
+
+
 class FlatHierarchyIndex:
     """Array-backed query index over a decomposition's condensed tree.
 
@@ -179,7 +297,6 @@ class FlatHierarchyIndex:
         self.s = hierarchy.s
         self.algorithm = algorithm
         self.graph = graph
-        self.view = view
         self.n = graph.n
         tree = hierarchy.condense()
         self.root = tree.root
@@ -193,11 +310,9 @@ class FlatHierarchyIndex:
         self.cell_node = np.asarray(tree.cell_nodes(), dtype=np.int32)
         self.lam = np.asarray(hierarchy.lam, dtype=np.int32)
         self._sort_cells_by_tour()
-        self._build_vertex_map()
+        self._build_vertex_map(view)
         self._tops_cache: dict[int, "np.ndarray"] = {}
-        self._stats: dict[int, tuple[int, int, float]] = {}
         self._stat_arrays: tuple | None = None
-        self._edge_arrays: tuple | None = None
         self.mmapped = False
 
     # ------------------------------------------------------------------
@@ -229,7 +344,7 @@ class FlatHierarchyIndex:
         self.cells_in_tour = order.astype(np.int32)
         self.cell_tin_sorted = cell_tin[order]
 
-    def _build_vertex_map(self) -> None:
+    def _build_vertex_map(self, view: Any) -> None:
         """CSR ``vertex → sorted unique condensed nodes`` map."""
         num_cells = len(self.cell_node)
         r = self.r
@@ -238,7 +353,7 @@ class FlatHierarchyIndex:
         elif r == 1:
             verts = np.arange(num_cells, dtype=np.int64)
         else:
-            triples = getattr(self.view, "_vertices", None)
+            triples = getattr(view, "_vertices", None)
             if triples is not None:  # (3,4) views keep the triple list
                 verts = np.asarray(triples, dtype=np.int64).reshape(-1)
             elif r == 2 and hasattr(self.graph, "esrc"):
@@ -247,11 +362,9 @@ class FlatHierarchyIndex:
                 ]).astype(np.int64, copy=False).reshape(-1)
             else:
                 verts = np.empty(num_cells * r, dtype=np.int64)
-                cell_vertices = self.view.cell_vertices
+                cell_vertices = view.cell_vertices
                 for cell in range(num_cells):
                     verts[cell * r:(cell + 1) * r] = cell_vertices(cell)
-        # kept build-side (not persisted): powers the vectorised node stats
-        self._cell_verts = verts.reshape(num_cells, r) if num_cells else None
         nodes = np.repeat(self.cell_node.astype(np.int64), r)
         num_nodes = len(self.node_k)
         pairs = sorted_unique(verts * num_nodes + nodes)
@@ -417,9 +530,9 @@ class FlatHierarchyIndex:
     def profile_batch(self, vertices: Any) -> list[list[CommunityLevel]]:
         """:meth:`profile` for an array of vertices.
 
-        Node statistics (size, edges, density) are computed once per
-        condensed node and cached — persisted indexes saved with
-        ``stats=True`` serve profiles without any graph at all.
+        Node statistics (size, edges, density) are read from the arrays
+        :meth:`precompute_stats` fills on first use — persisted indexes
+        saved with ``stats=True`` serve profiles without any graph at all.
         """
         vertices = self._as_vertex_array(vertices)
         node_k = self.node_k
@@ -452,70 +565,78 @@ class FlatHierarchyIndex:
     # ------------------------------------------------------------------
     # profile statistics
     # ------------------------------------------------------------------
-    def _edge_endpoint_arrays(self) -> tuple:
-        """Endpoint arrays of every graph edge (for induced-edge counts)."""
-        arrays = self._edge_arrays
-        if arrays is None:
-            graph = self.graph
-            if hasattr(graph, "esrc"):  # CSR: already flat
-                src, tgt = graph.esrc, graph.etgt
-            else:
-                index = graph.edge_index
-                src = np.asarray(index.source, dtype=np.int64)
-                tgt = np.asarray(index.target, dtype=np.int64)
-            arrays = (src, tgt)
-            self._edge_arrays = arrays
-        return arrays
-
     def _node_stats(self, node: int) -> tuple[int, int, float]:
-        """(num_vertices, num_edges, density) of a node's induced subgraph.
-
-        Counts by array masking when built from a decomposition — the
-        exact counts (and therefore the exact density float) that
-        ``graph.subgraph`` + :func:`edge_density` produce, without
-        materialising a subgraph per node.
-        """
-        if self._stat_arrays is not None:
-            nv, ne, density = self._stat_arrays
-            return int(nv[node]), int(ne[node]), float(density[node])
-        cached = self._stats.get(node)
-        if cached is None:
-            if self.graph is None:
-                raise InvalidParameterError(
-                    "this persisted index was saved without node statistics "
-                    "(stats=False); re-save with stats=True or rebuild from "
-                    "a decomposition to answer profile queries")
-            if getattr(self, "_cell_verts", None) is not None:
-                vertices = sorted_unique(
-                    self._cell_verts[self.community_cells(node)])
-                nv = len(vertices)
-                mask = np.zeros(self.n, dtype=bool)
-                mask[vertices] = True
-                src, tgt = self._edge_endpoint_arrays()
-                ne = int(np.count_nonzero(mask[src] & mask[tgt]))
-                density = 0.0 if nv < 2 else 2.0 * ne / (nv * (nv - 1))
-                cached = (nv, ne, density)
-            else:
-                if self.view is None:
-                    from repro.core.views import build_view
-
-                    self.view = build_view(self.graph, self.r, self.s)
-                sub = self.graph.subgraph(self.view.vertices_of_cells(
-                    self.community_cells(node).tolist()))
-                cached = (sub.n, sub.m, edge_density(sub))
-            self._stats[node] = cached
-        return cached
+        """(num_vertices, num_edges, density) of a node's induced subgraph."""
+        self.precompute_stats()
+        assert self._stat_arrays is not None  # precompute_stats filled it
+        nv, ne, density = self._stat_arrays
+        return int(nv[node]), int(ne[node]), float(density[node])
 
     def precompute_stats(self) -> None:
         """Materialise size/edge/density arrays for every node (the arrays
-        :meth:`save` persists with ``stats=True``)."""
+        :meth:`save` persists with ``stats=True``).
+
+        Counts every node's vertices and induced edges at once from the
+        vertex map, the tour labels and the graph's edge endpoints (see the
+        module docstring): the exact counts, and therefore the exact
+        density floats, of ``graph.subgraph`` over each node's vertices.
+        """
         if self._stat_arrays is not None:
             return
-        nv = np.zeros(self.num_nodes, dtype=np.int64)
-        ne = np.zeros(self.num_nodes, dtype=np.int64)
-        density = np.zeros(self.num_nodes, dtype=np.float64)
-        for node in range(self.num_nodes):
-            nv[node], ne[node], density[node] = self._node_stats(node)
+        graph = self.graph
+        if graph is None:
+            raise InvalidParameterError(
+                "this persisted index was saved without node statistics "
+                "(stats=False); re-save with stats=True, load it with "
+                "graph=, or rebuild from a decomposition to answer profile "
+                "queries")
+        if hasattr(graph, "esrc"):  # CSR: already flat
+            src, tgt = graph.esrc, graph.etgt
+        else:
+            src = np.asarray(graph.edge_index.source, dtype=np.int64)
+            tgt = np.asarray(graph.edge_index.target, dtype=np.int64)
+        num_nodes = self.num_nodes
+        # preorder space: node ids relabelled by tin, so t's subtree is
+        # the label interval [t, end[t]) and parents precede children
+        tin = self.tin.astype(np.int64)
+        node_at = np.argsort(tin)
+        end = self.tout.astype(np.int64)[node_at]
+        parent = self.node_parent.astype(np.int64)[node_at]
+        table = _lifting_table(tin[np.where(parent >= 0, parent, node_at)])
+        indptr = self.vert_indptr
+        owned = np.diff(indptr)
+        label = tin[self.vert_nodes]  # per vertex-map entry
+        src_owned, tgt_owned = owned[src], owned[tgt]
+        single = (src_owned == 1) & (tgt_owned == 1)
+        # an edge with a cell-less end lies in no node: its terms cancel
+        multi = (src_owned > 0) & (tgt_owned > 0) & ~single
+        msrc, mtgt = src[multi], tgt[multi]
+        # vertex pass: one group per vertex; the degree weights count the
+        # [A(u)] + [A(w)] terms of the edges that take the general case
+        weight = (np.bincount(msrc, minlength=self.n)
+                  + np.bincount(mtgt, minlength=self.n)).astype(np.float64)
+        owner = np.repeat(np.arange(self.n, dtype=np.int64), owned)
+        group, plus, pair_group, minus = _path_union_deltas(
+            owner * num_nodes + label, num_nodes, end, table)
+        nv_delta = (np.bincount(plus, minlength=num_nodes)
+                    - np.bincount(minus, minlength=num_nodes))
+        # integer-valued float sums far below 2**53: exact
+        ne_delta = (np.bincount(plus, weight[group], num_nodes)
+                    - np.bincount(minus, weight[pair_group], num_nodes)
+                    ).astype(np.int64)
+        # one own node at both ends: the edge's terms are +1 at lca(x, y)
+        x = label[indptr[src[single]]]
+        y = label[indptr[tgt[single]]]
+        ne_delta += np.bincount(
+            _preorder_lca(np.minimum(x, y), np.maximum(x, y), end, table),
+            minlength=num_nodes)
+        # edge pass: minus [A(u) ∪ A(w)] over the groups N(u) ++ N(w)
+        ne_delta -= _edge_union_deltas(msrc, mtgt, indptr, label, end, table)
+        # subtree sums in preorder space, read back in node-id order
+        nv = _subtree_sums(nv_delta, end)[tin]
+        ne = _subtree_sums(ne_delta, end)[tin]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            density = np.where(nv < 2, 0.0, 2.0 * ne / (nv * (nv - 1)))
         self._stat_arrays = (nv, ne, density)
 
     # ------------------------------------------------------------------
@@ -569,13 +690,15 @@ class FlatHierarchyIndex:
             raise
 
     @classmethod
-    def load(cls, path: str | Path, graph: Any = None, view: Any = None, *,
+    def load(cls, path: str | Path, graph: Any = None, *,
              mmap_mode: str | None = None) -> "FlatHierarchyIndex":
         """Rebuild a persisted index; pure array reads, no re-peeling.
 
-        ``graph``/``view`` are optional — attach them only to compute
-        profile statistics missing from an index saved with
-        ``stats=False``.
+        ``graph`` is optional — attach it (the graph the index was built
+        from, with the same vertex count) only to compute profile
+        statistics missing from an index saved with ``stats=False``.
+        Persisted statistics must be 1-d, one entry per node, integer
+        counts and float densities.
 
         ``mmap_mode="r"`` memory-maps the arrays read-only instead of
         copying them into the process (:func:`mmap_npz` — ``np.load``
@@ -612,6 +735,10 @@ class FlatHierarchyIndex:
         index.r = int(arrays["r"])
         index.s = int(arrays["s"])
         index.n = int(arrays["n"])
+        if graph is not None and graph.n != index.n:
+            raise InvalidParameterError(
+                f"{path}: the index covers {index.n} vertices, the attached "
+                f"graph has {graph.n}")
         index.root = int(arrays["root"])
         index.algorithm = str(arrays["algorithm"])
         for key in ("node_k", "node_parent", "tin", "tout",
@@ -620,14 +747,19 @@ class FlatHierarchyIndex:
             setattr(index, key, arrays[key])
         index._stat_arrays = None
         if all(key in arrays for key in _STAT_KEYS):
+            num_nodes = len(index.node_k)
+            for key, kinds in zip(_STAT_KEYS, _STAT_KINDS, strict=True):
+                stat = arrays[key]
+                if stat.shape != (num_nodes,) or stat.dtype.kind not in kinds:
+                    kind = "float" if kinds == "f" else "integer"
+                    raise GraphFormatError(
+                        f"{path}: {key} must be a 1-d {kind} array with one "
+                        f"entry per node ({num_nodes}), got shape "
+                        f"{stat.shape} and dtype {stat.dtype}")
             index._stat_arrays = tuple(arrays[key] for key in _STAT_KEYS)
         index.mmapped = mapped
         index.graph = graph
-        index.view = view  # else built lazily if profile stats need it
         index._tops_cache = {}
-        index._stats = {}
-        index._cell_verts = None
-        index._edge_arrays = None
         return index
 
     def __repr__(self) -> str:

@@ -11,7 +11,25 @@ from __future__ import annotations
 import networkx as nx
 from hypothesis import strategies as st
 
+from repro.graph import generators
 from repro.graph.adjacency import Graph
+
+#: small named graphs covering the structural corner cases (empty,
+#: isolated vertices, disconnected edges, a clique, trees) and generated
+#: families with real hierarchies
+GENERATOR_SUITE = [
+    Graph.empty(0, name="empty"),
+    Graph.empty(7, name="isolated"),
+    Graph(6, [(0, 1), (2, 3)], name="disconnected-edges"),
+    generators.complete_graph(6, name="k6"),
+    generators.path_graph(9, name="path"),
+    generators.star(8, name="star"),
+    generators.ring_of_cliques(4, 5, name="ring-of-cliques"),
+    generators.planted_cliques(3, 6, bridge_edges=2, name="planted"),
+    generators.erdos_renyi(60, 0.15, seed=3, name="er"),
+    generators.barabasi_albert(120, 4, seed=5, name="ba"),
+    generators.powerlaw_cluster(150, 5, 0.6, seed=9, name="plc"),
+]
 
 
 @st.composite

@@ -8,9 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 np = pytest.importorskip("numpy")
 
+import repro.flatindex as flatindex_module
+import repro.parallel.bulk as bulk_module
+from repro.analysis.density import edge_density
 from repro.backends import as_backend, build_query_index, decompose
 from repro.core.decomposition import nucleus_decomposition
 from repro.errors import GraphFormatError, InvalidParameterError
@@ -18,7 +22,11 @@ from repro.examples_graphs import bowtie, figure2_graph
 from repro.export import load_hierarchy_npz, save_hierarchy_npz
 from repro.flatindex import FlatHierarchyIndex
 from repro.graph import generators
+from repro.graph.adjacency import Graph
+from repro.parallel.bulk import FORCE_SHARDING_ENV
 from repro.queries import HierarchyIndex
+
+from _graphs import GENERATOR_SUITE, small_graphs
 
 RS_PAIRS = [(1, 2), (2, 3), (3, 4)]
 
@@ -73,6 +81,123 @@ class TestParity:
         decomposition = nucleus_decomposition(parity_graph, 1, 2,
                                               algorithm=algorithm)
         _assert_parity(decomposition, parity_graph)
+
+
+def _with_tree_and_isolated(graph, isolated, seed):
+    """``graph`` plus a triangle-free random tree hung off vertex 0 and
+    ``isolated`` isolated vertices, ids shuffled: at (3,4) the tree's and
+    the isolated vertices own no cell, and the bridge edge has one
+    cell-less endpoint."""
+    rng = np.random.default_rng(seed)
+    tree = range(graph.n, graph.n + 12)
+    edges = list(graph.edges()) + [(0, graph.n)] + [
+        (int(rng.integers(graph.n, v)), v) for v in tree[1:]]
+    n = graph.n + len(tree) + isolated
+    relabel = rng.permutation(n).tolist()
+    return Graph(n, [(relabel[u], relabel[v]) for u, v in edges])
+
+
+def _subgraph_stats(decomposition, index):
+    """Every node's (n, m, edge_density) of ``graph.subgraph`` over the
+    vertices of its cells: the reference the array passes must match."""
+    graph, view = decomposition.graph, decomposition.view
+    rows = []
+    for node in range(index.num_nodes):
+        sub = graph.subgraph(view.vertices_of_cells(
+            index.community_cells(node).tolist()))
+        rows.append((sub.n, sub.m, edge_density(sub)))
+    nv, ne, density = zip(*rows)
+    return (np.array(nv, dtype=np.int64), np.array(ne, dtype=np.int64),
+            np.array(density, dtype=np.float64))
+
+
+def _assert_stats_match_subgraphs(decomposition, index):
+    index.precompute_stats()
+    got = index._stat_arrays
+    assert [a.dtype for a in got] == [np.int64, np.int64, np.float64]
+    for ours, theirs in zip(got, _subgraph_stats(decomposition, index)):
+        assert ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()  # bit for bit
+
+
+class TestNodeStats:
+    """Every node's statistics, the root's and off-chain nodes' included,
+    against ``graph.subgraph`` + :func:`edge_density` per node."""
+
+    @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
+    @pytest.mark.parametrize("backend", ["object", "csr"])
+    @pytest.mark.parametrize("graph", GENERATOR_SUITE,
+                             ids=[g.name for g in GENERATOR_SUITE])
+    def test_generator_suite(self, graph, backend, rs):
+        decomposition = _decompose(graph, backend, *rs)
+        _assert_stats_match_subgraphs(decomposition,
+                                      FlatHierarchyIndex(decomposition))
+
+    @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
+    @pytest.mark.parametrize("backend", ["object", "csr"])
+    @pytest.mark.parametrize("isolated", [0, 1, 2, 3])
+    def test_cell_less_vertices_built_and_reloaded(self, isolated, backend,
+                                                   rs, tmp_path):
+        graph = _with_tree_and_isolated(
+            generators.powerlaw_cluster(40, 4, 0.6, seed=isolated),
+            isolated, seed=isolated)
+        decomposition = _decompose(graph, backend, *rs)
+        built = FlatHierarchyIndex(decomposition)
+        _assert_stats_match_subgraphs(decomposition, built)
+        path = tmp_path / "lean.npz"
+        built.save(path, stats=False)
+        reloaded = FlatHierarchyIndex.load(path, graph=decomposition.graph)
+        _assert_stats_match_subgraphs(decomposition, reloaded)
+
+    @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
+    def test_forced_sharding_engine(self, rs, monkeypatch):
+        monkeypatch.setenv(FORCE_SHARDING_ENV, "1")
+        monkeypatch.setattr(bulk_module, "POOL_CROSSOVER_EDGES", 0)
+        graph = _with_tree_and_isolated(
+            generators.powerlaw_cluster(60, 5, 0.6, seed=4), 2, seed=4)
+        decomposition = _decompose(graph, "csr-parallel", *rs)
+        _assert_stats_match_subgraphs(decomposition,
+                                      FlatHierarchyIndex(decomposition))
+
+    @pytest.mark.parametrize("backend", ["object", "csr"])
+    def test_zero_cell_index(self, backend):
+        graph = _with_tree_and_isolated(Graph.empty(1), 2, seed=5)
+        decomposition = _decompose(graph, backend, 3, 4)
+        index = FlatHierarchyIndex(decomposition)
+        assert index.num_cells == 0
+        _assert_stats_match_subgraphs(decomposition, index)
+
+    @pytest.mark.parametrize("backend", ["object", "csr"])
+    def test_single_vertex_root(self, backend):
+        # nv = 1 at the root: density 0.0, not 0/0
+        decomposition = _decompose(Graph.empty(1), backend, 1, 2)
+        index = FlatHierarchyIndex(decomposition)
+        _assert_stats_match_subgraphs(decomposition, index)
+        assert index._stat_arrays[0].tolist() == [1]
+
+    def test_lifting_table_stops_on_a_cyclic_parent_array(self):
+        # a corrupt node_parent with a 3-cycle never converges under
+        # pointer doubling; the table stops at the node count's bit length
+        table = flatindex_module._lifting_table(np.array([0, 2, 3, 1]))
+        assert len(table) == 1 + (4).bit_length()
+
+    def test_edge_pass_accumulates_across_chunks(self, monkeypatch):
+        graph = _with_tree_and_isolated(
+            generators.powerlaw_cluster(60, 5, 0.6, seed=6), 1, seed=6)
+        monkeypatch.setattr(flatindex_module, "_STATS_CHUNK", 1)
+        for rs in ((2, 3), (3, 4)):
+            decomposition = _decompose(graph, "csr", *rs)
+            _assert_stats_match_subgraphs(decomposition,
+                                          FlatHierarchyIndex(decomposition))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_graphs(max_n=14, max_m=50))
+    def test_random_graphs(self, graph):
+        for rs in RS_PAIRS:
+            for backend in ("object", "csr"):
+                decomposition = _decompose(graph, backend, *rs)
+                _assert_stats_match_subgraphs(
+                    decomposition, FlatHierarchyIndex(decomposition))
 
 
 class TestBatchVariants:
@@ -198,6 +323,44 @@ class TestPersistence:
             loaded.profile(0)
         attached = FlatHierarchyIndex.load(path, graph=parity_graph)
         assert attached.profile(0) == built.profile(0)
+
+    def test_attached_graph_must_match_vertex_count(self, built, tmp_path):
+        path = tmp_path / "lean.npz"
+        built.save(path, stats=False)
+        smaller = generators.powerlaw_cluster(60, 5, 0.5, seed=9)
+        with pytest.raises(InvalidParameterError, match="60"):
+            FlatHierarchyIndex.load(path, graph=smaller)
+
+    @pytest.mark.parametrize("variant", ["truncated", "2d", "dtype"])
+    @pytest.mark.parametrize("key", ["node_nv", "node_ne", "node_density"])
+    def test_malformed_stats_rejected_at_load(self, built, key, variant,
+                                              tmp_path):
+        built.save(tmp_path / "good.npz")
+        with np.load(tmp_path / "good.npz") as payload:
+            arrays = {name: payload[name] for name in payload.files}
+        stat = arrays[key]
+        if variant == "truncated":
+            arrays[key] = stat[:-1]
+        elif variant == "2d":
+            arrays[key] = np.column_stack([stat, stat])
+        else:
+            arrays[key] = stat.astype(
+                np.int64 if stat.dtype.kind == "f" else np.float64)
+        path = tmp_path / "bad.npz"
+        np.savez(path, **arrays)
+        for mmap_mode in (None, "r"):
+            with pytest.raises(GraphFormatError, match=key):
+                FlatHierarchyIndex.load(path, mmap_mode=mmap_mode)
+
+    def test_partial_stats_load_as_stats_false(self, built, tmp_path):
+        built.save(tmp_path / "good.npz")
+        with np.load(tmp_path / "good.npz") as payload:
+            arrays = {name: payload[name] for name in payload.files
+                      if name != "node_ne"}
+        path = tmp_path / "partial.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(InvalidParameterError):
+            FlatHierarchyIndex.load(path).profile(0)
 
     def test_failed_save_keeps_previous_index(self, built, tmp_path,
                                               monkeypatch):
