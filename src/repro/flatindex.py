@@ -261,6 +261,52 @@ def _edge_union_deltas(src: Any, tgt: Any, indptr: Any, label: Any,
     return delta
 
 
+def _check_tree(path: str | Path, root: int, node_k: Any, node_parent: Any,
+                tin: Any, tout: Any) -> None:
+    """Raise :class:`GraphFormatError`, naming the array, unless
+    ``node_parent`` is one tree rooted at ``root`` and ``tin``/``tout``
+    are its preorder intervals.  A parent's ``tin`` is below its child's,
+    so no parent chain can cycle and every query's walk ends."""
+    num_nodes = len(node_k)
+    for key, array in (("node_parent", node_parent), ("tin", tin),
+                       ("tout", tout)):
+        if array.shape != (num_nodes,) or array.dtype.kind not in "iu":
+            raise GraphFormatError(
+                f"{path}: {key} must be a 1-d integer array with one entry "
+                f"per node ({num_nodes}), got shape {array.shape} and dtype "
+                f"{array.dtype}")
+    parent = np.asarray(node_parent, dtype=np.int64)
+    roots = np.flatnonzero(parent == -1)
+    if roots.tolist() != [root]:
+        raise GraphFormatError(
+            f"{path}: node_parent must mark exactly one node, the root "
+            f"{root}, with -1; it marks {roots[:8].tolist()}")
+    child = np.flatnonzero(parent != -1)
+    up = parent[child]
+    if len(up) and (int(up.min()) < 0 or int(up.max()) >= num_nodes):
+        raise GraphFormatError(
+            f"{path}: node_parent holds a parent outside [0, {num_nodes})")
+    tin = np.asarray(tin, dtype=np.int64)
+    tout = np.asarray(tout, dtype=np.int64)
+    if not np.array_equal(np.sort(tin), np.arange(num_nodes)) \
+            or tin[root] != 0:
+        raise GraphFormatError(
+            f"{path}: tin must be a permutation of 0..{num_nodes - 1} with "
+            f"the root at 0")
+    if tout[root] != num_nodes:
+        raise GraphFormatError(
+            f"{path}: tout of the root must be {num_nodes}, got "
+            f"{int(tout[root])}")
+    if (tin[up] >= tin[child]).any():
+        raise GraphFormatError(
+            f"{path}: node_parent and tin disagree: every node's parent "
+            f"must come before it in tin")
+    if (tout[child] > tout[up]).any():
+        raise GraphFormatError(
+            f"{path}: node_parent and tout disagree: every node's interval "
+            f"must close inside its parent's")
+
+
 class FlatHierarchyIndex:
     """Array-backed query index over a decomposition's condensed tree.
 
@@ -387,7 +433,9 @@ class FlatHierarchyIndex:
 
     def _tops_at(self, k: int) -> Any:
         """Per node: shallowest ancestor-or-self with level >= k (-1 when
-        the node itself is below k).  Pointer doubling, cached per k."""
+        the node itself is below k).  Pointer doubling, cached per k; a
+        tree is shallower than its node count, so the doubling stops within
+        that count's bit length, as in :func:`_lifting_table`."""
         cached = self._tops_cache.get(k)
         if cached is not None:
             return cached
@@ -396,7 +444,7 @@ class FlatHierarchyIndex:
         safe_parent = np.where(parent >= 0, parent, 0)
         climb = (parent >= 0) & (self.node_k[safe_parent] >= k)
         step = np.where(climb, parent, node_ids)
-        while True:
+        for _ in range(self.num_nodes.bit_length()):
             jumped = step[step]
             if np.array_equal(jumped, step):
                 break
@@ -745,6 +793,8 @@ class FlatHierarchyIndex:
                     "cell_node", "lam", "cells_in_tour",
                     "cell_tin_sorted", "vert_indptr", "vert_nodes"):
             setattr(index, key, arrays[key])
+        _check_tree(path, index.root, index.node_k, index.node_parent,
+                    index.tin, index.tout)
         index._stat_arrays = None
         if all(key in arrays for key in _STAT_KEYS):
             num_nodes = len(index.node_k)

@@ -12,13 +12,21 @@ All loaders relabel arbitrary (possibly sparse, possibly string) vertex ids to
 the dense ``0..n-1`` range and drop self loops and duplicate edges, matching
 the preprocessing the paper applies (directions ignored, simple graphs).
 
-Edge lists are read array-first: :class:`EdgeBlocks` tokenises the file in
-byte blocks with numpy and gives vertex tokens dense ids, one
+Edge lists are read array-first: :class:`EdgeBlocks` reads the file in byte
+blocks and gives vertex tokens dense ids, one
 :class:`~repro.graph.csr.CSRGraph` build dedups and lays out the edges, and
 the returned :class:`Graph` holds that CSR, building its set/list adjacency
 only if an object-engine method asks for it.  The disk builder
 (:func:`repro.external.build.build_diskcsr`) reads files through the same
 :class:`EdgeBlocks`.
+
+A block of plain ``u v`` decimal lines (a canonical block, the common
+case) is parsed in C by ``np.fromstring`` once seven checks prove that
+the parse means what the line-by-line reference means, and its values get
+ids through a direct-address table.  From the first block that is not
+proven canonical, the rest of the file goes through the numpy tokeniser,
+which handles every edge-list file.  Both paths give the same ids, line
+numbers and errors; only a block's bytes choose between them.
 """
 
 from __future__ import annotations
@@ -105,6 +113,16 @@ _IS_SPACE[list(b"\t\n\x0b\x0c\r \x1c\x1d\x1e\x1f")] = True
 _TOP_BYTES = [((1 << 8 * k) - 1) << 8 * (8 - k) for k in range(9)]
 _ONES = 0x0101010101010101
 
+#: the only bytes a canonical block holds once its comment lines are cut
+_CANONICAL_BYTES = b"0123456789 \t\n"
+#: ``10**1 .. 10**18``: a value below ``10**18`` has 1 + (powers <= it) digits
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+#: the direct-address id table of canonical blocks holds at most
+#: ``_TABLE_PER_TOKEN`` entries per token read so far, plus ``_TABLE_MIN``;
+#: a file whose values would need more goes to the tokeniser
+_TABLE_PER_TOKEN = 8
+_TABLE_MIN = 1 << 16
+
 
 def _line_pairs(path: Path) -> Iterator[tuple[str, str]]:
     """The first two tokens of every data line, read line by line in text
@@ -186,9 +204,13 @@ class _TokenIds:
     """Token key -> dense id, ids given in first-seen order; one table
     carries across all blocks of a file (sorted keys, aligned ids)."""
 
-    def __init__(self) -> None:
+    def __init__(self, keys=None, ids=None) -> None:
         self.keys = np.empty(0, dtype=np.uint64)
         self.ids = np.empty(0, dtype=np.int64)
+        if keys is not None and len(keys):
+            order = np.argsort(keys)
+            self.keys = keys[order]
+            self.ids = ids[order]
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -265,6 +287,112 @@ def _block_rows(data: bytes, path: Path, first_line: int):
             ends[rows + 1] - starts[rows + 1], len(breaks))
 
 
+def _decimal_digits(values):
+    """The decimal digit count (int8) of every value in ``[0, 10**18)``."""
+    digits = np.ones(len(values), dtype=np.int8)
+    top = int(np.searchsorted(_POW10, values.max(initial=0), "right"))
+    for power in _POW10[:top]:
+        digits += values >= power
+    return digits
+
+
+def _drop_comment_lines(data: bytes) -> bytes:
+    """``data``, LF-terminated lines holding a ``#`` or ``%``, without the
+    lines whose first byte is one, each cut through its LF.  Only the lines
+    from the first mark to the last are scanned: a header is a few lines."""
+    lo = data.rfind(b"\n", 0, min(at for at in (data.find(b"#"),
+                                                data.find(b"%")) if at >= 0))
+    hi = data.index(b"\n", max(data.rfind(b"#"), data.rfind(b"%"))) + 1
+    raw = np.frombuffer(data, dtype=np.uint8)[lo + 1:hi]
+    ends = np.flatnonzero(raw == 10) + 1
+    lead = raw[np.concatenate(([0], ends[:-1]))]
+    comment = (lead == ord("#")) | (lead == ord("%"))
+    kept = raw[np.repeat(~comment, np.diff(ends, prepend=0))]
+    return data[:lo + 1] + kept.tobytes() + data[hi:]
+
+
+def _canonical_values(data: bytes):
+    """``(values, breaks)`` of a block proven canonical, else ``None``.
+
+    ``values`` are the block's tokens in stream order, ``u, v``
+    interleaved; ``breaks`` is its LF count, comment lines included.  The
+    steps are :class:`EdgeBlocks`' 1-7, in order.
+    """
+    if b"\r" in data:
+        return None
+    breaks = rows = data.count(b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+        rows += 1
+    if b"#" in data or b"%" in data:
+        data = _drop_comment_lines(data)
+        rows = data.count(b"\n")
+    if data.translate(None, _CANONICAL_BYTES):
+        return None
+    if not data:
+        return np.empty(0, dtype=np.int64), breaks
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    if len(values) != 2 * rows or values.max() >= 10 ** 18:
+        return None
+    digits = _decimal_digits(values)
+    ends = np.cumsum(digits[0::2] + digits[1::2] + 2) - 1
+    if ends[-1] != len(data) - 1 or \
+            not (np.frombuffer(data, dtype=np.uint8)[ends] == 10).all():
+        return None
+    return values, breaks
+
+
+class _DirectIds:
+    """Decimal value -> dense id, ids given in first-seen order, for the
+    canonical blocks: a direct-address table (-1 = unseen) that grows to
+    the largest value seen, within its cap."""
+
+    def __init__(self) -> None:
+        self.table = np.empty(0, dtype=np.int64)
+        self.count = 0  # ids given
+        self.tokens = 0  # tokens read
+
+    def assign(self, values):
+        """The ids of ``values`` (``u, v`` interleaved), self-loop rows
+        dropped first; ``None``, with nothing assigned, when the table
+        would outgrow its cap."""
+        pairs = values.reshape(-1, 2)
+        self.tokens += len(values)
+        loops = pairs[:, 0] == pairs[:, 1]
+        if loops.any():
+            values = pairs[~loops].ravel()
+        size = int(values.max(initial=-1)) + 1
+        if size > len(self.table):
+            if size > _TABLE_PER_TOKEN * self.tokens + _TABLE_MIN:
+                return None
+            grown = np.full(size, -1, dtype=np.int64)
+            grown[:len(self.table)] = self.table
+            self.table = grown
+        ids = self.table[values]
+        fresh = np.flatnonzero(ids < 0)
+        if len(fresh):
+            # each unseen value's first position, then ids in that order
+            unseen = values[fresh]
+            self.table[unseen] = len(values)
+            np.minimum.at(self.table, unseen, fresh)
+            first = fresh[self.table[unseen] == fresh]
+            self.table[values[first]] = self.count + np.arange(
+                len(first), dtype=np.int64)
+            self.count += len(first)
+            ids[fresh] = self.table[unseen]
+        return ids
+
+    def token_ids(self) -> _TokenIds:
+        """The same ids, keyed as the tokeniser keys the values' decimal
+        strings."""
+        values = np.flatnonzero(self.table >= 0)
+        text = "\n".join(map(str, values.tolist())).encode("ascii")
+        lengths = _decimal_digits(values).astype(np.int64)
+        starts = np.cumsum(lengths + 1) - (lengths + 1)
+        return _TokenIds(_token_keys(text, starts, lengths),
+                         self.table[values])
+
+
 class EdgeBlocks:
     """The dense endpoint ids of an edge-list file, one block at a time.
 
@@ -278,9 +406,49 @@ class EdgeBlocks:
     strings, so ``01`` and ``1`` differ) get dense ids in first-seen
     order.  Duplicate edges pass through.
 
-    ASCII files are tokenised with numpy, block by block; the id table
-    (O(n)) is the only state carried between blocks.  Any other file is
-    read line by line in text mode, exactly as a per-line parser would.
+    ASCII files are read block by block; the id table is the only state
+    carried between blocks.  Any other file is read line by line in text
+    mode, exactly as a per-line parser would.
+
+    **Canonical blocks.**  While every block so far has been proven
+    canonical, a block is parsed in C by ``np.fromstring(sep=" ")``, and
+    an int64 direct-address table maps each value to its id.  A block is
+    canonical only if it passes these steps, in order; each closes a way
+    the C parse could read a block differently from the reference:
+
+    1. It has no CR byte.  CR ends a line in text mode, so step 3 would
+       cut a CR-terminated line along with the comment before it.
+    2. A last block without a final LF gets one, so every line ends at an
+       LF.
+    3. Every comment line, one whose first byte is ``#`` or ``%``, is cut
+       through its LF.  A ``#`` or ``%`` anywhere else stays for step 4
+       to reject, so indented comments go to the tokeniser.
+    4. Nothing is left but ``0-9``, space, tab and LF.  Signs, letters and
+       other separators are tokens or whitespace the C parse reads its own
+       way, and on such bytes it can stop early (a DeprecationWarning
+       that numpy will turn into an error).
+    5. The parse gives two values per line.
+    6. Every value is below ``10**18``: an out-of-range token parses
+       saturated to the int64 maximum, without a warning, and would merge
+       with a different token.
+    7. With d(x) the digit count of x, the i-th LF sits at
+       Σ_{j≤i} (d(u_j) + d(v_j) + 2) − 1.  A digit run is never shorter
+       than d of its value, and two runs need a blank between them, so
+       only the canonical bytes reach every one of these positions: one
+       space or tab between the two tokens, no leading zeros, and no blank
+       line, leading or trailing blank or third column.  (This also
+       rejects a whitespace-only block, which the C parse reads as
+       ``[0]``.)  Checking each condition with byte masks instead cost
+       more than the parse saves.
+
+    The table grows to the largest value seen, up to
+    ``_TABLE_PER_TOKEN`` entries per token read plus ``_TABLE_MIN``.  The
+    first block that fails a step, or would grow the table past that cap,
+    switches the file to the tokeniser for good: the table becomes the
+    tokeniser's keys (the decimal strings of the values seen), and later
+    ids continue in first-seen order.  A canonical block adds its LF
+    count, comment lines included, to the line count, so any later error
+    names the same line.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -294,9 +462,20 @@ class EdgeBlocks:
         return self._text_blocks()
 
     def _byte_blocks(self) -> Iterator[tuple]:
+        direct: _DirectIds | None = _DirectIds()
         table = _TokenIds()
         lines = 0
         for data in _line_blocks(self.path, self.block_bytes):
+            if direct is not None:
+                parsed = _canonical_values(data)
+                ids = None if parsed is None else direct.assign(parsed[0])
+                if ids is not None:
+                    lines += parsed[1]
+                    self.n = direct.count
+                    yield ids[0::2], ids[1::2]
+                    continue
+                table = direct.token_ids()
+                direct = None
             ustart, ulen, vstart, vlen, breaks = _block_rows(
                 data, self.path, lines)
             lines += breaks

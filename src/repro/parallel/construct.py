@@ -99,8 +99,18 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
     ``edge_source(frontier, k)`` yields the level's connectivity pairs as
     a list of ``(a, b)`` array pairs: ``a`` a frontier cell (λ = ``k``)
     owning an active s-clique, ``b`` a companion with λ >= ``k``.  Each
-    level component becomes one skeleton node; frontier cells untouched
-    by any active clique become singleton sub-nuclei.
+    level component becomes one skeleton node, a frontier cell untouched
+    by any active clique a singleton one.
+
+    A level labels its graph densely without sorting.  A frontier cell's
+    label is its position in the frontier.  A higher companion stands for
+    the current top of the component it joined, and the ``j``-th distinct
+    top gets label ``len(frontier) + j``: each occurrence writes its
+    position into a scratch slot per node, and the occurrences that read
+    their own position back (one per distinct top) take the labels.
+    :func:`~repro.parallel.kernels.component_roots` then runs over all
+    frontier cells and tops, so untouched cells come out as singleton
+    components and need no pass of their own.
     """
     lam = np.ascontiguousarray(lam, dtype=np.int64)
     size = len(lam)
@@ -109,6 +119,10 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
     node_lambda = np.zeros(size + 1, dtype=np.int64)
     parent = np.full(size + 1, -1, dtype=np.int64)
     jump = np.full(size + 1, -1, dtype=np.int64)
+    # scratch labels, per cell and per node; a level reads only what it
+    # wrote itself
+    cell_label = np.empty(size, dtype=np.int64)
+    top_label = np.empty(size + 1, dtype=np.int64)
     nodes = 0
     downward = 0
     build_start = time.perf_counter()
@@ -121,31 +135,31 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
             break  # λ = 0 cells belong to the root
         end = int(np.searchsorted(-lam_sorted, -k, side="right"))
         frontier = order[start:end]
-        first = nodes
+        width = end - start
+        cell_label[frontier] = np.arange(width, dtype=np.int64)
         parts = edge_source(frontier, k)
         a = np.concatenate([pair[0] for pair in parts])
-        if len(a):
-            # higher cells stand for the top of the component they joined
-            b = np.concatenate([pair[1] for pair in parts])
-            higher = comp[b] >= 0
-            b[higher] = size + _tops(jump, comp[b[higher]])
-            keys, inverse = np.unique(np.concatenate((a, b)),
-                                      return_inverse=True)
-            roots = component_roots(inverse[:len(a)], inverse[len(a):],
-                                    len(keys))
-            _, label = np.unique(roots, return_inverse=True)
-            made = nodes + label
-            nodes += int(label.max()) + 1
-            cells = keys < size
-            comp[keys[cells]] = made[cells]
-            tops = keys[~cells] - size
-            parent[tops] = made[~cells]
-            jump[tops] = made[~cells]
-            downward += len(tops)
-        fresh = frontier[comp[frontier] < 0]
-        comp[fresh] = nodes + np.arange(len(fresh), dtype=np.int64)
-        nodes += len(fresh)
+        b = np.concatenate([pair[1] for pair in parts])
+        label_b = cell_label[b]
+        # higher cells stand for the top of the component they joined
+        higher = comp[b] >= 0
+        touched = _tops(jump, comp[b[higher]])  # one entry per occurrence
+        seat = np.arange(len(touched), dtype=np.int64)
+        top_label[touched] = seat
+        tops = touched[top_label[touched] == seat]  # one occurrence per top
+        top_label[tops] = width + np.arange(len(tops), dtype=np.int64)
+        label_b[higher] = top_label[touched]
+        roots = component_roots(cell_label[a], label_b, width + len(tops))
+        # a component's root is its smallest label: number them in order
+        is_root = roots == np.arange(len(roots))
+        made = nodes + (np.cumsum(is_root) - 1)[roots]
+        first = nodes
+        nodes += int(np.count_nonzero(is_root))
         node_lambda[first:nodes] = k
+        comp[frontier] = made[:width]
+        parent[tops] = made[width:]
+        jump[tops] = made[width:]
+        downward += len(tops)
         start = end
 
     # number the nodes as the per-cell engines do — ascending λ, the root

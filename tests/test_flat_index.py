@@ -290,6 +290,41 @@ class TestStructure:
         assert all(len(c) == 3 for c in communities)
 
 
+#: seconds a fresh-process query may take before it counts as a hang
+QUERY_TIMEOUT_S = 60
+
+
+def _run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter on this checkout's ``src``,
+    failing the test (not hanging it) past :data:`QUERY_TIMEOUT_S`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=QUERY_TIMEOUT_S)
+
+
+def _broken_tree_file(index: FlatHierarchyIndex, variant: str,
+                      tmp_path: Path) -> Path:
+    """``index`` saved with one corruption of its tree arrays."""
+    index.save(tmp_path / "good.npz")
+    with np.load(tmp_path / "good.npz") as payload:
+        arrays = {name: payload[name] for name in payload.files}
+    parent, tin = arrays["node_parent"], arrays["tin"]
+    a, b, c = [x for x in range(len(parent)) if x != index.root][:3]
+    if variant == "three_cycle":
+        parent[a], parent[b], parent[c] = b, c, a
+    elif variant == "two_roots":
+        parent[a] = -1
+    elif variant == "parent_out_of_range":
+        parent[a] = len(parent)
+    else:
+        tin[a] = tin[b]
+    path = tmp_path / f"{variant}.npz"
+    np.savez(path, **arrays)
+    return path
+
+
 class TestPersistence:
     @pytest.fixture(scope="class")
     def built(self, parity_graph):
@@ -387,6 +422,55 @@ class TestPersistence:
         assert FlatHierarchyIndex.load(path).num_nodes == built.num_nodes
         assert [entry.name for entry in tmp_path.iterdir()] == ["index.npz"]
 
+    @pytest.mark.parametrize("variant, array", [
+        ("three_cycle", "node_parent"),
+        ("two_roots", "node_parent"),
+        ("parent_out_of_range", "node_parent"),
+        ("tin_not_permutation", "tin"),
+    ])
+    def test_broken_tree_rejected_at_load(self, built, variant, array,
+                                          tmp_path):
+        path = _broken_tree_file(built, variant, tmp_path)
+        for mmap_mode in (None, "r"):
+            with pytest.raises(GraphFormatError, match=array):
+                FlatHierarchyIndex.load(path, mmap_mode=mmap_mode)
+
+    def test_cyclic_index_query_ends_in_fresh_process(self, built, tmp_path):
+        """Loading the 3-cycle index and querying it must end, by an error
+        at load; an index loaded as valid would spin in the query."""
+        path = _broken_tree_file(built, "three_cycle", tmp_path)
+        script = (
+            "import sys\n"
+            "from repro.errors import GraphFormatError\n"
+            "from repro.flatindex import FlatHierarchyIndex\n"
+            "try:\n"
+            "    index = FlatHierarchyIndex.load(sys.argv[1])\n"
+            "except GraphFormatError:\n"
+            "    sys.exit(0)\n"
+            "index.nucleus_at(int(index.lam.argmax()), 1)\n"
+            "sys.exit('loaded')\n")
+        out = _run_fresh(script, str(path))
+        assert out.returncode == 0, out.stderr
+
+    def test_tops_at_stops_on_a_cyclic_parent_array(self, built, tmp_path):
+        """The doubling is capped at the node count's bit length, so even a
+        parent array that skipped load's checks cannot hang a query."""
+        path = tmp_path / "good.npz"
+        built.save(path, stats=False)
+        script = (
+            "import sys\n"
+            "from repro.flatindex import FlatHierarchyIndex\n"
+            "index = FlatHierarchyIndex.load(sys.argv[1])\n"
+            "parent = index.node_parent.copy()\n"
+            "a, b, c = [x for x in range(index.num_nodes)\n"
+            "           if x != index.root][:3]\n"
+            "parent[a], parent[b], parent[c] = b, c, a\n"
+            "index.node_parent = parent\n"
+            "print(len(index._tops_at(1)))\n")
+        out = _run_fresh(script, str(path))
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout) == built.num_nodes
+
     def test_malformed_file_raises(self, tmp_path):
         path = tmp_path / "junk.npz"
         path.write_bytes(b"this is not a zip archive")
@@ -415,12 +499,7 @@ class TestPersistence:
             "              lvl.num_edges, lvl.density) for lvl in row]\n"
             "            for row in index.profile_batch(vertices)]\n"
             "print(json.dumps({'answers': answers, 'profiles': profiles}))\n")
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(src)
-        out = subprocess.run(
-            [sys.executable, "-c", script, str(path), json.dumps(vertices)],
-            capture_output=True, text=True, env=env)
+        out = _run_fresh(script, str(path), json.dumps(vertices))
         assert out.returncode == 0, out.stderr
         served = json.loads(out.stdout)
         expected = [[c.tolist() for c in row] for row in

@@ -73,6 +73,23 @@ CORPUS = {
     "malformed_last_line": b"1 2\n2 3\n9",
     "non_ascii": "α β\nβ γ\nγ δ\n# é\n\u0085δ α\n".encode(),
     "non_ascii_malformed": "α β\nβ \n".encode(),
+    # the CR ends the comment in text mode; "1 2" is data
+    "comment_ended_by_cr": b"# c\r1 2\n2 3\n",
+    # past 10**18 the C parse saturates; the tokens stay distinct
+    "int64_edge": (b"9223372036854775807 1\n9223372036854775808 1\n"
+                   b"99999999999999999999 1\n"),
+    "whitespace_only_lines": b"\n \n\t\n",
+    "signed_token": b"+1 2\n1 2\n",
+    "snap_header_tabs": (b"# Undirected graph: toy.txt\n# Nodes: 4 Edges: 5\n"
+                         b"# FromNodeId\tToNodeId\n3466\t937\n3466\t5233\n"
+                         b"937\t5233\n10310\t3466\n10310\t5233\n"),
+    "ids_past_table_cap": b"1 2\n2 3\n3 4000000000\n4000000000 1\n",
+    # canonical lines first, so the tiny block sizes switch paths mid-file
+    "canonical_then_string": b"1 2\n2 3\n3 1\n3 alice\nalice 1\n",
+    "canonical_then_leading_zero": b"1 2\n2 3\n3 1\n3 01\n01 1\n1 3\n",
+    "canonical_then_crlf": b"1 2\n2 3\n3 1\n3 4\r\n4 1\n2 4\n",
+    # the digit counts alone would read "3\n4" as one line's two tokens
+    "one_token_lines": b"1 2\n3\n4\n",
 }
 
 
@@ -142,6 +159,16 @@ class TestParserMatchesReference:
             load("malformed")
         with pytest.raises(GraphFormatError, match=r":4: .* got '7'$"):
             load("malformed_after_crlf_lines")
+        assert (load("comment_ended_by_cr").n,
+                load("comment_ended_by_cr").m) == (3, 2)
+        assert load("int64_edge").n == 4
+        assert load("whitespace_only_lines").n == 0
+        assert load("signed_token").n == 3  # "+1" and "1" differ
+        assert (load("snap_header_tabs").n, load("snap_header_tabs").m) \
+            == (4, 5)
+        assert load("ids_past_table_cap").n == 4
+        with pytest.raises(GraphFormatError, match=r":2: .* got '3'$"):
+            load("one_token_lines")
 
     def test_ids_are_first_seen_order(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -203,6 +230,43 @@ def edge_files(draw) -> bytes:
     return text.encode("ascii")
 
 
+#: what one perturbation of a canonical file inserts or writes over a byte
+_PERTURBATIONS = st.sampled_from(
+    ["\r\n", "\r", "\n", " ", "\t", "  ", "0", "1", "-", "+", "#", "%", "a",
+     "\x0b", "99999999999999999999", "9223372036854775808",
+     "1000000000000000000", "999999999999999999"])
+
+
+@st.composite
+def near_canonical_files(draw) -> bytes:
+    """Mostly canonical ``u v`` lines and line-start comments, then at most
+    a couple of single-byte-position perturbations (insert, delete or
+    overwrite), so most files are canonical or one step from it."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 11)) == 0:
+            lines.append(draw(st.sampled_from(["#", "%"]))
+                         + draw(st.sampled_from(["", " c", "x\ty", "#"])))
+        else:
+            u = draw(st.integers(0, draw(st.sampled_from([5, 30, 10**7]))))
+            v = draw(st.integers(0, draw(st.sampled_from([5, 30, 1000]))))
+            lines.append(f"{u}{draw(st.sampled_from([' ', chr(9)]))}{v}")
+    text = "".join(line + "\n" for line in lines)
+    if text and draw(st.integers(0, 4)) == 0:
+        text = text[:-1]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        if not text:
+            break
+        at = draw(st.integers(0, len(text) - 1))
+        edit = draw(st.sampled_from(["insert", "delete", "overwrite"]))
+        if edit == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            skip = 1 if edit == "overwrite" else 0
+            text = text[:at] + draw(_PERTURBATIONS) + text[at + skip:]
+    return text.encode("ascii")
+
+
 class TestGeneratedFiles:
     @settings(max_examples=150, deadline=None)
     @given(data=edge_files(), block_bytes=st.sampled_from(
@@ -212,6 +276,85 @@ class TestGeneratedFiles:
             path = Path(tmp) / "gen.txt"
             path.write_bytes(data)
             check_matches_reference(path, block_bytes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=near_canonical_files(), block_bytes=st.sampled_from(
+        [BLOCK_BYTES, 1, 2, 3, 7, 16]))
+    def test_near_canonical_matches_reference(self, data, block_bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gen.txt"
+            path.write_bytes(data)
+            check_matches_reference(path, block_bytes)
+
+
+def _no_tokeniser(*args):
+    raise AssertionError("the tokeniser parsed a block")
+
+
+class TestCanonicalBlocks:
+    """The checked ``np.fromstring`` path: which blocks it takes, and the
+    switch to the tokeniser."""
+
+    @pytest.mark.parametrize("block, values", [
+        (b"1 2\n", [1, 2]),
+        (b"1\t2\n0 0\n", [1, 2, 0, 0]),
+        (b"1 2", [1, 2]),  # step 2: the file's last line
+        (b"# h\n1 2\n% x y\n#\n3 4\n", [1, 2, 3, 4]),  # step 3
+        (b"# only\n", []),
+        (b"999999999999999999 1\n", [999999999999999999, 1]),
+    ])
+    def test_canonical(self, block, values):
+        parsed = io._canonical_values(block)
+        assert parsed is not None and parsed[0].tolist() == values
+        assert parsed[1] == block.count(b"\n")
+
+    @pytest.mark.parametrize("block", [
+        b"# c\r0 42\n38\t15\n",  # step 1: a CR
+        b"1 2\r\n",
+        b" # h\n1 2\n",  # step 3: an indented comment stays
+        b"1 2 # x\n", b"1 -2\n", b"+1 2\n", b"a b\n", b"1\x0b2\n",  # step 4
+        b"1 2 3\n4 5 6\n", b"1 2\n3\n", b"1\n2\n",  # step 5
+        b"9223372036854775808 1\n", b"99999999999999999999 1\n",  # step 6
+        b"1000000000000000000 1\n",
+        b"1 2 3\n4\n", b"01 1\n", b"1  2\n", b" 1 2\n", b"1 2 \n",  # step 7
+        b"1 2\n\n", b"\n1 2\n", b"1 2\n \n", b"\n \n\t\n", b"\n",
+    ])
+    def test_not_canonical(self, block):
+        assert io._canonical_values(block) is None
+
+    def test_canonical_file_never_tokenised(self, tmp_path):
+        path = tmp_path / "g.txt"
+        save_edge_list(generators.powerlaw_cluster(200, 4, 0.3, seed=3), path)
+        for block_bytes in (BLOCK_BYTES, 64):
+            with mock.patch.object(io, "_block_rows", _no_tokeniser):
+                check_matches_reference(path, block_bytes)
+
+    def test_switch_mid_file_tokenises_the_rest(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"1 2\n2 3\n3 x\nx 1\n4 1\n")
+        calls = []
+        tokenise = io._block_rows
+
+        def counted(*args):
+            calls.append(args[0])
+            return tokenise(*args)
+
+        with mock.patch.object(io, "_block_rows", counted):
+            check_matches_reference(path, 4)
+        assert calls == [b"3 x\n", b"x 1\n", b"4 1\n"]
+
+    def test_table_cap(self, tmp_path):
+        """Two tokens allow a table of 8 * 2 + 2**16 entries: values up to
+        65551 stay on the canonical path, 65552 switches the file."""
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 65551\n")
+        with mock.patch.object(io, "_block_rows", _no_tokeniser):
+            check_matches_reference(path, BLOCK_BYTES)
+        path.write_bytes(b"0 65552\n")
+        with mock.patch.object(io, "_block_rows", _no_tokeniser), \
+                pytest.raises(AssertionError, match="tokeniser"):
+            load_edge_list(path)
+        check_matches_reference(path, BLOCK_BYTES)
 
 
 class TestSortedUnique:
