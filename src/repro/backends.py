@@ -519,14 +519,14 @@ def decompose(graph: AnyGraph, r: int = 1, s: int = 2,
         stats = FndInstrumentation()
         start = time.perf_counter()
         if count > 1:
-            peeling, hierarchy, view = parallel_fnd_decomposition(
+            lam, hierarchy, view = parallel_fnd_decomposition(
                 csr, r, s, count, instrumentation=stats)
         else:
-            peeling, hierarchy, view = frontier_fnd(
+            lam, hierarchy, view = frontier_fnd(
                 csr, r, s, instrumentation=stats)
         total = time.perf_counter() - start
         post_s = min(stats.build_seconds, total)
-        return Decomposition(graph, r, s, algorithm, peeling.lam, hierarchy,
+        return Decomposition(graph, r, s, algorithm, lam, hierarchy,
                              view, total - post_s, post_s, fnd_stats=stats)
     if algorithm == "lcps":
         if (r, s) != (1, 2):

@@ -19,7 +19,10 @@ name         phases                                       applicable
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any
+
+import numpy as np
 
 from repro.core.dft import dft_hierarchy
 from repro.core.fnd import FndInstrumentation, fnd_decomposition
@@ -38,7 +41,6 @@ __all__ = ["Decomposition", "nucleus_decomposition", "ALGORITHMS"]
 ALGORITHMS = ("naive", "dft", "fnd", "lcps", "hypo")
 
 
-@dataclass
 class Decomposition:
     """Result of a nucleus decomposition run.
 
@@ -49,7 +51,8 @@ class Decomposition:
         r, s: the nucleus parameters.
         algorithm: which algorithm produced this result.
         lam: λ_s per cell (cell = vertex / edge id / triangle id for
-            r = 1 / 2 / 3).
+            r = 1 / 2 / 3), a list of Python ints built on first read from
+            ``lam_array``, the int64 array the result stores.
         hierarchy: the hierarchy-skeleton (``None`` for ``hypo``, which by
             definition does not build one).
         view: the cell view (maps cell ids back to vertex tuples).
@@ -58,16 +61,29 @@ class Decomposition:
             BuildHierarchy — matching how Figure 6 splits the bars.
     """
 
-    graph: Graph | CSRGraph
-    r: int
-    s: int
-    algorithm: str
-    lam: list[int]
-    hierarchy: Hierarchy | None
-    view: CellView
-    peel_seconds: float
-    post_seconds: float
-    fnd_stats: FndInstrumentation | None = field(default=None, repr=False)
+    def __init__(self, graph: Graph | CSRGraph, r: int, s: int,
+                 algorithm: str, lam: Any, hierarchy: Hierarchy | None,
+                 view: CellView, peel_seconds: float, post_seconds: float,
+                 fnd_stats: FndInstrumentation | None = None):
+        self.graph = graph
+        self.r = r
+        self.s = s
+        self.algorithm = algorithm
+        self.lam_array = np.asarray(lam, dtype=np.int64)
+        self.hierarchy = hierarchy
+        self.view = view
+        self.peel_seconds = peel_seconds
+        self.post_seconds = post_seconds
+        self.fnd_stats = fnd_stats
+
+    def __repr__(self) -> str:
+        return (f"<Decomposition ({self.r},{self.s}) "
+                f"algorithm={self.algorithm!r} cells={len(self.lam_array)} "
+                f"max_lambda={self.max_lambda}>")
+
+    @cached_property
+    def lam(self) -> list[int]:
+        return self.lam_array.tolist()
 
     @property
     def total_seconds(self) -> float:
@@ -75,7 +91,7 @@ class Decomposition:
 
     @property
     def max_lambda(self) -> int:
-        return max(self.lam, default=0)
+        return int(self.lam_array.max()) if len(self.lam_array) else 0
 
     # -- convenience views over the hierarchy ---------------------------
     def nucleus_vertices(self, node_id: int) -> set[int]:

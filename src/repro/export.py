@@ -11,6 +11,10 @@ both portable:
   build-once half of the build-once/serve-many workflow —
   :func:`save_hierarchy` / :func:`load_hierarchy` dispatch on the
   ``.npz`` suffix;
+
+  both loaders reject a skeleton that is not one hierarchy with
+  :class:`~repro.errors.GraphFormatError`, naming the array
+  (:func:`~repro.core.hierarchy.check_skeleton`);
 * :func:`tree_to_dot` — Graphviz rendering of the condensed nucleus tree;
 * :func:`skeleton_to_dot` — Graphviz rendering of the raw skeleton
   (sub-nuclei and their parent links), the structure in the paper's Fig. 5.
@@ -24,7 +28,7 @@ from zipfile import BadZipFile
 
 import numpy as np
 
-from repro.core.hierarchy import Hierarchy, NucleusTree
+from repro.core.hierarchy import Hierarchy, NucleusTree, check_skeleton
 from repro.errors import GraphFormatError
 
 __all__ = [
@@ -44,6 +48,20 @@ HIERARCHY_NPZ_FORMAT = 1
 _NPZ_KEYS = ("format", "r", "s", "algorithm", "lam", "node_lambda",
              "parent", "comp", "root")
 
+#: the skeleton arrays, in :func:`check_skeleton`'s argument order
+_SKELETON_KEYS = ("lam", "node_lambda", "parent", "comp")
+
+
+def _checked(source: str, r: int, s: int, arrays: list, root: int,
+             algorithm: str) -> Hierarchy:
+    """The hierarchy of the skeleton ``arrays`` (in ``_SKELETON_KEYS``
+    order), once :func:`check_skeleton` has passed them."""
+    # an empty list reads as a float array, but it holds no value to check
+    arrays = [array.astype(np.int64) if array.size == 0 else array
+              for array in arrays]
+    check_skeleton(source, *arrays, root)
+    return Hierarchy(r, s, *arrays, root, algorithm=algorithm)
+
 
 def hierarchy_to_json(hierarchy: Hierarchy) -> str:
     """Serialise a hierarchy (λ values, skeleton, membership) to JSON."""
@@ -51,10 +69,10 @@ def hierarchy_to_json(hierarchy: Hierarchy) -> str:
         "r": hierarchy.r,
         "s": hierarchy.s,
         "algorithm": hierarchy.algorithm,
-        "lam": hierarchy.lam,
-        "node_lambda": hierarchy.node_lambda,
-        "parent": [-1 if p is None else p for p in hierarchy.parent],
-        "comp": hierarchy.comp,
+        "lam": hierarchy.lam_array.tolist(),
+        "node_lambda": hierarchy.node_lambda_array.tolist(),
+        "parent": hierarchy.parent_array.tolist(),
+        "comp": hierarchy.comp_array.tolist(),
         "root": hierarchy.root,
     }
     return json.dumps(payload)
@@ -64,19 +82,13 @@ def hierarchy_from_json(text: str) -> Hierarchy:
     """Inverse of :func:`hierarchy_to_json`."""
     try:
         payload = json.loads(text)
-        hierarchy = Hierarchy(
-            r=int(payload["r"]),
-            s=int(payload["s"]),
-            lam=[int(x) for x in payload["lam"]],
-            node_lambda=[int(x) for x in payload["node_lambda"]],
-            parent=[None if p == -1 else int(p) for p in payload["parent"]],
-            comp=[int(x) for x in payload["comp"]],
-            root=int(payload["root"]),
-            algorithm=str(payload.get("algorithm", "")),
-        )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        r, s, root = (int(payload[key]) for key in ("r", "s", "root"))
+        arrays = [np.asarray(payload[key]) for key in _SKELETON_KEYS]
+        algorithm = str(payload.get("algorithm", ""))
+    except (KeyError, TypeError, ValueError, OverflowError,
+            json.JSONDecodeError) as exc:
         raise GraphFormatError(f"malformed hierarchy JSON: {exc}") from exc
-    return hierarchy
+    return _checked("hierarchy JSON", r, s, arrays, root, algorithm)
 
 
 def save_hierarchy(hierarchy: Hierarchy, path: str | Path) -> None:
@@ -114,12 +126,10 @@ def _save_hierarchy_arrays(handle, hierarchy: Hierarchy) -> None:
         r=np.int64(hierarchy.r),
         s=np.int64(hierarchy.s),
         algorithm=np.str_(hierarchy.algorithm),
-        lam=np.asarray(hierarchy.lam, dtype=np.int64),
-        node_lambda=np.asarray(hierarchy.node_lambda, dtype=np.int64),
-        parent=np.asarray(
-            [-1 if p is None else p for p in hierarchy.parent],
-            dtype=np.int64),
-        comp=np.asarray(hierarchy.comp, dtype=np.int64),
+        lam=hierarchy.lam_array,
+        node_lambda=hierarchy.node_lambda_array,
+        parent=hierarchy.parent_array,
+        comp=hierarchy.comp_array,
         root=np.int64(hierarchy.root),
     )
 
@@ -138,20 +148,13 @@ def load_hierarchy_npz(path: str | Path) -> Hierarchy:
                 raise GraphFormatError(
                     f"{path}: unsupported hierarchy format {version} "
                     f"(this build reads {HIERARCHY_NPZ_FORMAT})")
-            return Hierarchy(
-                r=int(payload["r"]),
-                s=int(payload["s"]),
-                lam=payload["lam"].tolist(),
-                node_lambda=payload["node_lambda"].tolist(),
-                parent=[None if p == -1 else p
-                        for p in payload["parent"].tolist()],
-                comp=payload["comp"].tolist(),
-                root=int(payload["root"]),
-                algorithm=str(payload["algorithm"]),
-            )
-    except (OSError, ValueError, BadZipFile) as exc:
+            r, s, root = (int(payload[key]) for key in ("r", "s", "root"))
+            arrays = [payload[key] for key in _SKELETON_KEYS]
+            algorithm = str(payload["algorithm"])
+    except (OSError, ValueError, TypeError, BadZipFile) as exc:
         raise GraphFormatError(
             f"{path}: malformed hierarchy .npz: {exc}") from exc
+    return _checked(str(path), r, s, arrays, root, algorithm)
 
 
 def tree_to_dot(tree: NucleusTree, name: str = "nuclei") -> str:

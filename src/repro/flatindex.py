@@ -19,13 +19,23 @@ arrays instead:
 * per-``k`` *top* pointers (shallowest ancestor still at level ``>= k``),
   computed for all nodes at once by pointer doubling and cached.
 
+The index is lowered from the hierarchy's arrays
+(:attr:`~repro.core.hierarchy.Hierarchy.condensed_arrays`), with no loop
+per cell or per node and no :class:`~repro.core.hierarchy.NucleusTree`:
+``tin``/``tout`` come from pointer doubling plus one pass per tree level,
+with children visited in descending id, and the tour-sorted cells from one
+sort of packed ``(tin, cell)`` keys.
+
 Every query of :class:`~repro.queries.HierarchyIndex` has a scalar
 equivalent here with identical answers (cell lists are returned sorted
 ascending), plus a vectorised **batch** variant over arrays of vertices or
 cells.  :meth:`FlatHierarchyIndex.save` persists the whole index as an
 uncompressed ``.npz`` (one flat binary blob per array, loadable lazily), so
 ``decompose → save`` runs once and a fresh process serves queries with
-:meth:`FlatHierarchyIndex.load` — no re-peeling, no graph needed.
+:meth:`FlatHierarchyIndex.load` — no re-peeling, no graph needed.  ``load``
+checks the tree, cell and vertex-map arrays for consistency in passes
+without a sort, and raises :class:`~repro.errors.GraphFormatError` naming
+the first array that fails.
 
 Node statistics (``node_nv`` / ``node_ne`` / ``node_density``, what
 :meth:`FlatHierarchyIndex.profile` reports) are counted for every node at
@@ -261,6 +271,60 @@ def _edge_union_deltas(src: Any, tgt: Any, indptr: Any, label: Any,
     return delta
 
 
+def _tour(node_parent: Any, root: int) -> tuple[Any, Any]:
+    """Preorder intervals of the tree ``node_parent`` (-1 at ``root``), as
+    int32 ``(tin, tout)``: subtree(a) is ``[tin[a], tout[a])``, and a node's
+    children are visited in descending id.
+
+    Depths come from pointer doubling.  Subtree sizes are then summed
+    bottom-up and labels handed down top-down, one array pass per level: a
+    child's ``tin`` is its parent's plus one plus the sizes of the siblings
+    visited before it, those with larger ids.
+    """
+    num_nodes = len(node_parent)
+    parent = node_parent.astype(np.int64)
+    child = parent >= 0
+    up = np.where(child, parent, root)
+    depth = child.astype(np.int64)
+    # depth[x] is the distance from x to up[x]; a tree is shallower than
+    # its node count, so the doubling ends within that count's bit length
+    for _ in range(num_nodes.bit_length()):
+        if (up == root).all():
+            break
+        depth, up = depth + depth[up], up[up]
+    by_depth = np.argsort(depth, kind="stable")
+    bounds = np.searchsorted(depth[by_depth],
+                             np.arange(int(depth.max(initial=0)) + 2))
+    levels = [by_depth[lo:hi] for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    size = np.ones(num_nodes, dtype=np.int64)
+    for level in reversed(levels):
+        np.add.at(size, parent[level], size[level])
+    # siblings in visiting order: by parent, then descending id
+    kids = np.flatnonzero(child)
+    kids = kids[np.argsort(parent[kids] * num_nodes - kids, kind="stable")]
+    sizes = size[kids]
+    before = np.cumsum(sizes) - sizes
+    heads = np.flatnonzero(run_heads(parent[kids]))
+    run_base = np.repeat(before[heads], np.diff(np.append(heads, len(kids))))
+    offset = np.zeros(num_nodes, dtype=np.int64)
+    offset[kids] = before - run_base
+    tin = np.zeros(num_nodes, dtype=np.int64)
+    for level in levels:
+        tin[level] = tin[parent[level]] + 1 + offset[level]
+    return tin.astype(np.int32), (tin + size).astype(np.int32)
+
+
+def _check_ints(path: str | Path, key: str, array: Any, count: int,
+                per: str) -> None:
+    """Raise :class:`GraphFormatError` unless ``array`` is a 1-d integer
+    array of ``count`` entries (any length when ``count`` is -1)."""
+    if array.ndim != 1 or array.dtype.kind not in "iu" \
+            or count not in (-1, len(array)):
+        raise GraphFormatError(
+            f"{path}: {key} must be a 1-d integer array with one entry per "
+            f"{per}, got shape {array.shape} and dtype {array.dtype}")
+
+
 def _check_tree(path: str | Path, root: int, node_k: Any, node_parent: Any,
                 tin: Any, tout: Any) -> None:
     """Raise :class:`GraphFormatError`, naming the array, unless
@@ -270,11 +334,7 @@ def _check_tree(path: str | Path, root: int, node_k: Any, node_parent: Any,
     num_nodes = len(node_k)
     for key, array in (("node_parent", node_parent), ("tin", tin),
                        ("tout", tout)):
-        if array.shape != (num_nodes,) or array.dtype.kind not in "iu":
-            raise GraphFormatError(
-                f"{path}: {key} must be a 1-d integer array with one entry "
-                f"per node ({num_nodes}), got shape {array.shape} and dtype "
-                f"{array.dtype}")
+        _check_ints(path, key, array, num_nodes, f"node ({num_nodes})")
     parent = np.asarray(node_parent, dtype=np.int64)
     roots = np.flatnonzero(parent == -1)
     if roots.tolist() != [root]:
@@ -305,6 +365,49 @@ def _check_tree(path: str | Path, root: int, node_k: Any, node_parent: Any,
         raise GraphFormatError(
             f"{path}: node_parent and tout disagree: every node's interval "
             f"must close inside its parent's")
+
+
+def _check_cells(path: str | Path, n: int, tin: Any, cell_node: Any,
+                 lam: Any, cells_in_tour: Any, cell_tin_sorted: Any,
+                 vert_indptr: Any, vert_nodes: Any) -> None:
+    """Raise :class:`GraphFormatError`, naming the array, unless the cell
+    arrays and the vertex map agree with the (already checked) tour labels
+    ``tin``.  Every check is one pass; none sorts."""
+    num_nodes = len(tin)
+    _check_ints(path, "cell_node", cell_node, -1, "cell")
+    num_cells = len(cell_node)
+    for key, array in (("lam", lam), ("cells_in_tour", cells_in_tour),
+                       ("cell_tin_sorted", cell_tin_sorted)):
+        _check_ints(path, key, array, num_cells, f"cell ({num_cells})")
+    _check_ints(path, "vert_indptr", vert_indptr, n + 1,
+                f"vertex, plus one ({n + 1})")
+    _check_ints(path, "vert_nodes", vert_nodes, -1, "vertex-map entry")
+    for key, array in (("cell_node", cell_node), ("vert_nodes", vert_nodes)):
+        if len(array) and (int(array.min()) < 0
+                           or int(array.max()) >= num_nodes):
+            raise GraphFormatError(
+                f"{path}: {key} holds a node outside [0, {num_nodes})")
+    tour = np.asarray(cells_in_tour)
+    if num_cells and (int(tour.min()) < 0 or int(tour.max()) >= num_cells):
+        raise GraphFormatError(
+            f"{path}: cells_in_tour holds a cell outside [0, {num_cells})")
+    seen = np.zeros(num_cells, dtype=bool)
+    seen[tour] = True
+    if not seen.all():
+        raise GraphFormatError(
+            f"{path}: cells_in_tour must be a permutation of the cells")
+    expected = np.asarray(tin)[np.asarray(cell_node)[tour]]
+    if not np.array_equal(expected, cell_tin_sorted) \
+            or (np.diff(expected) < 0).any():
+        raise GraphFormatError(
+            f"{path}: cell_tin_sorted must be tin[cell_node[cells_in_tour]], "
+            f"never decreasing")
+    bounds = np.asarray(vert_indptr, dtype=np.int64)
+    if bounds[0] != 0 or bounds[-1] != len(vert_nodes) \
+            or (np.diff(bounds) < 0).any():
+        raise GraphFormatError(
+            f"{path}: vert_indptr must start at 0, never decrease and end "
+            f"at len(vert_nodes) ({len(vert_nodes)})")
 
 
 class FlatHierarchyIndex:
@@ -344,17 +447,12 @@ class FlatHierarchyIndex:
         self.algorithm = algorithm
         self.graph = graph
         self.n = graph.n
-        tree = hierarchy.condense()
-        self.root = tree.root
-        num_nodes = len(tree)
-        self.node_k = np.fromiter((node.k for node in tree.nodes),
-                                  dtype=np.int32, count=num_nodes)
-        self.node_parent = np.fromiter(
-            (-1 if node.parent is None else node.parent
-             for node in tree.nodes), dtype=np.int32, count=num_nodes)
-        self._label_tour(tree)
-        self.cell_node = np.asarray(tree.cell_nodes(), dtype=np.int32)
-        self.lam = np.asarray(hierarchy.lam, dtype=np.int32)
+        node_k, node_parent, cell_node, self.root = hierarchy.condensed_arrays
+        self.node_k = node_k.astype(np.int32)
+        self.node_parent = node_parent.astype(np.int32)
+        self.tin, self.tout = _tour(node_parent, self.root)
+        self.cell_node = cell_node.astype(np.int32)
+        self.lam = hierarchy.lam_array.astype(np.int32)
         self._sort_cells_by_tour()
         self._build_vertex_map(view)
         self._tops_cache: dict[int, "np.ndarray"] = {}
@@ -364,31 +462,16 @@ class FlatHierarchyIndex:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    def _label_tour(self, tree: Any) -> None:
-        """Preorder interval labels: subtree(a) == [tin[a], tout[a])."""
-        num_nodes = len(tree)
-        tin = np.zeros(num_nodes, dtype=np.int32)
-        tout = np.zeros(num_nodes, dtype=np.int32)
-        timer = 0
-        stack: list[tuple[int, bool]] = [(tree.root, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                tout[node] = timer
-                continue
-            tin[node] = timer
-            timer += 1
-            stack.append((node, True))
-            for child in tree[node].children:
-                stack.append((child, False))
-        self.tin = tin
-        self.tout = tout
-
     def _sort_cells_by_tour(self) -> None:
-        cell_tin = self.tin[self.cell_node]
-        order = np.argsort(cell_tin, kind="stable")
-        self.cells_in_tour = order.astype(np.int32)
-        self.cell_tin_sorted = cell_tin[order]
+        """Cells by (tour label of their node, id): one sort of packed
+        keys, which numpy does faster than a stable argsort of the
+        labels."""
+        num_cells = len(self.cell_node)
+        keys = np.sort(self.tin[self.cell_node].astype(np.int64) * num_cells
+                       + np.arange(num_cells, dtype=np.int64))
+        cell_tin, cells = np.divmod(keys, max(num_cells, 1))
+        self.cells_in_tour = cells.astype(np.int32)
+        self.cell_tin_sorted = cell_tin.astype(np.int32)
 
     def _build_vertex_map(self, view: Any) -> None:
         """CSR ``vertex → sorted unique condensed nodes`` map."""
@@ -795,6 +878,9 @@ class FlatHierarchyIndex:
             setattr(index, key, arrays[key])
         _check_tree(path, index.root, index.node_k, index.node_parent,
                     index.tin, index.tout)
+        _check_cells(path, index.n, index.tin, index.cell_node, index.lam,
+                     index.cells_in_tour, index.cell_tin_sorted,
+                     index.vert_indptr, index.vert_nodes)
         index._stat_arrays = None
         if all(key in arrays for key in _STAT_KEYS):
             num_nodes = len(index.node_k)

@@ -59,8 +59,9 @@ __all__ = [
 ]
 
 
-def _round_loop(sup, peel_round, decrement_for) -> PeelingResult:
+def _round_loop(sup, peel_round, decrement_for) -> tuple:
     """The shared frontier loop: extract, stamp, decrement, clamp.
+    Returns ``(lam, max_lambda, order)``, λ and the order int64 arrays.
 
     ``sup`` holds the current s-clique degrees (mutated toward λ in
     place); ``peel_round[x]`` is the round ``x`` was peeled in (−1 =
@@ -80,9 +81,9 @@ def _round_loop(sup, peel_round, decrement_for) -> PeelingResult:
     full-array rescan per round would give.
     """
     size = len(sup)
-    if size == 0:
-        return PeelingResult(lam=[], max_lambda=0, order=[])
     lam = np.zeros(size, dtype=np.int64)
+    if size == 0:
+        return lam, 0, lam
     max_sup = int(sup.max())
     # pending[v]: arrays of cells whose support last settled at v
     pending: list[list] = [[] for _ in range(max_sup + 1)]
@@ -136,6 +137,12 @@ def _round_loop(sup, peel_round, decrement_for) -> PeelingResult:
         rnd += 1
     order = (np.concatenate(order_parts) if order_parts
              else np.empty(0, dtype=np.int64))
+    return lam, max_lambda, order
+
+
+def _listed(rounds: tuple) -> PeelingResult:
+    """A :func:`_round_loop` result as a :class:`PeelingResult` of lists."""
+    lam, max_lambda, order = rounds
     return PeelingResult(lam=lam.tolist(), max_lambda=max_lambda,
                          order=order.tolist())
 
@@ -235,7 +242,7 @@ def merge_sparse_decrements(parts):
 
 
 def _peel(sup, static: dict, weights, task: tuple, decrement,
-          pool: WorkerPool | None, bundle=None) -> PeelingResult:
+          pool: WorkerPool | None, bundle=None) -> tuple:
     """Shared driver: in-process rounds (``pool=None``) or farmed rounds.
 
     ``decrement(peel_round, frontier, rnd)`` is the in-process kernel;
@@ -266,8 +273,14 @@ def _peel(sup, static: dict, weights, task: tuple, decrement,
 
 
 def bulk_core_peel(csr: CSRGraph, pool: WorkerPool | None = None,
-                   static: SharedArrayBundle | None = None) -> PeelingResult:
-    """(1,2) bulk peel: core numbers λ₂, frontier rounds over the CSR.
+                   ) -> PeelingResult:
+    """(1,2) bulk peel: core numbers λ₂, frontier rounds over the CSR."""
+    return _listed(_core_rounds(csr, pool))
+
+
+def _core_rounds(csr: CSRGraph, pool: WorkerPool | None = None,
+                static: SharedArrayBundle | None = None) -> tuple:
+    """:func:`bulk_core_peel` as ``(lam, max_lambda, order)`` arrays.
 
     With a pool, ``static`` may hand in the :class:`SharedArrayBundle`
     already exporting ``indptr``/``indices`` (the FND pipeline shares the
@@ -284,12 +297,16 @@ def bulk_core_peel(csr: CSRGraph, pool: WorkerPool | None = None,
 
 
 def _bulk_incidence_peel(sup, ptr, comps, pool: WorkerPool | None,
-                         static: SharedArrayBundle | None = None,
                          ) -> PeelingResult:
-    """Shared driver for the (2,3)/(3,4) bulk peels over an incidence.
+    """Shared driver for the (2,3)/(3,4) bulk peels over an incidence."""
+    return _listed(_incidence_rounds(sup, ptr, comps, pool))
 
-    ``static`` may hand in an already-shared ``ptr``/``c1..cN`` bundle
-    (see :func:`bulk_core_peel`).
+
+def _incidence_rounds(sup, ptr, comps, pool: WorkerPool | None,
+                     static: SharedArrayBundle | None = None) -> tuple:
+    """The (2,3)/(3,4) frontier rounds as ``(lam, max_lambda, order)``
+    arrays.  ``static`` may hand in an already-shared ``ptr``/``c1..cN``
+    bundle (see :func:`_core_rounds`).
     """
     named = {"ptr": ptr}
     for i, comp in enumerate(comps):

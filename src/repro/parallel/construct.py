@@ -175,6 +175,7 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
     comp[owned] = renumber[comp[owned]]
     comp[comp < 0] = root
     ordered_parent = np.full(nodes + 1, root, dtype=np.int64)
+    ordered_parent[root] = -1
     linked = np.flatnonzero(parent[:nodes] >= 0)
     ordered_parent[renumber[linked]] = renumber[parent[linked]]
     ordered_lambda = np.zeros(nodes + 1, dtype=np.int64)
@@ -183,10 +184,8 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
         instrumentation.num_subnuclei = nodes
         instrumentation.num_downward_connections = downward
         instrumentation.build_seconds = time.perf_counter() - build_start
-    parents: list[int | None] = ordered_parent.tolist()
-    parents[root] = None
-    return Hierarchy(r, s, lam.tolist(), ordered_lambda.tolist(), parents,
-                     comp.tolist(), root, algorithm="fnd")
+    return Hierarchy(r, s, lam, ordered_lambda, ordered_parent, comp, root,
+                     algorithm="fnd")
 
 
 def _run_construction(r: int, s: int, lam, static: dict, weights,

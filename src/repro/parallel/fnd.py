@@ -18,7 +18,8 @@ arrays to shared memory once for the peel and the construction.  λ is
 elementwise and the *condensed* hierarchy node-for-node identical to the
 object engine for (1,2), (2,3) and (3,4) at every worker count; the
 skeleton holds one sub-nucleus per (level, component), which condenses to
-the same nucleus tree as the paper's T*.
+the same nucleus tree as the paper's T*.  λ and the skeleton stay int64
+arrays from the rounds to the :class:`~repro.core.hierarchy.Hierarchy`.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ from repro.core.csr_peel import (
 )
 from repro.core.fnd import FndInstrumentation
 from repro.core.hierarchy import Hierarchy
-from repro.core.peeling import PeelingResult
 from repro.core.views import CellView, CSREdgeView, CSRTriangleView, VertexView
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.parallel.bulk import (
-    _bulk_incidence_peel,
-    bulk_core_peel,
+    _core_rounds,
+    _incidence_rounds,
     worker_pool,
 )
 from repro.parallel.construct import (
@@ -65,13 +65,13 @@ FND_RS = ((1, 2), (2, 3), (3, 4))
 def frontier_fnd(csr: CSRGraph, r: int, s: int,
                  pool: WorkerPool | None = None,
                  instrumentation: FndInstrumentation | None = None,
-                 ) -> tuple[PeelingResult, Hierarchy, CellView]:
-    """FND for ``(r, s)`` in :data:`FND_RS`: ``(peeling, hierarchy, view)``.
+                 ) -> tuple[np.ndarray, Hierarchy, CellView]:
+    """FND for ``(r, s)`` in :data:`FND_RS`: ``(lam, hierarchy, view)``,
+    with λ the int64 array the hierarchy holds.
 
     The view construction is free for (1,2)/(2,3) and reuses the triangle
     enumeration the set-up already materialised for (3,4) — no object
-    graph, and no second pass over the cliques.  Only the peel ``order``
-    depends on the engine: it is round order, still smallest-last.
+    graph, and no second pass over the cliques.
     """
     if (r, s) == (1, 2):
         static = {"indptr": csr.indptr, "indices": csr.indices}
@@ -98,18 +98,16 @@ def frontier_fnd(csr: CSRGraph, r: int, s: int,
             static[f"c{i + 1}"] = comp
     with _exported(static, pool) as bundle:
         if r == 1:
-            peeling = bulk_core_peel(csr, pool, static=bundle)
-            lam = np.asarray(peeling.lam, dtype=np.int64)
+            lam, _, _ = _core_rounds(csr, pool, static=bundle)
             hierarchy = core_hierarchy_from_lambda(
                 csr, lam, pool, instrumentation, static_bundle=bundle)
         else:
-            peeling = _bulk_incidence_peel(sup, ptr, comps, pool,
-                                           static=bundle)
-            lam = np.asarray(peeling.lam, dtype=np.int64)
+            lam, _, _ = _incidence_rounds(sup, ptr, comps, pool,
+                                          static=bundle)
             hierarchy = incidence_hierarchy_from_lambda(
                 r, s, lam, ptr, comps, pool, instrumentation,
                 static_bundle=bundle)
-    return peeling, hierarchy, view
+    return lam, hierarchy, view
 
 
 def _exported(static: dict, pool: WorkerPool | None):
@@ -125,7 +123,7 @@ def _exported(static: dict, pool: WorkerPool | None):
 def parallel_fnd_decomposition(
         csr: CSRGraph, r: int, s: int, workers: int,
         instrumentation: FndInstrumentation | None = None,
-) -> tuple[PeelingResult, Hierarchy, CellView]:
+) -> tuple[np.ndarray, Hierarchy, CellView]:
     """:func:`frontier_fnd` over its own ``workers``-process pool (in
     process when a pool cannot pay, see
     :func:`~repro.parallel.bulk.worker_pool`)."""

@@ -11,6 +11,8 @@ from __future__ import annotations
 import networkx as nx
 from hypothesis import strategies as st
 
+from repro.core.disjoint_set import DisjointSetForest
+from repro.core.hierarchy import Hierarchy, NucleusNode, NucleusTree
 from repro.graph import generators
 from repro.graph.adjacency import Graph
 
@@ -79,3 +81,94 @@ def reference_csr_arrays(graph: Graph) -> dict[str, list[int]]:
         indptr.append(len(indices))
     return {"indptr": indptr, "indices": indices, "eids": eids,
             "esrc": list(index.source), "etgt": list(index.target)}
+
+
+def reference_condense(hierarchy: Hierarchy) -> NucleusTree:
+    """The condensed tree by one disjoint-set pass over the skeleton's
+    lists and one ``find`` per cell: the lowering the array condense
+    replaced, kept as its oracle.  Groups are numbered by their smallest
+    node; children and own cells come out ascending."""
+    node_lambda, parent = hierarchy.node_lambda, hierarchy.parent
+    n_nodes = len(node_lambda)
+    dsu = DisjointSetForest(n_nodes)
+    for node in range(n_nodes):
+        par = parent[node]
+        if par is not None and node_lambda[node] == node_lambda[par]:
+            dsu.union(node, par)
+    group_id: dict[int, int] = {}
+    for node in range(n_nodes):
+        rep = dsu.find(node)
+        if rep not in group_id:
+            group_id[rep] = len(group_id)
+    nodes = [NucleusNode(id=i, k=-1, parent=None)
+             for i in range(len(group_id))]
+    for node in range(n_nodes):
+        gid = group_id[dsu.find(node)]
+        nodes[gid].k = node_lambda[node]
+        par = parent[node]
+        if par is not None and node_lambda[par] != node_lambda[node]:
+            nodes[gid].parent = group_id[dsu.find(par)]
+    cell_nodes = []
+    for cell, node_id in enumerate(hierarchy.comp):
+        gid = group_id[dsu.find(node_id)]
+        nodes[gid].own_cells.append(cell)
+        cell_nodes.append(gid)
+    for node in nodes:
+        if node.parent is not None:
+            nodes[node.parent].children.append(node.id)
+    return NucleusTree(nodes, group_id[dsu.find(hierarchy.root)],
+                       cell_nodes)
+
+
+def reference_tour(tree: NucleusTree) -> tuple[list[int], list[int]]:
+    """Preorder interval labels ``(tin, tout)`` by a stack walk that pushes
+    each node's children in ascending id, so it visits them in descending
+    id: the oracle of the flat index's array passes."""
+    tin = [0] * len(tree)
+    tout = [0] * len(tree)
+    timer = 0
+    stack: list[tuple[int, bool]] = [(tree.root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            tout[node] = timer
+            continue
+        tin[node] = timer
+        timer += 1
+        stack.append((node, True))
+        for child in tree[node].children:
+            stack.append((child, False))
+    return tin, tout
+
+
+def assert_lowered_like_reference(hierarchy: Hierarchy, index=None) -> None:
+    """``hierarchy.condense()`` equals :func:`reference_condense` node for
+    node (k, parent, own cells, children order, root); with a
+    :class:`~repro.flatindex.FlatHierarchyIndex` of it, its tree arrays,
+    tour labels and tour-sorted cells equal the reference lowering's."""
+    expected = reference_condense(hierarchy)
+    tree = hierarchy.condense()
+    assert tree.root == expected.root
+    assert [(node.id, node.k, node.parent, node.children, node.own_cells)
+            for node in tree.nodes] == \
+        [(node.id, node.k, node.parent, node.children, node.own_cells)
+         for node in expected.nodes]
+    assert tree.cell_nodes() == expected.cell_nodes()
+    if index is None:
+        return
+    tin, tout = reference_tour(expected)
+    cell_node = expected.cell_nodes()
+    cells_in_tour = sorted(range(len(cell_node)),
+                           key=lambda cell: tin[cell_node[cell]])
+    assert index.root == expected.root
+    assert index.node_k.tolist() == [node.k for node in expected.nodes]
+    assert index.node_parent.tolist() == \
+        [-1 if node.parent is None else node.parent
+         for node in expected.nodes]
+    assert index.tin.tolist() == tin
+    assert index.tout.tolist() == tout
+    assert index.cell_node.tolist() == cell_node
+    assert index.cells_in_tour.tolist() == cells_in_tour
+    assert index.cell_tin_sorted.tolist() == \
+        [tin[cell_node[cell]] for cell in cells_in_tour]
+    assert index.lam.tolist() == hierarchy.lam

@@ -9,6 +9,9 @@ representation — the PR 1 regression where a ``CSRGraph`` silently fell
 back to the object engine).
 """
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -22,10 +25,12 @@ from repro.backends import (
 )
 from repro.core.decomposition import nucleus_decomposition
 from repro.core.fnd import fnd_decomposition
+from repro.core.hierarchy import NucleusTree
 from repro.core.lcps import lcps_hierarchy
 from repro.core.peeling import peel
 from repro.core.views import build_view
 from repro.errors import InvalidParameterError
+from repro.flatindex import FlatHierarchyIndex
 from repro.examples_graphs import figure2_graph, figure4_graph, figure5_graph
 from repro.graph import generators
 from repro.graph.adjacency import Graph
@@ -271,3 +276,39 @@ class TestFndQueueKindValidation:
         baseline = peel(view)
         assert peeling.lam == baseline.lam
         hierarchy.validate()
+
+
+# ---------------------------------------------------------------------------
+# lowering: arrays from the frontier rounds to the saved index
+# ---------------------------------------------------------------------------
+class TestArraysToIndex:
+    def test_save_builds_no_tree_and_no_list_view(self, monkeypatch,
+                                                  tmp_path):
+        """decompose → FlatHierarchyIndex → save reads the hierarchy's
+        arrays only: no NucleusTree, and none of the list views."""
+        def no_tree(*args, **kwargs):
+            raise AssertionError("the lowering built a NucleusTree")
+
+        monkeypatch.setattr(NucleusTree, "__init__", no_tree)
+        csr = as_csr(generators.powerlaw_cluster(150, 5, 0.6, seed=9))
+        result = backends.decompose(csr, 2, 3, backend="csr")
+        FlatHierarchyIndex(result).save(tmp_path / "index.npz")
+        lists = {"lam", "node_lambda", "parent", "comp"}
+        assert not lists & set(vars(result.hierarchy))
+        assert "lam" not in vars(result)
+        assert result.lam_array is result.hierarchy.lam_array
+
+    def test_list_views_are_python_ints(self):
+        csr = as_csr(generators.powerlaw_cluster(150, 5, 0.6, seed=9))
+        result = backends.decompose(csr, 2, 3, backend="csr")
+        hierarchy = result.hierarchy
+        json.dumps(result.lam)
+        for values in (result.lam, hierarchy.lam, hierarchy.node_lambda,
+                       hierarchy.comp):
+            assert type(values) is list
+            assert all(type(x) is int for x in values)
+        assert hierarchy.parent[hierarchy.root] is None
+        assert all(type(x) is int for i, x in enumerate(hierarchy.parent)
+                   if i != hierarchy.root)
+        assert result.lam == hierarchy.lam == result.lam_array.tolist()
+        assert hierarchy.parent_array.dtype == np.int64

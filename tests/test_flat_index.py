@@ -306,20 +306,50 @@ def _run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
 
 def _broken_tree_file(index: FlatHierarchyIndex, variant: str,
                       tmp_path: Path) -> Path:
-    """``index`` saved with one corruption of its tree arrays."""
+    """``index`` saved with one corruption of its tree, cell or vertex-map
+    arrays."""
     index.save(tmp_path / "good.npz")
     with np.load(tmp_path / "good.npz") as payload:
         arrays = {name: payload[name] for name in payload.files}
     parent, tin = arrays["node_parent"], arrays["tin"]
     a, b, c = [x for x in range(len(parent)) if x != index.root][:3]
+    cell_tin, indptr = arrays["cell_tin_sorted"], arrays["vert_indptr"]
     if variant == "three_cycle":
         parent[a], parent[b], parent[c] = b, c, a
     elif variant == "two_roots":
         parent[a] = -1
     elif variant == "parent_out_of_range":
         parent[a] = len(parent)
-    else:
+    elif variant == "tin_not_permutation":
         tin[a] = tin[b]
+    elif variant == "cell_node_negative":
+        arrays["cell_node"][0] = -1
+    elif variant == "cell_node_out_of_range":
+        arrays["cell_node"][0] = len(parent)
+    elif variant == "lam_short":
+        arrays["lam"] = arrays["lam"][:-1]
+    elif variant == "lam_float":
+        arrays["lam"] = arrays["lam"].astype(np.float64)
+    elif variant == "cells_in_tour_zeroed":
+        arrays["cells_in_tour"][:] = 0
+    elif variant == "cells_in_tour_out_of_range":
+        arrays["cells_in_tour"][0] = len(arrays["cells_in_tour"])
+    elif variant == "cell_tin_sorted_wrong":
+        cell_tin[-1] = cell_tin[0]
+    elif variant == "cell_tin_sorted_2d":
+        arrays["cell_tin_sorted"] = np.column_stack([cell_tin, cell_tin])
+    elif variant == "vert_indptr_short":
+        arrays["vert_indptr"] = indptr[:-1]
+    elif variant == "vert_indptr_nonzero_start":
+        indptr[0] = 1
+    elif variant == "vert_indptr_decreasing":
+        step = int(np.flatnonzero(np.diff(indptr) > 0)[0])
+        indptr[step + 1] = indptr[step] - 1
+    elif variant == "vert_indptr_wrong_end":
+        indptr[-1] += 1
+    else:
+        assert variant == "vert_nodes_out_of_range"
+        arrays["vert_nodes"][0] = len(parent)
     path = tmp_path / f"{variant}.npz"
     np.savez(path, **arrays)
     return path
@@ -427,6 +457,19 @@ class TestPersistence:
         ("two_roots", "node_parent"),
         ("parent_out_of_range", "node_parent"),
         ("tin_not_permutation", "tin"),
+        ("cell_node_negative", "cell_node"),
+        ("cell_node_out_of_range", "cell_node"),
+        ("lam_short", "lam"),
+        ("lam_float", "lam"),
+        ("cells_in_tour_zeroed", "cells_in_tour"),
+        ("cells_in_tour_out_of_range", "cells_in_tour"),
+        ("cell_tin_sorted_wrong", "cell_tin_sorted"),
+        ("cell_tin_sorted_2d", "cell_tin_sorted"),
+        ("vert_indptr_short", "vert_indptr"),
+        ("vert_indptr_nonzero_start", "vert_indptr"),
+        ("vert_indptr_decreasing", "vert_indptr"),
+        ("vert_indptr_wrong_end", "vert_indptr"),
+        ("vert_nodes_out_of_range", "vert_nodes"),
     ])
     def test_broken_tree_rejected_at_load(self, built, variant, array,
                                           tmp_path):

@@ -1,11 +1,64 @@
 """The Hierarchy / NucleusTree result types."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.parallel.bulk as bulk_module
+from repro.backends import as_backend, decompose
 from repro.core.decomposition import nucleus_decomposition
 from repro.core.hierarchy import Hierarchy
 from repro.examples_graphs import figure2_graph, figure5_graph
+from repro.export import (
+    hierarchy_from_json,
+    hierarchy_to_json,
+    load_hierarchy_npz,
+    save_hierarchy_npz,
+)
+from repro.flatindex import FlatHierarchyIndex
 from repro.graph import generators
+from repro.graph.adjacency import Graph
+from repro.parallel.bulk import FORCE_SHARDING_ENV
+
+from _graphs import GENERATOR_SUITE, assert_lowered_like_reference, small_graphs
+
+RS_PAIRS = [(1, 2), (2, 3), (3, 4)]
+
+#: every engine and algorithm that builds a hierarchy, with its (r, s)
+#: pairs: (backend, algorithm, (r, s))
+HIERARCHY_BUILDS = [
+    (backend, algorithm, rs)
+    for backend, algorithm, pairs in (
+        ("object", "naive", RS_PAIRS), ("object", "dft", RS_PAIRS),
+        ("object", "fnd", RS_PAIRS), ("object", "lcps", [(1, 2)]),
+        ("csr", "fnd", RS_PAIRS), ("csr", "lcps", [(1, 2)]),
+        ("csr-parallel", "fnd", RS_PAIRS), ("disk", "fnd", RS_PAIRS))
+    for rs in pairs]
+
+
+def _build_id(case) -> str:
+    backend, algorithm, (r, s) = case
+    return f"{backend}-{algorithm}-{r}{s}"
+
+
+def _build(graph, backend, algorithm, rs, monkeypatch=None):
+    """Decompose ``graph`` on one engine; csr-parallel runs its pool at
+    any size (``monkeypatch`` given)."""
+    if backend == "csr-parallel":
+        monkeypatch.setenv(FORCE_SHARDING_ENV, "1")
+        monkeypatch.setattr(bulk_module, "POOL_CROSSOVER_EDGES", 0)
+    converted = as_backend(graph, "object" if backend == "object" else "csr")
+    return decompose(converted, *rs, algorithm=algorithm, backend=backend,
+                     workers=2 if backend == "csr-parallel" else None)
+
+
+def deep_clique_graph() -> Graph:
+    """K₆₀ plus, for each d in 1..58, one vertex joined to d clique
+    vertices: one nested nucleus per level, so the condensed tree is
+    57-59 deep at (1,2), (2,3) and (3,4)."""
+    edges = [(u, v) for u in range(60) for v in range(u + 1, 60)]
+    edges += [(59 + d, i) for d in range(1, 59) for i in range(d)]
+    return Graph(60 + 58, edges, name="deep-clique")
 
 
 def build_manual_hierarchy() -> Hierarchy:
@@ -156,3 +209,56 @@ class TestOnRealDecompositions:
         tree = h.condense()
         cells = sorted(c for n in tree.nodes for c in n.own_cells)
         assert cells == list(range(h.num_cells))
+
+
+class TestLoweringMatchesReference:
+    """The array condense and the flat index's tour passes reproduce the
+    disjoint-set condense and the stack walk they replaced
+    (``_graphs.reference_condense`` / ``reference_tour``)."""
+
+    @pytest.mark.parametrize("case", HIERARCHY_BUILDS, ids=_build_id)
+    @pytest.mark.parametrize("graph", GENERATOR_SUITE,
+                             ids=[g.name for g in GENERATOR_SUITE])
+    def test_generator_suite(self, graph, case, monkeypatch):
+        result = _build(graph, *case, monkeypatch)
+        assert_lowered_like_reference(result.hierarchy,
+                                      FlatHierarchyIndex(result))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(), st.sampled_from(
+        [case for case in HIERARCHY_BUILDS if case[0] != "csr-parallel"]))
+    def test_random_graphs(self, graph, case):
+        result = _build(graph, *case)
+        assert_lowered_like_reference(result.hierarchy,
+                                      FlatHierarchyIndex(result))
+
+    @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
+    @pytest.mark.parametrize("backend", ["object", "csr"])
+    def test_round_tripped_hierarchies(self, backend, rs, tmp_path):
+        result = _build(GENERATOR_SUITE[-1], backend, "fnd", rs)
+        save_hierarchy_npz(result.hierarchy, tmp_path / "h.npz")
+        for restored in (hierarchy_from_json(hierarchy_to_json(
+                             result.hierarchy)),
+                         load_hierarchy_npz(tmp_path / "h.npz")):
+            index = FlatHierarchyIndex(hierarchy=restored,
+                                       graph=result.graph, view=result.view)
+            assert_lowered_like_reference(restored, index)
+
+    @pytest.mark.parametrize("rs, depth", [((1, 2), 59), ((2, 3), 58),
+                                           ((3, 4), 57)],
+                             ids=["12", "23", "34"])
+    def test_deep_tree(self, rs, depth):
+        result = _build(deep_clique_graph(), "csr", "fnd", rs)
+        assert result.hierarchy.condense().depth() == depth
+        assert_lowered_like_reference(result.hierarchy,
+                                      FlatHierarchyIndex(result))
+
+    @pytest.mark.parametrize("algorithm", ["naive", "dft", "fnd"])
+    def test_deep_tree_object_skeletons(self, algorithm):
+        result = _build(deep_clique_graph(), "object", algorithm, (1, 2))
+        assert result.hierarchy.condense().depth() == 59
+        assert_lowered_like_reference(result.hierarchy,
+                                      FlatHierarchyIndex(result))
+
+    def test_manual_skeleton(self):
+        assert_lowered_like_reference(build_manual_hierarchy())
