@@ -230,14 +230,12 @@ VARIANT_WORKLOADS = {
 
 #: worker-scaling workloads: the three peel+incidence phases
 #: (``kind="peel"``) plus the three full parallel FND constructions —
-#: set-up, bulk peel *and* the level-wise parallel hierarchy build
+#: set-up, bulk peel *and* the level-wise hierarchy build
 #: (``kind="fnd"``, condensed-hierarchy parity asserted at every worker
 #: count).  ``gated`` marks the ones the CI parallel-smoke ratio gate
-#: applies to; the (3,4) smoke size is too small for its fixed pool cost
-#: to amortise, and the FND rows carry the construction pipe overhead,
-#: so those are parity-checked and reported but not time-gated (the
-#: scaling-bench job gates their ratios against the committed baseline
-#: instead).
+#: applies to; the (3,4) and FND rows are parity-checked and reported but
+#: not time-gated (the scaling-bench job gates their ratios against the
+#: committed baseline instead).
 PARALLEL_WORKLOADS = {
     "quick": {
         "kcore": dict(kind="peel", func="core", gated=True,
@@ -942,41 +940,26 @@ def run_parallel_smoke(mode: str = "quick",
     condensed hierarchy node-for-node at every count (the
     hierarchy-parity half of the CI gate).
 
-    Multi-worker legs run with sharding **forced on** for the duration of
-    the call, so the host's core count does not decide for them.  The
-    pool still starts only for inputs above
-    :data:`~repro.parallel.bulk.POOL_CROSSOVER_EDGES` (recorded as
-    ``pool_crossover_edges``); smaller workloads run in process, which is
-    what ``csr-parallel`` does for them in use.  The host's default
-    decision is recorded too (``sharding_effective``) so readers can tell
-    real overlap from serialised shards.
+    ``csr-parallel`` runs in one process: a worker count only sets how
+    many threads the triangle/K₄ listing maps its kernel ranges over,
+    capped at the CPUs in the affinity mask.  The cap and the thread
+    count each leg actually got are recorded (``available_cpus`` and
+    ``threads``), so readers can tell real overlap from a capped run.
     """
     import os
 
-    from repro.parallel.bulk import (
-        FORCE_SHARDING_ENV,
-        POOL_CROSSOVER_EDGES,
-        sharding_effective,
-    )
+    from repro.graph.csr import available_cpus
 
+    cpus = available_cpus()
     results: dict = {
         "mode": mode,
         "cpu_count": os.cpu_count(),
-        "sharding_effective": sharding_effective(),
-        "forced_sharding": True,
-        "pool_crossover_edges": POOL_CROSSOVER_EDGES,
+        "available_cpus": cpus,
         "workers": list(workers),
+        "threads": {str(count): min(count, cpus) for count in workers},
         "workloads": {},
     }
-    previous_forced = os.environ.get(FORCE_SHARDING_ENV)
-    os.environ[FORCE_SHARDING_ENV] = "1"
-    try:
-        _run_parallel_workloads(results, mode, workers, repeats)
-    finally:
-        if previous_forced is None:
-            os.environ.pop(FORCE_SHARDING_ENV, None)
-        else:
-            os.environ[FORCE_SHARDING_ENV] = previous_forced
+    _run_parallel_workloads(results, mode, workers, repeats)
     return results
 
 
@@ -1147,8 +1130,11 @@ def main(argv: list[str] | None = None) -> int:
         parallel = run_parallel_smoke(mode, workers=tuple(args.workers),
                                       repeats=args.repeats)
         results["parallel"] = parallel
+        threads = " ".join(f"w{count}->{t}"
+                           for count, t in parallel["threads"].items())
         print(f"parallel scaling (cpu_count={parallel['cpu_count']}, "
-              f"sharding={'on' if parallel['sharding_effective'] else 'off'})")
+              f"available_cpus={parallel['available_cpus']}, "
+              f"listing threads {threads})")
         for name, row in parallel["workloads"].items():
             scaling = "  ".join(
                 f"w{count}={entry['seconds']:.3f}s"

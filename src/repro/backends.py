@@ -10,14 +10,14 @@ Four backends implement the peeling engine:
   minimum-support frontier with a few numpy passes), and FND builds its
   hierarchy level by level from the settled λ values
   (:mod:`repro.parallel.construct`).  Requires numpy.
-* ``"csr-parallel"`` — the same functions with a shared-memory worker
-  pool (:mod:`repro.parallel`): sharded clique listing, farmed round
-  decrements and farmed level connectivity.  Takes ``workers=N``
-  (default: the ``REPRO_WORKERS`` environment variable, else 1).  The
-  pool starts only when it can pay — ``workers > 1``, spare cores, and
-  an input above the measured crossover
-  (:data:`~repro.parallel.bulk.POOL_CROSSOVER_EDGES`); otherwise the run is
-  the ``csr`` engine's, in process.
+* ``"csr-parallel"`` — the ``csr`` engine in the same process, with one
+  difference: the triangle and K₄ listing under the (2,3)/(3,4)
+  incidences maps its kernel ranges over ``min(workers, CPUs in the
+  affinity mask)`` threads (:func:`~repro.graph.csr.csr_triangle_edge_ids`).
+  The ranges concatenate in order, so every array is the same bytes as
+  the ``csr`` engine's.  Takes ``workers=N`` (default: the
+  ``REPRO_WORKERS`` environment variable, else 1; see
+  :func:`resolve_workers`).
 * ``"disk"`` — :class:`~repro.external.diskcsr.DiskCSRGraph`, the same
   flat arrays stored in ``np.memmap``-backed ``.npy`` files and served
   through windowed block readers, with the incidence of (2,3)/(3,4)
@@ -42,6 +42,7 @@ environment variable.
 
 from __future__ import annotations
 
+import os
 import time
 from typing import TYPE_CHECKING, Any, cast
 
@@ -57,15 +58,8 @@ from repro.parallel.bulk import (
     bulk_core_peel,
     bulk_nucleus34_peel,
     bulk_truss_peel,
-    parallel_core_peel,
-    parallel_nucleus34_peel,
-    parallel_truss_peel,
 )
-from repro.parallel.fnd import (
-    FND_RS,
-    frontier_fnd,
-    parallel_fnd_decomposition,
-)
+from repro.parallel.fnd import FND_RS, frontier_fnd
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -78,6 +72,7 @@ if TYPE_CHECKING:
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
+    "WORKERS_ENV",
     "as_backend",
     "as_csr",
     "as_disk",
@@ -90,6 +85,7 @@ __all__ = [
     "load_query_index",
     "nucleus34_peel",
     "resolve_backend",
+    "resolve_workers",
     "temporal_core_peel",
     "temporal_core_sweep",
     "truss_peel",
@@ -102,6 +98,9 @@ BACKENDS = ("object", "csr", "csr-parallel", "disk")
 #: engine used when an object :class:`Graph` is passed with ``backend=None``
 DEFAULT_BACKEND = "object"
 
+#: environment variable consulted when ``workers=None`` is passed
+WORKERS_ENV = "REPRO_WORKERS"
+
 
 def _check(backend: str) -> None:
     if backend not in BACKENDS:
@@ -109,12 +108,29 @@ def _check(backend: str) -> None:
             f"unknown backend {backend!r}; choose from {BACKENDS}")
 
 
-def _resolve_parallel_workers(workers: int | None) -> int:
-    """Validated worker count for the ``csr-parallel`` engine (lazy import
-    keeps the pool module out of the in-process engines)."""
-    from repro.parallel.pool import resolve_workers
+def resolve_workers(workers: int | None = None) -> int:
+    """Validate a worker count, falling back to ``$REPRO_WORKERS`` then 1.
 
-    return resolve_workers(workers)
+    Raises :class:`InvalidParameterError` for zero, negative, or
+    non-integer counts — both the explicit parameter and the environment
+    value are validated the same way.
+    """
+    if workers is None:
+        raw = os.environ.get(WORKERS_ENV)
+        if raw is None or raw.strip() == "":
+            return 1
+        try:
+            workers = int(raw.strip())
+        except ValueError:
+            raise InvalidParameterError(
+                f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise InvalidParameterError(
+            f"workers must be an int, got {workers!r}")
+    if workers < 1:
+        raise InvalidParameterError(
+            f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def _diskcsr_type() -> type:
@@ -204,9 +220,9 @@ def core_peel(graph: AnyGraph, backend: str | None = None,
     The CSR backend peels in frontier rounds (the order is round order);
     the object backend runs the generic Set-λ over :class:`VertexView`;
     the disk backend the Batagelj–Zaversnik array peel over windowed
-    memmap reads; the parallel backend the frontier rounds with a pool of
-    ``workers`` processes when one can pay.  ``backend=None`` follows the
-    representation passed in.
+    memmap reads.  The parallel backend validates ``workers`` and runs the
+    CSR rounds: (1,2) lists no cliques, so it has nothing to thread.
+    ``backend=None`` follows the representation passed in.
     """
     backend = resolve_backend(graph, backend)
     if backend == "disk":
@@ -219,8 +235,8 @@ def core_peel(graph: AnyGraph, backend: str | None = None,
             if converted:
                 disk.close()
     if backend == "csr-parallel":
-        return parallel_core_peel(as_csr(graph),
-                                  _resolve_parallel_workers(workers))
+        resolve_workers(workers)
+        backend = "csr"
     if backend == "csr":
         return bulk_core_peel(as_csr(graph))
     return peel(build_view(as_object(graph), 1, 2))
@@ -231,9 +247,8 @@ def truss_peel(graph: AnyGraph, backend: str | None = None,
     """(2,3) peel — λ₃ per edge id (ids are lexicographic on every backend,
     so the arrays compare element-for-element).  ``backend=None`` follows
     the representation passed in; the disk backend spools the triangle
-    incidence to scratch files; the parallel backend shards the triangle
-    listing and the rounds over ``workers`` processes when a pool can
-    pay."""
+    incidence to scratch files; the parallel backend lists the triangles
+    on up to ``workers`` threads."""
     backend = resolve_backend(graph, backend)
     if backend == "disk":
         disk, converted = _ensure_disk(graph)
@@ -245,8 +260,7 @@ def truss_peel(graph: AnyGraph, backend: str | None = None,
             if converted:
                 disk.close()
     if backend == "csr-parallel":
-        return parallel_truss_peel(as_csr(graph),
-                                   _resolve_parallel_workers(workers))
+        return bulk_truss_peel(as_csr(graph), resolve_workers(workers))
     if backend == "csr":
         return bulk_truss_peel(as_csr(graph))
     return peel(build_view(as_object(graph), 2, 3))
@@ -259,9 +273,9 @@ def nucleus34_peel(graph: AnyGraph, backend: str | None = None,
     The CSR backend peels a materialised triangle→K₄ incidence in
     frontier rounds; the object backend runs the generic Set-λ over
     :class:`TriangleView`; the disk backend replays the same incidence
-    spooled to scratch files; the parallel backend shards the K₄ listing
-    and the rounds when a pool can pay.  ``backend=None`` follows the
-    representation passed in."""
+    spooled to scratch files; the parallel backend lists the triangles and
+    four-cliques on up to ``workers`` threads.  ``backend=None`` follows
+    the representation passed in."""
     backend = resolve_backend(graph, backend)
     if backend == "disk":
         disk, converted = _ensure_disk(graph)
@@ -273,8 +287,7 @@ def nucleus34_peel(graph: AnyGraph, backend: str | None = None,
             if converted:
                 disk.close()
     if backend == "csr-parallel":
-        return parallel_nucleus34_peel(as_csr(graph),
-                                       _resolve_parallel_workers(workers))
+        return bulk_nucleus34_peel(as_csr(graph), resolve_workers(workers))
     if backend == "csr":
         return bulk_nucleus34_peel(as_csr(graph))
     return peel(build_view(as_object(graph), 3, 4))
@@ -305,7 +318,7 @@ def _variant_kernel_backend(backend: str | None, workers: int | None,
             f"backend 'disk' is not supported for {graph_kind} graphs "
             f"({graph_cls}); choose from {supported}")
     if backend == "csr-parallel":
-        _resolve_parallel_workers(workers)
+        resolve_workers(workers)
     return "kernel"
 
 
@@ -328,7 +341,7 @@ def weighted_core_peel(graph: AnyGraph, weights: Any,
     wlist = edge_values(graph, weights, kind="weight", lo=0.0)
     backend = resolve_backend(graph, backend)
     if backend == "csr-parallel":
-        _resolve_parallel_workers(workers)
+        resolve_workers(workers)
         backend = "csr"
     if backend == "object":
         return _variants._object_weighted_core(as_object(graph), wlist)
@@ -362,7 +375,7 @@ def uncertain_core_peel(graph: AnyGraph, probabilities: Any,
                         plural="probabilities", lo=0.0, hi=1.0)
     backend = resolve_backend(graph, backend)
     if backend == "csr-parallel":
-        _resolve_parallel_workers(workers)
+        resolve_workers(workers)
         backend = "csr"
     if backend == "object":
         return _uncertain._object_uncertain_core(as_object(graph), plist, eta)
@@ -495,9 +508,9 @@ def decompose(graph: AnyGraph, r: int = 1, s: int = 2,
     traversal never build an object graph; the remaining algorithms peel
     through the CSR cell views.  FND is one pipeline: clique listing,
     frontier-round peel, level-wise construction.  The parallel backend
-    runs the same pipeline with a pool of ``workers`` processes when one
-    can pay, the condensed tree still node-for-node identical;
-    ``workers`` is ignored by the other backends.  The disk backend streams the flat
+    runs the same pipeline with its clique listing on up to ``workers``
+    threads, every array the same bytes; ``workers`` is ignored by the
+    other backends.  The disk backend streams the flat
     arrays (and, for (2,3)/(3,4), a spooled incidence) from files through
     windowed block reads — λ and the condensed hierarchy are identical to
     the CSR engine while peak memory stays bounded by the window cache.
@@ -512,18 +525,13 @@ def decompose(graph: AnyGraph, r: int = 1, s: int = 2,
                                      algorithm=algorithm)
     if backend == "disk":
         return _disk_decompose(graph, r, s, algorithm)
-    count = (_resolve_parallel_workers(workers)
-             if backend == "csr-parallel" else 1)
+    count = resolve_workers(workers) if backend == "csr-parallel" else 1
     csr = as_csr(graph)
     if algorithm == "fnd" and (r, s) in FND_RS:
         stats = FndInstrumentation()
         start = time.perf_counter()
-        if count > 1:
-            lam, hierarchy, view = parallel_fnd_decomposition(
-                csr, r, s, count, instrumentation=stats)
-        else:
-            lam, hierarchy, view = frontier_fnd(
-                csr, r, s, instrumentation=stats)
+        lam, hierarchy, view = frontier_fnd(csr, r, s, count,
+                                            instrumentation=stats)
         total = time.perf_counter() - start
         post_s = min(stats.build_seconds, total)
         return Decomposition(graph, r, s, algorithm, lam, hierarchy,

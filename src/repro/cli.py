@@ -51,15 +51,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="graph engine: 'object' (set/list adjacency), "
                             "'csr' (numpy frontier-round peels and level-"
                             "wise hierarchy construction), 'csr-parallel' "
-                            "(the csr engine plus a shared-memory worker "
-                            "pool, started when it can pay) or "
+                            "(the csr engine with its triangle/K4 listing "
+                            "on --workers threads) or "
                             "'disk' (out-of-core: memmap'd CSR files, "
                             "spooled incidence, memory bounded by the "
                             "block cache); "
                             "default: follow the input representation (auto)")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for the csr-parallel backend "
-                            "(default: $REPRO_WORKERS, else 1 = in process)")
+                       help="listing threads for the csr-parallel backend, "
+                            "capped at the CPUs this process may use "
+                            "(default: $REPRO_WORKERS, else 1)")
         p.add_argument("--tree", action="store_true",
                        help="print the condensed nucleus tree")
         p.add_argument("--max-nodes", type=int, default=60)

@@ -102,16 +102,18 @@ def decompose_by_components(graph: Graph, r: int = 1, s: int = 2,
     """Decompose each connected component separately and merge.
 
     With ``processes`` > 1 components are decomposed in a process pool
-    (fork-based; falls back to sequential execution if multiprocessing is
-    unavailable).  Equivalent to a whole-graph run — useful when the input
-    is a union of many archives/snapshots, and a building block for the
-    parallel peeling the paper leaves as future work.
+    (fork-based; falls back to sequential execution where the platform
+    has no fork start method).  Equivalent to a whole-graph run — useful
+    when the input is a union of many archives/snapshots, and a building
+    block for the parallel peeling the paper leaves as future work.
     """
+    import multiprocessing as mp
+
     components = connected_components(graph)
     jobs = [(graph.subgraph(component), component) for component in components]
 
-    if processes and processes > 1 and len(jobs) > 1:
-        import multiprocessing as mp
+    if (processes and processes > 1 and len(jobs) > 1
+            and "fork" in mp.get_all_start_methods()):
         with mp.get_context("fork").Pool(processes) as pool:
             results = pool.starmap(
                 _decompose_subgraph, [(sub, r, s, algorithm) for sub, _ in jobs])

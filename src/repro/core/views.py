@@ -27,6 +27,8 @@ from bisect import bisect_left
 from itertools import combinations
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.errors import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.cliques import (
@@ -37,7 +39,9 @@ from repro.graph.cliques import (
 from repro.graph.csr import (
     CSRGraph,
     csr_edge_support,
-    csr_triangle_k4_counts,
+    csr_k4_arrays,
+    lex_triangle_vertices,
+    triangle_tuples,
 )
 
 __all__ = [
@@ -234,32 +238,36 @@ class CSRTriangleView(CellView):
 
     Triangle ids are the lexicographic rank of the sorted vertex triple
     (the enumeration yields them in that order already), matching
-    :class:`TriangleView` element-for-element.
+    :class:`TriangleView` element-for-element.  The triangles are held as
+    one ``(t, 3)`` int64 array and the ω₄ degrees as one int64 array; the
+    accessors convert to Python ints when they read them.
 
-    ``_enumeration`` lets a caller that already materialised the triangle
-    list and ω₄ degrees (the direct CSR peels) hand them in instead of
-    re-enumerating every clique; the triple→id map is then only built if a
-    coface query actually needs it.
+    ``_enumeration`` lets a caller that already materialised the triangles
+    and ω₄ degrees (the direct CSR peels, the disk engine) hand them in
+    instead of re-enumerating every clique.  The triple→id map is only
+    built if a coface query actually needs it.
     """
 
     r, s = 3, 4
 
     def __init__(self, graph: CSRGraph,
-                 _enumeration: tuple[list[tuple[int, int, int]],
-                                     list[int]] | None = None):
+                 _enumeration: tuple[Sequence, Sequence[int]] | None = None):
         self.graph = graph
         if _enumeration is None:
-            self._id_of, self._degrees = csr_triangle_k4_counts(graph)
-            self._vertices: list[tuple[int, int, int]] = [()] * len(self._id_of)  # type: ignore
-            for tri, tid in self._id_of.items():
-                self._vertices[tid] = tri
+            keys, quads = csr_k4_arrays(graph)
+            triangles = lex_triangle_vertices(graph, keys)
+            degrees = np.bincount(np.concatenate(quads), minlength=len(keys))
         else:
-            self._vertices, self._degrees = _enumeration
-            self._id_of = None
+            triangles, degrees = _enumeration
+        self._vertices = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+        # a copy: the CSR peels settle the degrees they hand in into λ
+        self._degrees = np.array(degrees, dtype=np.int64)
+        self._id_of: dict[tuple[int, int, int], int] | None = None
 
     def _ids(self) -> dict[tuple[int, int, int], int]:
         if self._id_of is None:
-            self._id_of = {tri: tid for tid, tri in enumerate(self._vertices)}
+            self._id_of = {tri: tid for tid, tri in
+                           enumerate(triangle_tuples(self._vertices))}
         return self._id_of
 
     @property
@@ -267,10 +275,10 @@ class CSRTriangleView(CellView):
         return len(self._vertices)
 
     def initial_degrees(self) -> list[int]:
-        return list(self._degrees)
+        return self._degrees.tolist()
 
     def cofaces(self, cell: int) -> Iterator[tuple[int, ...]]:
-        a, b, c = self._vertices[cell]
+        a, b, c = self._vertices[cell].tolist()
         graph = self.graph
         id_of = self._ids()
         indptr, indices, _ = graph.hot_arrays()
@@ -293,7 +301,11 @@ class CSRTriangleView(CellView):
             )
 
     def cell_vertices(self, cell: int) -> tuple[int, ...]:
-        return self._vertices[cell]
+        return tuple(self._vertices[cell].tolist())
+
+    def vertices_of_cells(self, cells_iter) -> set[int]:
+        rows = np.fromiter(cells_iter, dtype=np.int64)
+        return set(self._vertices[rows].ravel().tolist())
 
 
 def _sorted3(a: int, b: int, c: int) -> tuple[int, int, int]:

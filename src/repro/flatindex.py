@@ -128,8 +128,7 @@ def mmap_npz(path: str | Path) -> dict | None:
     embedded ``.npy`` sits verbatim in the archive and can be handed to
     :class:`numpy.memmap` at its data offset.  The returned arrays are
     **read-only views of the page cache** — N processes mapping the same
-    index share one physical copy, the serving analogue of
-    :mod:`repro.parallel.shm`.
+    index share one physical copy.
 
     Returns ``None`` when the archive cannot be mapped (a compressed or
     object-dtype member) — callers fall back to an eager load.  Raises

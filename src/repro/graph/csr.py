@@ -29,12 +29,18 @@ Also here: the clique listing the (2,3)/(3,4) engines build on.  There
 is one path, vectorised: degree-oriented wedges close into triangles,
 and triangles sharing their lowest edge pair up into four-cliques.  A
 triangle ``u < v < w`` is keyed ``eid(u, v)·n + w``, which stays below
-``m·n``, so no vertex count forces a slower path.
+``m·n``, so no vertex count forces a slower path.  The listing functions
+run their kernels over consecutive ranges; with ``workers > 1`` they map
+the ranges over a thread pool (numpy releases the GIL inside the
+kernels' sorts, searches and gathers) and concatenate the results in
+range order, so every worker count lists the same bytes.
 """
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left, bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from numbers import Integral
 from typing import Iterable, Iterator
@@ -46,6 +52,7 @@ from repro.graph.adjacency import Graph, normalize_edge
 
 __all__ = [
     "CSRGraph",
+    "available_cpus",
     "csr_build_arrays",
     "csr_edge_support",
     "csr_k4_arrays",
@@ -53,16 +60,15 @@ __all__ = [
     "csr_triangle_edge_ids",
     "csr_forward_structure",
     "csr_triangles",
-    "csr_triangle_k4_counts",
     "fill_incidence",
     "k4_pair_kernel",
-    "k4_setup",
     "lex_triangle_vertices",
     "lex_triangles",
     "run_heads",
     "sorted_unique",
     "triangle_pair_kernel",
     "triangle_run_pointers",
+    "triangle_tuples",
 ]
 
 
@@ -414,29 +420,30 @@ def _suffix_start(indices: list[int], lo: int, hi: int, v: int) -> int:
     return bisect_right(indices, v, lo, hi)
 
 
-def csr_triangle_edge_ids(csr: CSRGraph):
+# engine internals: ``workers`` is the thread count the csr-parallel
+# backend resolved, not a second dispatch surface beside repro.backends
+def csr_triangle_edge_ids(csr: CSRGraph, workers: int = 1):  # repro-lint: disable=backend-parity
     """All triangles as three aligned numpy edge-id arrays ``(e1, e2, e3)``.
 
     Fully vectorised: orient every edge toward the (degree, id)-larger
     endpoint, generate all wedge pairs inside each forward run with
     ``repeat``/``cumsum`` index algebra, and close them with one
-    ``searchsorted`` against the lexicographic edge-key array.
+    ``searchsorted`` against the lexicographic edge-key array.  The
+    kernel runs over rank ranges balanced by pair count, on up to
+    ``workers`` threads (see :func:`_map_kernel`); the arrays are the
+    same for every worker count.
     """
     n, m = csr.n, csr.m
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    fwd = csr_forward_structure(csr)
-    fptr, fdst, feid, fkeys = (fwd["fptr"], fwd["fdst"], fwd["feid"],
-                               fwd["fkeys"])
-    # chunk the kernel over rank ranges so the transient pair arrays stay
-    # bounded on dense graphs
+    fptr, fdst, feid, fkeys = csr_forward_structure(csr)
     counts = np.diff(fptr)
-    pair_weights = counts * (counts - 1) // 2
-    cuts = _chunk_starts(pair_weights)
-    return _concat_columns(
-        [triangle_pair_kernel(fptr, fdst, feid, fkeys, n, lo, hi)
-         for lo, hi in zip(cuts[:-1], cuts[1:], strict=True)], 3)
+
+    def kernel(lo, hi):
+        return triangle_pair_kernel(fptr, fdst, feid, fkeys, n, lo, hi)
+
+    return _map_kernel(kernel, counts * (counts - 1) // 2, workers, 3)
 
 
 def csr_edge_support(csr: CSRGraph) -> list[int]:
@@ -515,18 +522,18 @@ def csr_triangles(csr: CSRGraph) -> Iterator[tuple[int, int, int]]:
             pu += 1
 
 
-def csr_forward_structure(csr: CSRGraph) -> dict:
-    """The degree-ranked forward orientation as int64 numpy arrays.
+def csr_forward_structure(csr: CSRGraph) -> tuple:
+    """The degree-ranked forward orientation as int64 numpy arrays
+    ``(fptr, fdst, feid, fkeys)``.
 
     Every edge is oriented toward its (degree, id)-larger endpoint and the
     oriented edges are laid out CSR-style in *rank space*: slots
     ``fptr[a] .. fptr[a+1]`` hold, ascending, the forward targets ``fdst``
     (ranks) of the rank-``a`` vertex, ``feid`` the underlying lex edge ids,
-    and ``keys = fsrc·n + fdst`` is ascending over all slots.  This is the
-    structure :func:`triangle_pair_kernel` enumerates wedges over; hub
+    and ``fkeys = fsrc·n + fdst`` is ascending over all slots.  This is
+    the structure :func:`triangle_pair_kernel` enumerates wedges over; hub
     vertices rank last, so forward runs — and the wedge-pair blow-up —
-    stay small on skewed graphs.  Shared-memory workers attach these five
-    arrays and shard the kernel by rank ranges.
+    stay small on skewed graphs.
     """
     n, m = csr.n, csr.m
     deg = np.diff(csr.indptr)
@@ -540,8 +547,7 @@ def csr_forward_structure(csr: CSRGraph) -> dict:
     feid = np.arange(m, dtype=np.int64)[order]
     fptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(fsrc_s, minlength=n), out=fptr[1:])
-    return {"fptr": fptr, "fdst": fdst_s, "feid": feid,
-            "fkeys": fsrc_s * n + fdst_s}
+    return fptr, fdst_s, feid, fsrc_s * n + fdst_s
 
 
 def run_slots(starts, ends):
@@ -599,9 +605,9 @@ def fill_incidence(occ_columns, comp_rows, size: int):
     ``i``; ``comp_rows[j]`` the tuple of its companion columns.  Stacking
     clique-major and stable-sorting by cell lays each cell's slots out in
     clique order — the one incidence-layout algorithm shared by the
-    (2,3)/(3,4) builders and the parallel sharded set-up (keep it
-    single-sourced: the cross-backend parity contract depends on every
-    builder producing this same layout discipline).
+    (2,3)/(3,4) builders (keep it single-sourced: the cross-backend
+    parity contract depends on every builder producing this same layout
+    discipline).
     """
     occ = np.stack(occ_columns, axis=1).ravel()
     sup = np.bincount(occ, minlength=size).astype(np.int64)
@@ -617,11 +623,11 @@ def fill_incidence(occ_columns, comp_rows, size: int):
 def triangle_pair_kernel(fptr, fdst, feid, fkeys, n: int, lo: int, hi: int):
     """Triangles whose lowest-ranked vertex has rank in ``[lo, hi)``.
 
-    Pure index algebra over the :func:`csr_forward_structure` arrays (no
-    :class:`CSRGraph` needed, so shared-memory workers can run it on
-    attached arrays): all wedge pairs inside each forward run in the range
-    are generated with :func:`_run_slot_pairs` and closed with one
-    ``searchsorted`` against ``fkeys``.  Returns the three aligned edge-id
+    Pure index algebra over the :func:`csr_forward_structure` arrays,
+    with no shared state, so ranges can run on concurrent threads: all
+    wedge pairs inside each forward run in the range are generated with
+    :func:`_run_slot_pairs` and closed with one ``searchsorted`` against
+    ``fkeys``.  Returns the three aligned edge-id
     arrays ``(e1, e2, e3)`` of every triangle found; consecutive ranges
     concatenate to exactly the full-range output.
     """
@@ -635,22 +641,61 @@ def triangle_pair_kernel(fptr, fdst, feid, fkeys, n: int, lo: int, hi: int):
     return feid[idx_i[closed]], feid[idx_j[closed]], feid[pos[closed]]
 
 
-#: per-chunk pair budget for the chunked in-process kernel drivers —
-#: bounds the transient index arrays without giving up vectorisation
+#: pair budget of the chunks in flight at once — bounds the kernels'
+#: transient index arrays without giving up vectorisation
 _KERNEL_CHUNK_PAIRS = 1 << 21
 
 
-def _chunk_starts(weights) -> list[int]:
-    """Boundaries splitting ``weights`` into ~equal chunks of bounded sum."""
+def available_cpus() -> int:
+    """CPUs this process may run on: the scheduler affinity mask where
+    the platform exposes one (a cgroup- or taskset-limited process sees
+    fewer than ``os.cpu_count()``)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux platforms
+        return os.cpu_count() or 1
+
+
+def _chunk_starts(weights, parts: int = 1) -> list[int]:
+    """Boundaries of consecutive ranges covering ``weights``.
+
+    Every range sums to at most ``_KERNEL_CHUNK_PAIRS // parts`` and to at
+    most ``sum // parts``, so there are at least ``parts`` ranges when
+    the weight allows; an entry heavier than that is a range of its own.
+    Returns ascending indices, first 0 and last ``len(weights)``.
+    """
     total = np.concatenate(([0], np.cumsum(weights)))
-    cuts = [0]
     count = len(weights)
+    budget = max(1, min(_KERNEL_CHUNK_PAIRS, int(total[-1])) // parts)
+    cuts = [0]
     while cuts[-1] < count:
         lo = cuts[-1]
-        hi = int(np.searchsorted(total, total[lo] + _KERNEL_CHUNK_PAIRS,
-                                 side="left"))
+        hi = int(np.searchsorted(total, total[lo] + budget,
+                                 side="right")) - 1
         cuts.append(min(max(hi, lo + 1), count))
     return cuts
+
+
+def _map_kernel(kernel, weights, workers: int, columns: int) -> tuple:
+    """``kernel(lo, hi)`` over ranges of ``weights``, concatenated in order.
+
+    ``t = 1`` runs the ranges in a plain loop.  With ``t = min(workers,
+    available_cpus())`` threads the work splits into ``2t`` ranges where
+    the weight allows, each of at most ``_KERNEL_CHUNK_PAIRS // 2t``
+    pairs (:func:`_chunk_starts`), so the ranges in flight stay within
+    one chunk's memory; the pool hands the next range to whichever
+    thread is free, which evens out ranges whose pair count misjudges
+    their cost.
+    """
+    threads = max(1, min(workers, available_cpus()))
+    cuts = _chunk_starts(weights, 1 if threads == 1 else 2 * threads)
+    if threads == 1 or len(cuts) <= 2:
+        parts = [kernel(lo, hi)
+                 for lo, hi in zip(cuts[:-1], cuts[1:], strict=True)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(kernel, cuts[:-1], cuts[1:]))
+    return _concat_columns(parts, columns)
 
 
 def lex_triangles(etgt, n: int, e1, e2, e3):
@@ -671,11 +716,16 @@ def lex_triangles(etgt, n: int, e1, e2, e3):
     return keys[order], uv[order], uw[order], vw[order]
 
 
-def lex_triangle_vertices(csr: CSRGraph, keys) -> list[tuple[int, int, int]]:
-    """The vertex triples ``(u, v, w)`` of triangles keyed ``uv·n + w``."""
+def lex_triangle_vertices(csr: CSRGraph, keys):
+    """The vertex triples ``(u, v, w)`` of triangles keyed ``uv·n + w``,
+    as one ``(len(keys), 3)`` int64 array."""
     uv, w = np.divmod(keys, csr.n)
-    return list(zip(csr.esrc[uv].tolist(), csr.etgt[uv].tolist(),
-                    w.tolist(), strict=True))
+    return np.column_stack((csr.esrc[uv], csr.etgt[uv], w))
+
+
+def triangle_tuples(triangles) -> list[tuple[int, int, int]]:
+    """A ``(t, 3)`` triangle array as a list of vertex-triple tuples."""
+    return list(map(tuple, triangles.tolist()))
 
 
 def triangle_run_pointers(uv):
@@ -686,19 +736,6 @@ def triangle_run_pointers(uv):
     the groups the K₄ pair kernel enumerates within.
     """
     return np.append(np.flatnonzero(run_heads(uv)), len(uv))
-
-
-def k4_setup(csr: CSRGraph, e1, e2, e3) -> dict:
-    """The arrays :func:`k4_pair_kernel` reads, from the triangle rows.
-
-    ``tri_keys`` are the ascending lex triangle keys (positions = triangle
-    ids), ``tri_uw``/``tri_vw`` each triangle's middle and highest edge
-    ids, ``tri_w`` its third vertex, and ``run_ptr`` the lowest-edge runs.
-    Shared-memory workers attach this dict and shard the kernel by run.
-    """
-    keys, uv, uw, vw = lex_triangles(csr.etgt, csr.n, e1, e2, e3)
-    return {"tri_keys": keys, "tri_uw": uw, "tri_vw": vw,
-            "tri_w": csr.etgt[vw], "run_ptr": triangle_run_pointers(uv)}
 
 
 def k4_pair_kernel(tri_keys, tri_uw, tri_vw, tri_w, run_ptr, n: int,
@@ -734,23 +771,29 @@ def k4_pair_kernel(tri_keys, tri_uw, tri_vw, tri_w, run_ptr, n: int,
     return idx_i, idx_j[found], pos[found], q4
 
 
-def csr_k4_arrays(csr: CSRGraph) -> tuple:
+def csr_k4_arrays(csr: CSRGraph, workers: int = 1) -> tuple:  # repro-lint: disable=backend-parity
     """Vectorised K₄ listing: ``(tri_keys, (q1, q2, q3, q4))``.
 
-    ``tri_keys`` are the lex triangle keys (see :func:`lex_triangles`) and
-    the four aligned arrays the triangle ids of every four-clique (see
-    :func:`k4_pair_kernel`).  The kernel runs over chunks of lowest-edge
-    runs balanced by pair count, so the transient arrays stay bounded.
+    ``tri_keys`` are the ascending lex triangle keys (positions = triangle
+    ids, see :func:`lex_triangles`) and the four aligned arrays the
+    triangle ids of every four-clique (see :func:`k4_pair_kernel`).  Both
+    the triangle listing and the K₄ kernel run over ranges balanced by
+    pair count — lowest-edge runs for the kernel — on up to ``workers``
+    threads (see :func:`_map_kernel`), so the transient arrays stay
+    bounded and every worker count lists the same arrays.
     """
-    k4 = k4_setup(csr, *csr_triangle_edge_ids(csr))
-    run_ptr = k4["run_ptr"]
+    n = csr.n
+    keys, uv, uw, vw = lex_triangles(
+        csr.etgt, n, *csr_triangle_edge_ids(csr, workers))
+    tri_w = csr.etgt[vw]
+    run_ptr = triangle_run_pointers(uv)
     run_sizes = np.diff(run_ptr)
-    cuts = _chunk_starts(run_sizes * (run_sizes - 1) // 2)
-    quads = _concat_columns(
-        [k4_pair_kernel(k4["tri_keys"], k4["tri_uw"], k4["tri_vw"],
-                        k4["tri_w"], run_ptr, csr.n, glo, ghi)
-         for glo, ghi in zip(cuts[:-1], cuts[1:], strict=True)], 4)
-    return k4["tri_keys"], quads
+
+    def kernel(glo, ghi):
+        return k4_pair_kernel(keys, uw, vw, tri_w, run_ptr, n, glo, ghi)
+
+    return keys, _map_kernel(kernel, run_sizes * (run_sizes - 1) // 2,
+                             workers, 4)
 
 
 def csr_k4_triangle_ids(
@@ -767,14 +810,5 @@ def csr_k4_triangle_ids(
     A list view of :func:`csr_k4_arrays`.
     """
     keys, quads = csr_k4_arrays(csr)
-    return (lex_triangle_vertices(csr, keys),
+    return (triangle_tuples(lex_triangle_vertices(csr, keys)),
             tuple(q.tolist() for q in quads))
-
-
-def csr_triangle_k4_counts(
-        csr: CSRGraph) -> tuple[dict[tuple[int, int, int], int], list[int]]:
-    """Triangle ids plus four-cliques containing each triangle (initial ω₄)."""
-    keys, quads = csr_k4_arrays(csr)
-    counts = np.bincount(np.concatenate(quads), minlength=len(keys))
-    return ({tri: tid for tid, tri in
-             enumerate(lex_triangle_vertices(csr, keys))}, counts.tolist())

@@ -3,7 +3,7 @@
 Pragma syntax (shown here in the docstring, not a comment, so the
 examples are not themselves parsed as pragmas)::
 
-    seg = acquire()  # repro-lint: disable=shm-lifecycle,RL004
+    keys = pack(ids)  # repro-lint: disable=int32-overflow,RL007
     # repro-lint: disable-file=int32-overflow   (whole file, any line)
 """
 

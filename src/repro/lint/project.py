@@ -4,8 +4,8 @@ A :class:`Project` is built once per lint run from the already-parsed
 :class:`~repro.lint.registry.Module` objects.  It derives, purely from
 the ASTs:
 
-* a **module table** keyed by dotted module name (``repro/parallel/pool.py``
-  becomes ``repro.parallel.pool``; ``__init__.py`` names its package);
+* a **module table** keyed by dotted module name (``repro/parallel/bulk.py``
+  becomes ``repro.parallel.bulk``; ``__init__.py`` names its package);
 * an **import graph** — for every module, the set of dotted module names
   it imports anywhere (top level or function-scoped);
 * a **symbol table** — every top-level function, class, and assignment,

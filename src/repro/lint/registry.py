@@ -51,7 +51,7 @@ class Module:
 class Rule:
     """Base class for a lint rule.
 
-    Subclasses set ``code`` (stable identifier, e.g. ``RL002``), ``name``
+    Subclasses set ``code`` (stable identifier, e.g. ``RL001``), ``name``
     (the human-facing slug used in pragmas and ``--select``), and implement
     :meth:`check` yielding ``(node_or_location, message)`` findings.
     """
@@ -204,7 +204,3 @@ def walk_skipping(node: ast.AST,
         stack.extend(ast.iter_child_nodes(child))
 
 
-def function_defs(tree: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

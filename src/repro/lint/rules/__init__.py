@@ -7,7 +7,5 @@ from repro.lint.rules import (  # noqa: F401
     dtype_flow,
     int_width,
     mmap_copy,
-    shard_race,
-    shm_lifecycle,
     swallowed,
 )

@@ -33,8 +33,6 @@ _ENGINE_ENTRY_POINTS = {
     "nucleus_decomposition",
     "bulk_core_peel", "bulk_truss_peel", "bulk_nucleus34_peel",
     "frontier_fnd",
-    "parallel_core_peel", "parallel_truss_peel", "parallel_nucleus34_peel",
-    "parallel_fnd_decomposition",
     "generic_peel",
 }
 
@@ -50,7 +48,7 @@ class BackendParity(Rule):
     def check(self, module: Module) -> Iterator[tuple[ast.AST, str]]:
         if module.relpath.startswith(_ENGINE_LAYERS):
             # the engines themselves and the dispatch layer: workers-only
-            # signatures (parallel_*_peel) are the implementation, not the
+            # signatures (bulk_*_peel) are the implementation, not the
             # public surface
             return
         variant_layer = module.relpath.startswith(_VARIANT_LAYERS)

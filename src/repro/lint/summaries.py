@@ -2,9 +2,8 @@
 
 A :class:`FunctionSummary` is a cheap, purely syntactic digest of one
 function: its accepted parameters, whether it (locally) returns int32-
-derived values, which callees it returns the result of, every call it
-makes, and every subscript *write* it performs on a parameter (the
-shared-array candidates for the shard-race rule).  Summaries are built
+derived values, which callees it returns the result of, and every call
+it makes.  Summaries are built
 once per function by :class:`repro.lint.project.Project`, which then
 resolves call targets against the project symbol table and closes the
 ``returns_int32`` flag transitively.
@@ -21,30 +20,9 @@ from typing import Iterator
 
 from repro.lint.dtypes import produces_int32 as _produces_int32
 from repro.lint.dtypes import promoted as _promoted
-from repro.lint.registry import base_name, dotted_name
+from repro.lint.registry import dotted_name
 
-__all__ = ["FunctionSummary", "SharedWrite", "summarize_function"]
-
-#: classification of a subscript store on a parameter-rooted array
-WRITE_KINDS = ("disjoint", "whole", "unanalyzable")
-
-
-@dataclass(frozen=True)
-class SharedWrite:
-    """One subscript store on a parameter-rooted (possibly shared) array.
-
-    ``kind`` is ``"disjoint"`` when the write is ``arr[lo:hi] = ...``
-    with both bounds bare parameters of the function — the dispatcher
-    hands each worker its own ``(lo, hi)`` shard, so such writes are
-    provably non-overlapping across workers.  ``"whole"`` covers
-    ``arr[:] = ...`` / ``arr[...] = ...``; everything else (fancy
-    indexing, computed bounds, scalar element stores) is
-    ``"unanalyzable"``.
-    """
-
-    target: str
-    kind: str
-    node: ast.AST
+__all__ = ["FunctionSummary", "summarize_function"]
 
 
 @dataclass
@@ -66,7 +44,6 @@ class FunctionSummary:
     return_callees: tuple[str, ...]
     #: every call made directly in the body: (dotted callee text, node)
     calls: tuple[tuple[str, ast.Call], ...]
-    writes: tuple[SharedWrite, ...]
     #: transitive closure of ``returns_int32_local`` over resolved
     #: return callees; fixed by :class:`repro.lint.project.Project`
     returns_int32: bool = False
@@ -110,58 +87,15 @@ def _walk_expr_calls(stmt: ast.stmt) -> Iterator[ast.Call]:
                 yield node
 
 
-def _classify_write(sub: ast.Subscript,
-                    params: set[str]) -> str:
-    index = sub.slice
-    if isinstance(index, ast.Slice):
-        if index.lower is None and index.upper is None and index.step is None:
-            return "whole"
-        bounds_ok = all(
-            isinstance(bound, ast.Name) and bound.id in params
-            for bound in (index.lower, index.upper) if bound is not None)
-        both_present = index.lower is not None and index.upper is not None
-        if bounds_ok and both_present and index.step is None:
-            return "disjoint"
-        return "unanalyzable"
-    if isinstance(index, ast.Constant) and index.value is Ellipsis:
-        return "whole"
-    return "unanalyzable"
-
-
-def _write_target(sub: ast.Subscript) -> tuple[str, str]:
-    """``(label, root_name)`` for the array being stored into."""
-    value = sub.value
-    if isinstance(value, ast.Name):
-        return value.id, value.id
-    label = dotted_name(value)
-    root = base_name(value)
-    return (label or root or "?"), root
-
-
 def summarize_function(node: ast.FunctionDef | ast.AsyncFunctionDef,
                        qualname: str, module: str) -> FunctionSummary:
     args = node.args
     params = tuple(a.arg for a in (*args.posonlyargs, *args.args))
     kwonly = tuple(a.arg for a in args.kwonlyargs)
-    param_set = set(params) | set(kwonly)
 
     statements = list(_own_statements(node))
 
-    # names (re)bound as plain locals anywhere in the body are not shared
-    # inputs, whatever their indexing pattern looks like
-    local_names: set[str] = set()
-    for stmt in statements:
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                       else [stmt.target])
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    local_names.add(target.id)
-        elif isinstance(stmt, ast.For) and isinstance(stmt.target, ast.Name):
-            local_names.add(stmt.target.id)
-
     calls: list[tuple[str, ast.Call]] = []
-    writes: list[SharedWrite] = []
     return_callees: list[str] = []
     returns_int32_local = False
     tainted: set[str] = set()
@@ -177,13 +111,7 @@ def summarize_function(node: ast.FunctionDef | ast.AsyncFunctionDef,
                        else [stmt.target])
             value = stmt.value
             for target in targets:
-                if isinstance(target, ast.Subscript):
-                    label, root = _write_target(target)
-                    if root in param_set and root not in local_names:
-                        kind = _classify_write(target, param_set)
-                        writes.append(SharedWrite(target=label, kind=kind,
-                                                  node=stmt))
-                elif isinstance(target, ast.Name) and value is not None:
+                if isinstance(target, ast.Name) and value is not None:
                     if _produces_int32(value):
                         tainted.add(target.id)
                         bound_calls.pop(target.id, None)
@@ -223,6 +151,5 @@ def summarize_function(node: ast.FunctionDef | ast.AsyncFunctionDef,
         returns_int32_local=returns_int32_local,
         return_callees=tuple(return_callees),
         calls=tuple(calls),
-        writes=tuple(writes),
         returns_int32=returns_int32_local,
     )

@@ -22,22 +22,11 @@ A level is a handful of numpy passes.  The level-edge kernels of
 their tops through a path-compressed jump array, and
 :func:`~repro.parallel.kernels.component_roots` labels the level's
 components by hooking and pointer jumping.
-
-With a :class:`~repro.parallel.pool.WorkerPool`, each level's frontier is
-sharded by incidence weight.  Workers scan their ranges zero-copy (the
-incidence, λ and frontier arrays live in a
-:class:`~repro.parallel.shm.SharedArrayBundle`) and send back one star per
-component (:func:`~repro.parallel.kernels.spanning_forest_reduce`).  The
-parent labels the union of the stars.  A star keeps its component's node
-set, so every worker count builds the same skeleton, byte for byte.
-Levels too small to amortise a pipe round-trip run the same kernels in
-the parent (:data:`MIN_LEVEL_SLOTS`, mirroring the bulk peels).
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,24 +37,13 @@ from repro.parallel.kernels import (
     component_roots,
     core_level_edges,
     incidence_level_edges,
-    weighted_cuts,
 )
 
-if TYPE_CHECKING:
-    from repro.parallel.pool import WorkerPool
-    from repro.parallel.shm import SharedArrayBundle
-
 __all__ = [
-    "MIN_LEVEL_SLOTS",
     "core_hierarchy_from_lambda",
     "hierarchy_from_lambda",
     "incidence_hierarchy_from_lambda",
 ]
-
-#: levels touching fewer incidence slots than this are resolved by the
-#: parent itself — like the bulk peels' ``MIN_SHARD_SLOTS``, the pipe
-#: round-trip costs more than the scan for the long tail of tiny levels.
-MIN_LEVEL_SLOTS = 32768
 
 
 def _tops(jump, nodes):
@@ -96,9 +74,9 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
                           ) -> Hierarchy:
     """Build the FND hierarchy from settled λ values, level by level.
 
-    ``edge_source(frontier, k)`` yields the level's connectivity pairs as
-    a list of ``(a, b)`` array pairs: ``a`` a frontier cell (λ = ``k``)
-    owning an active s-clique, ``b`` a companion with λ >= ``k``.  Each
+    ``edge_source(frontier, k)`` returns the level's connectivity pairs
+    as one ``(a, b)`` pair of aligned arrays: ``a`` a frontier cell (λ =
+    ``k``) owning an active s-clique, ``b`` a companion with λ >= ``k``.  Each
     level component becomes one skeleton node, a frontier cell untouched
     by any active clique a singleton one.
 
@@ -137,9 +115,7 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
         frontier = order[start:end]
         width = end - start
         cell_label[frontier] = np.arange(width, dtype=np.int64)
-        parts = edge_source(frontier, k)
-        a = np.concatenate([pair[0] for pair in parts])
-        b = np.concatenate([pair[1] for pair in parts])
+        a, b = edge_source(frontier, k)
         label_b = cell_label[b]
         # higher cells stand for the top of the component they joined
         higher = comp[b] >= 0
@@ -188,99 +164,28 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
                      algorithm="fnd")
 
 
-def _run_construction(r: int, s: int, lam, static: dict, weights,
-                      task_prefix: tuple, local_edges,
-                      pool: WorkerPool | None,
-                      instrumentation: FndInstrumentation | None,
-                      static_bundle: SharedArrayBundle | None) -> Hierarchy:
-    """Shared driver: in-process (``pool=None``) or worker-sharded.
-
-    ``static_bundle`` may hand in the static arrays already shared (the
-    FND pipeline shares the adjacency/incidence once across its peel and
-    construction phases); otherwise ``static`` is exported — and freed —
-    here.  Only the small per-construction state (λ plus the frontier
-    buffer) is ever exported twice.
-    """
-    lam = np.ascontiguousarray(lam, dtype=np.int64)
-    if pool is None:
-        def edge_source(frontier, k):
-            return [local_edges(lam, frontier, k)]
-
-        return hierarchy_from_lambda(r, s, lam, edge_source, instrumentation)
-
-    from repro.parallel.shm import SharedArrayBundle
-
-    owned = static_bundle is None
-    if owned:
-        static_bundle = SharedArrayBundle.create(static)
-    try:
-        state = {"lam": lam,
-                 "level_frontier": np.zeros(len(lam), dtype=np.int64)}
-        with SharedArrayBundle.create(state) as bundle:
-            pool.bind([static_bundle.spec, bundle.spec])
-            try:
-                frontier_buf = bundle["level_frontier"]
-
-                def edge_source(frontier, k):
-                    level_weights = weights[frontier]
-                    if int(level_weights.sum()) < MIN_LEVEL_SLOTS:
-                        return [local_edges(lam, frontier, k)]
-                    frontier_buf[:len(frontier)] = frontier
-                    cuts = weighted_cuts(level_weights, pool.workers)
-                    return pool.scatter(
-                        [task_prefix + (k, lo, hi)
-                         for lo, hi in zip(cuts[:-1], cuts[1:], strict=True)])
-
-                return hierarchy_from_lambda(r, s, lam, edge_source,
-                                             instrumentation)
-            finally:
-                pool.unbind()
-    finally:
-        if owned:
-            static_bundle.unlink()
-
-
 def core_hierarchy_from_lambda(
-        csr: CSRGraph, lam, pool: WorkerPool | None = None,
-        instrumentation: FndInstrumentation | None = None,
-        static_bundle: SharedArrayBundle | None = None) -> Hierarchy:
-    """(1,2) hierarchy from settled core numbers, adjacency-driven.
-
-    With a pool, ``static_bundle`` may hand in the
-    :class:`~repro.parallel.shm.SharedArrayBundle` already exporting
-    ``indptr`` / ``indices``, so the adjacency is exported once per
-    pipeline.
-    """
+        csr: CSRGraph, lam,
+        instrumentation: FndInstrumentation | None = None) -> Hierarchy:
+    """(1,2) hierarchy from settled core numbers, adjacency-driven."""
     indptr, indices = csr.indptr, csr.indices
+    lam = np.ascontiguousarray(lam, dtype=np.int64)
 
-    def local_edges(lam_arr, frontier, k):
-        return core_level_edges(indptr, indices, lam_arr, frontier, k)
+    def edge_source(frontier, k):
+        return core_level_edges(indptr, indices, lam, frontier, k)
 
-    return _run_construction(
-        1, 2, lam, {"indptr": indptr, "indices": indices}, np.diff(indptr),
-        ("core-level",), local_edges, pool, instrumentation, static_bundle)
+    return hierarchy_from_lambda(1, 2, lam, edge_source, instrumentation)
 
 
 def incidence_hierarchy_from_lambda(
         r: int, s: int, lam, ptr, comps,
-        pool: WorkerPool | None = None,
-        instrumentation: FndInstrumentation | None = None,
-        static_bundle: SharedArrayBundle | None = None) -> Hierarchy:
-    """(2,3)/(3,4) hierarchy from settled λ over a materialised incidence.
-
-    ``static_bundle`` may hand in an already-shared ``ptr``/``c1..cN``
-    bundle covering the same incidence (see
-    :func:`core_hierarchy_from_lambda`).
-    """
+        instrumentation: FndInstrumentation | None = None) -> Hierarchy:
+    """(2,3)/(3,4) hierarchy from settled λ over a materialised incidence."""
     comps = tuple(np.ascontiguousarray(c, dtype=np.int64) for c in comps)
     ptr = np.ascontiguousarray(ptr, dtype=np.int64)
+    lam = np.ascontiguousarray(lam, dtype=np.int64)
 
-    def local_edges(lam_arr, frontier, k):
-        return incidence_level_edges(ptr, comps, lam_arr, frontier, k)
+    def edge_source(frontier, k):
+        return incidence_level_edges(ptr, comps, lam, frontier, k)
 
-    static = {"ptr": ptr}
-    for i, comp in enumerate(comps):
-        static[f"c{i + 1}"] = comp
-    return _run_construction(
-        r, s, lam, static, np.diff(ptr), ("inc-level", len(comps)),
-        local_edges, pool, instrumentation, static_bundle)
+    return hierarchy_from_lambda(r, s, lam, edge_source, instrumentation)

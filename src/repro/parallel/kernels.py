@@ -1,13 +1,9 @@
-"""Per-round decrement kernels and shard planning for the bulk peels.
+"""Per-round decrement kernels and per-level connectivity kernels.
 
-These are the functions the worker processes actually execute: pure
-numpy over flat int64 arrays (attached shared memory or local, they
-cannot tell), no graph objects, no mutation of anything but the caller's
-output buffer.  The round-synchronous drivers in
-:mod:`repro.parallel.bulk` call them on the whole frontier in-process, or
-shard the frontier across workers and sum the partial counts — addition
-commutes, so the merged decrement vector is identical for every worker
-count.
+Pure numpy over flat int64 arrays, no graph objects, no mutation of their
+inputs: :mod:`repro.parallel.bulk` calls the decrement kernels on each
+round's whole frontier, and :mod:`repro.parallel.construct` calls the
+level-edge kernels and :func:`component_roots` on each λ level.
 """
 
 from __future__ import annotations
@@ -22,8 +18,6 @@ __all__ = [
     "core_level_edges",
     "incidence_decrement",
     "incidence_level_edges",
-    "spanning_forest_reduce",
-    "weighted_cuts",
 ]
 
 
@@ -86,14 +80,13 @@ def incidence_decrement(ptr, comps, peel_round, frontier, rnd):
 
 
 def core_level_edges(indptr, indices, lam, frontier, k):
-    """Level-``k`` connectivity pairs of a (1,2) frontier shard.
+    """Level-``k`` connectivity pairs of a (1,2) λ frontier.
 
     ``frontier`` holds vertices with λ = ``k``.  An edge connects two
     sub-nuclei at level ``k`` exactly when its minimum endpoint λ is
     ``k``; the minimum-id λ = ``k`` endpoint *owns* the edge so each one
-    is emitted by exactly one frontier cell (and hence exactly one
-    worker, whatever the sharding).  Returns aligned ``(a, b)`` arrays
-    with ``a`` the owning frontier vertex and λ(b) >= ``k``.
+    is emitted by exactly one frontier cell.  Returns aligned ``(a, b)``
+    arrays with ``a`` the owning frontier vertex and λ(b) >= ``k``.
     """
     slots, counts = _gather_slots(indptr[frontier], indptr[frontier + 1])
     if len(slots) == 0:
@@ -106,7 +99,7 @@ def core_level_edges(indptr, indices, lam, frontier, k):
 
 
 def incidence_level_edges(ptr, comps, lam, frontier, k):
-    """Level-``k`` connectivity pairs of a (2,3)/(3,4) frontier shard.
+    """Level-``k`` connectivity pairs of a (2,3)/(3,4) λ frontier.
 
     Walks the materialised incidence of every frontier cell (all λ =
     ``k``).  An s-clique becomes *active* at level ``k`` when the
@@ -160,48 +153,3 @@ def component_roots(x, y, size: int):
                 break
             label = jumped
     return label
-
-
-def spanning_forest_reduce(a, b):
-    """Reduce union pairs to one star per connected component.
-
-    The worker-side compression step of the parallel hierarchy
-    construction: the pairs' components are labelled with
-    :func:`component_roots`, and each component comes back as a star
-    centred on its smallest owner (a value of ``a``) — ``nodes −
-    components`` pairs, usually a tiny fraction of the raw pair count.
-    Every pair keeps an owner first, the orientation the parent's level
-    merge reads; the output is sorted by the non-centre node, so it is
-    deterministic.
-    """
-    if len(a) == 0:
-        return _EMPTY, _EMPTY
-    nodes, inverse = np.unique(np.concatenate((a, b)), return_inverse=True)
-    owners = inverse[:len(a)]
-    root = component_roots(owners, inverse[len(a):], len(nodes))
-    centre = np.full(len(nodes), len(nodes), dtype=np.int64)
-    np.minimum.at(centre, root[owners], owners)
-    hub = centre[root]
-    leaf = np.flatnonzero(hub != np.arange(len(nodes)))
-    return nodes[hub[leaf]], nodes[leaf]
-
-
-def weighted_cuts(weights, parts: int) -> list[int]:
-    """Boundaries splitting ``weights`` into ``parts`` ~equal-sum ranges.
-
-    Returns ``parts + 1`` ascending indices (first 0, last ``len``); empty
-    ranges are fine — a worker handed one just zeroes its buffer.
-    """
-    count = len(weights)
-    if count == 0 or parts <= 1:
-        return [0] + [count] * max(parts, 1)
-    cum = np.concatenate(([0], np.cumsum(weights)))
-    if cum[-1] == 0:  # no weight signal: split by count
-        bounds = np.linspace(0, count, parts + 1).astype(np.int64).tolist()
-    else:
-        targets = np.linspace(0, int(cum[-1]), parts + 1)[1:-1]
-        bounds = [0, *np.searchsorted(cum, targets).tolist(), count]
-    for i in range(1, len(bounds)):
-        if bounds[i] < bounds[i - 1]:
-            bounds[i] = bounds[i - 1]
-    return bounds

@@ -5,8 +5,7 @@ one-shot CLI call; this package turns it into a long-lived server:
 
 * :class:`IndexRegistry` — loads one or many persisted indexes with
   memory-mapped arrays (:func:`repro.flatindex.mmap_npz`), so N worker
-  processes share a **single page-cache copy** per index — the serving
-  analogue of the zero-copy worker attach in :mod:`repro.parallel.shm`;
+  processes share a **single page-cache copy** per index;
 * :class:`NucleusServer` — an asyncio front end speaking newline-delimited
   JSON over TCP plus a minimal HTTP/1.1 surface (stdlib only), exposing
   ``max_nucleus`` / ``nucleus_at`` / ``communities_of_vertex`` /

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import repro.graph.csr as csr_module
 from repro.backends import (
     BACKENDS,
     as_backend,
@@ -26,7 +27,7 @@ from repro.backends import (
 )
 from repro.core.bucket import FlatBucketQueue
 from repro.core.peeling import peel
-from repro.core.views import EdgeView, VertexView, build_view
+from repro.core.views import CSRTriangleView, EdgeView, VertexView, build_view
 from repro.errors import InvalidGraphError, InvalidParameterError
 from repro.external.diskcsr import as_diskcsr
 from repro.graph import generators
@@ -39,7 +40,6 @@ from repro.graph.cliques import (
 from repro.graph.csr import (
     CSRGraph,
     csr_edge_support,
-    csr_triangle_k4_counts,
     csr_triangles,
 )
 from repro.kcore.core import core_numbers, degeneracy
@@ -57,10 +57,16 @@ _ids = [g.name for g in GENERATOR_SUITE]
 ARRAYS = ("indptr", "indices", "eids", "esrc", "etgt")
 
 
+def _k4_counts_by_triple(view) -> dict:
+    """ω₄ of every triangle of a (3,4) view, keyed by its vertex triple."""
+    return {view.cell_vertices(tid): count
+            for tid, count in enumerate(view.initial_degrees())}
+
+
 def _reference_incidence_truss_peel(graph: Graph) -> list[int]:
     """λ₃ from the frontier rounds over an edge→triangle incidence built
     from the object graph's triangle listing and edge index."""
-    from repro.parallel.bulk import _bulk_incidence_peel
+    from repro.parallel.bulk import _incidence_rounds
 
     index = graph.edge_index
     rows: list[list[tuple[int, int]]] = [[] for _ in range(graph.m)]
@@ -73,7 +79,7 @@ def _reference_incidence_truss_peel(graph: Graph) -> list[int]:
     ptr = np.concatenate(([0], np.cumsum(sup))).astype(np.int64)
     comps = tuple(np.array([pair[i] for row in rows for pair in row],
                            dtype=np.int64) for i in (0, 1))
-    return _bulk_incidence_peel(sup, ptr, comps, None).lam
+    return _incidence_rounds(sup, ptr, comps)[0].tolist()
 
 
 def _build_variants(graph: Graph) -> list[CSRGraph]:
@@ -243,12 +249,11 @@ class TestEnumeration:
     def test_k4_counts_match_by_triple(self, graph):
         csr = CSRGraph.from_graph(graph)
         obj_id, obj_counts = triangle_k4_counts(graph)
-        csr_id, csr_counts = csr_triangle_k4_counts(csr)
-        assert {t: obj_counts[i] for t, i in obj_id.items()} == \
-            {t: csr_counts[i] for t, i in csr_id.items()}
+        counts = _k4_counts_by_triple(CSRTriangleView(csr))
+        assert {t: obj_counts[i] for t, i in obj_id.items()} == counts
         # the same listing runs over the disk backend's memory maps
         with as_diskcsr(graph) as disk:
-            assert csr_triangle_k4_counts(disk) == (csr_id, csr_counts)
+            assert _k4_counts_by_triple(CSRTriangleView(disk)) == counts
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +361,10 @@ class TestBackends:
     @pytest.mark.parametrize("rs", [(1, 2), (2, 3)])
     @pytest.mark.parametrize("algorithm", ["fnd", "dft", "naive"])
     def test_decompose_hierarchies_match(self, rs, algorithm, monkeypatch):
-        # force sharding so the csr-parallel leg really runs the worker
-        # path even on single-core hosts (with the default workers=1 it
-        # would silently duplicate the csr leg)
-        monkeypatch.setenv("REPRO_FORCE_SHARDING", "1")
+        # two listing threads even on single-core hosts, so the
+        # csr-parallel leg really runs its threaded path (with the default
+        # workers=1 it would silently duplicate the csr leg)
+        monkeypatch.setattr(csr_module, "available_cpus", lambda: 2)
         graph = generators.powerlaw_cluster(120, 5, 0.6, seed=4)
         r, s = rs
         # the disk backend runs traversal algorithms for (1,2) only (the

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 np = pytest.importorskip("numpy")
 
 import repro.flatindex as flatindex_module
-import repro.parallel.bulk as bulk_module
+import repro.graph.csr as csr_module
 from repro.analysis.density import edge_density
 from repro.backends import as_backend, build_query_index, decompose
 from repro.core.decomposition import nucleus_decomposition
@@ -23,7 +23,6 @@ from repro.export import load_hierarchy_npz, save_hierarchy_npz
 from repro.flatindex import FlatHierarchyIndex
 from repro.graph import generators
 from repro.graph.adjacency import Graph
-from repro.parallel.bulk import FORCE_SHARDING_ENV
 from repro.queries import HierarchyIndex
 
 from _graphs import GENERATOR_SUITE, small_graphs
@@ -151,13 +150,30 @@ class TestNodeStats:
 
     @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
     def test_forced_sharding_engine(self, rs, monkeypatch):
-        monkeypatch.setenv(FORCE_SHARDING_ENV, "1")
-        monkeypatch.setattr(bulk_module, "POOL_CROSSOVER_EDGES", 0)
+        # csr-parallel with its listing split over threads on any host
+        monkeypatch.setattr(csr_module, "available_cpus", lambda: 2)
         graph = _with_tree_and_isolated(
             generators.powerlaw_cluster(60, 5, 0.6, seed=4), 2, seed=4)
         decomposition = _decompose(graph, "csr-parallel", *rs)
         _assert_stats_match_subgraphs(decomposition,
                                       FlatHierarchyIndex(decomposition))
+
+    @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
+    def test_parallel_engine_saves_the_csr_arrays(self, rs, tmp_path,
+                                                  monkeypatch):
+        # threads change how the listing is split, never what it lists:
+        # the saved index holds the csr engine's arrays, dtype and bytes
+        monkeypatch.setattr(csr_module, "available_cpus", lambda: 3)
+        graph = generators.powerlaw_cluster(150, 6, 0.6, seed=7)
+        saved = {}
+        for backend in ("csr", "csr-parallel"):
+            path = tmp_path / f"{backend}.npz"
+            FlatHierarchyIndex(_decompose(graph, backend, *rs)).save(path)
+            with np.load(path) as archive:
+                saved[backend] = {key: (archive[key].dtype,
+                                        archive[key].tobytes())
+                                  for key in archive.files}
+        assert saved["csr-parallel"] == saved["csr"]
 
     @pytest.mark.parametrize("backend", ["object", "csr"])
     def test_zero_cell_index(self, backend):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.parallel.bulk as bulk_module
+import repro.graph.csr as csr_module
 from repro.backends import as_backend, decompose
 from repro.core.decomposition import nucleus_decomposition
 from repro.core.hierarchy import Hierarchy
@@ -18,7 +18,6 @@ from repro.export import (
 from repro.flatindex import FlatHierarchyIndex
 from repro.graph import generators
 from repro.graph.adjacency import Graph
-from repro.parallel.bulk import FORCE_SHARDING_ENV
 
 from _graphs import GENERATOR_SUITE, assert_lowered_like_reference, small_graphs
 
@@ -42,11 +41,10 @@ def _build_id(case) -> str:
 
 
 def _build(graph, backend, algorithm, rs, monkeypatch=None):
-    """Decompose ``graph`` on one engine; csr-parallel runs its pool at
-    any size (``monkeypatch`` given)."""
-    if backend == "csr-parallel":
-        monkeypatch.setenv(FORCE_SHARDING_ENV, "1")
-        monkeypatch.setattr(bulk_module, "POOL_CROSSOVER_EDGES", 0)
+    """Decompose ``graph`` on one engine; csr-parallel lists on two
+    threads whatever the host's affinity mask (``monkeypatch`` given)."""
+    if backend == "csr-parallel" and monkeypatch is not None:
+        monkeypatch.setattr(csr_module, "available_cpus", lambda: 2)
     converted = as_backend(graph, "object" if backend == "object" else "csr")
     return decompose(converted, *rs, algorithm=algorithm, backend=backend,
                      workers=2 if backend == "csr-parallel" else None)

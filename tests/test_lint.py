@@ -63,51 +63,6 @@ class TestMmapCopy:
 
 
 # ---------------------------------------------------------------------------
-# RL002 shm-lifecycle
-# ---------------------------------------------------------------------------
-class TestShmLifecycle:
-    def test_fires_on_leaked_acquisition(self):
-        src = ("from multiprocessing import shared_memory\n"
-               "def worker(n):\n"
-               "    seg = shared_memory.SharedMemory(create=True, size=n)\n"
-               "    total = seg.size + n\n"
-               "    return total\n")
-        assert codes(src, PARALLEL) == ["RL002"]
-
-    def test_fires_on_discarded_acquisition(self):
-        src = ("def setup(arrays):\n"
-               "    SharedArrayBundle.create(arrays)\n")
-        assert codes(src, PARALLEL) == ["RL002"]
-
-    def test_quiet_on_with_block(self):
-        src = ("def worker(arrays):\n"
-               "    bundle = SharedArrayBundle.create(arrays)\n"
-               "    with bundle:\n"
-               "        return bundle['lam'].sum()\n")
-        assert codes(src, PARALLEL) == []
-
-    def test_quiet_on_try_finally(self):
-        src = ("def worker(arrays):\n"
-               "    shared = SharedArrayBundle.create(arrays)\n"
-               "    try:\n"
-               "        return shared['lam'].sum()\n"
-               "    finally:\n"
-               "        shared.unlink()\n")
-        assert codes(src, PARALLEL) == []
-
-    def test_quiet_on_ownership_escape(self):
-        src = ("def export(arrays):\n"
-               "    bundle = SharedArrayBundle.create(arrays)\n"
-               "    return bundle\n")
-        assert codes(src, PARALLEL) == []
-
-    def test_out_of_scope_layer_is_ignored(self):
-        src = ("def setup(arrays):\n"
-               "    SharedArrayBundle.create(arrays)\n")
-        assert codes(src, ANALYSIS) == []
-
-
-# ---------------------------------------------------------------------------
 # RL003 no-blocking-in-async
 # ---------------------------------------------------------------------------
 class TestAsyncBlocking:
@@ -369,15 +324,16 @@ class TestPragmas:
 # registry and engine plumbing
 # ---------------------------------------------------------------------------
 class TestRegistry:
-    def test_nine_rules_registered(self):
+    def test_seven_rules_registered(self):
         rules = all_rules()
+        # RL002 and RL008 retired with the worker pool; codes are never
+        # reused
         assert [r.code for r in rules] == [
-            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006",
-            "RL007", "RL008", "RL009"]
+            "RL001", "RL003", "RL004", "RL005", "RL006", "RL007", "RL009"]
         assert all(r.description for r in rules)
 
     def test_get_rule_by_code_and_name(self):
-        assert get_rule("RL002") is get_rule("shm-lifecycle")
+        assert get_rule("RL003") is get_rule("no-blocking-in-async")
         with pytest.raises(KeyError):
             get_rule("RL999")
 

@@ -1,5 +1,5 @@
 """The whole-project analysis layer: Project graphs and summaries, the
-interprocedural rules RL007–RL009 (fire and no-fire pairs), output
+interprocedural rules RL007 and RL009 (fire and no-fire pairs), output
 formats, and the baseline machinery.
 
 The RL007 fixtures re-enact the PR 3 int64 key-packing incident — the
@@ -44,7 +44,7 @@ def codes(source: str, path: str) -> list[str]:
 # ---------------------------------------------------------------------------
 class TestProject:
     def test_module_name(self):
-        assert module_name("repro/parallel/pool.py") == "repro.parallel.pool"
+        assert module_name("repro/parallel/bulk.py") == "repro.parallel.bulk"
         assert module_name("repro/lint/__init__.py") == "repro.lint"
         assert module_name("<string>") == "<string>"
 
@@ -223,76 +223,6 @@ class TestInterproceduralDtypeFlow:
 
 
 # ---------------------------------------------------------------------------
-# RL008 shard-write-race
-# ---------------------------------------------------------------------------
-class TestShardWriteRace:
-    def test_fires_on_fancy_indexed_write(self):
-        src = (
-            "def bad_kernel(out, targets, vals):\n"
-            "    out[targets] = vals\n"
-            "def _worker_main(conn):\n"
-            "    bad_kernel(A, I, V)\n")
-        assert codes(src, PARALLEL) == ["RL008"]
-
-    def test_fires_on_whole_array_write_of_bundle_member(self):
-        src = (
-            "def zero_kernel(bundle, lo, hi):\n"
-            "    bundle.degree[:] = 0\n"
-            "def _worker_main(conn):\n"
-            "    zero_kernel(B, 0, 1)\n")
-        violations = lint_source(src, path=PARALLEL)
-        assert [v.code for v in violations] == ["RL008"]
-        assert "bundle.degree" in violations[0].message
-
-    def test_quiet_on_param_bounded_slice(self):
-        src = (
-            "def good_kernel(out, lo, hi, vals):\n"
-            "    out[lo:hi] = vals\n"
-            "def _worker_main(conn):\n"
-            "    good_kernel(A, 0, 1, V)\n")
-        assert codes(src, PARALLEL) == []
-
-    def test_quiet_on_local_array_writes(self):
-        src = (
-            "import numpy as np\n"
-            "def count_kernel(indptr, lo, hi):\n"
-            "    out = np.zeros(hi - lo, dtype=np.int64)\n"
-            "    out[0] = indptr[lo]\n"
-            "    return out\n"
-            "def _worker_main(conn):\n"
-            "    count_kernel(P, 0, 1)\n")
-        assert codes(src, PARALLEL) == []
-
-    def test_quiet_when_kernel_not_dispatched(self):
-        src = (
-            "def helper(out, targets, vals):\n"
-            "    out[targets] = vals\n")
-        assert codes(src, PARALLEL) == []
-
-    def test_computed_slice_bounds_are_unanalyzable(self):
-        src = (
-            "def drift_kernel(out, lo, hi, vals):\n"
-            "    out[lo:hi + 1] = vals\n"
-            "def _worker_main(conn):\n"
-            "    drift_kernel(A, 0, 1, V)\n")
-        assert codes(src, PARALLEL) == ["RL008"]
-
-    def test_real_dispatcher_kernels_are_covered_and_clean(self):
-        pool = Path(REPO, "src/repro/parallel/pool.py")
-        kernels = Path(REPO, "src/repro/parallel/kernels.py")
-        csr = Path(REPO, "src/repro/graph/csr.py")
-        modules = [parse_module(p.read_text(encoding="utf-8"), str(p))
-                   for p in (pool, kernels, csr)]
-        project = Project(modules)
-        dispatcher = project.functions["repro.parallel.pool._worker_main"]
-        dispatched = set(dispatcher.call_targets.values())
-        assert "repro.parallel.kernels.core_decrement" in dispatched
-        assert "repro.graph.csr.triangle_pair_kernel" in dispatched
-        found = [v for v in lint_modules(modules) if v.code == "RL008"]
-        assert found == []
-
-
-# ---------------------------------------------------------------------------
 # RL009 backend-contract
 # ---------------------------------------------------------------------------
 class TestBackendContract:
@@ -442,7 +372,7 @@ class TestOutputFormats:
         assert driver["name"] == "repro-lint"
         rule_ids = [rule["id"] for rule in driver["rules"]]
         assert rule_ids == sorted(rule_ids)
-        assert {"RL007", "RL008", "RL009"} <= set(rule_ids)
+        assert {"RL007", "RL009"} <= set(rule_ids)
         (result,) = run["results"]
         assert result["ruleId"] == "RL009"
         assert result["level"] == "error"

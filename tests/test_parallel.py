@@ -1,59 +1,64 @@
-"""The shared-memory parallel subsystem: parity, pooling, edge cases.
+"""The ``csr-parallel`` engine: parity, threaded listing, edge cases.
 
-Covers the four layers of :mod:`repro.parallel`:
+Covers:
 
-* shm — zero-copy bundle round-trips (in-process and cross-process);
-* kernels — decrement/sharding helpers against brute-force oracles;
-* bulk — round-synchronous peel λ parity with the object engine,
-  in-process and through a real worker pool (sharding forced and the
-  pool gate lowered, so the worker protocol is exercised on any host);
+* the chunk helper that splits the listing kernels' work into ranges;
+* the vectorised K₄ listing and the in-process bulk peels against
+  brute-force oracles and the object engine;
+* the thread pool behind ``csr-parallel``: the triangle and K₄ listings
+  and incidences at any worker count equal the single-worker arrays byte
+  for byte, the thread count never exceeds the CPUs in the affinity
+  mask, and no process is ever started;
 * dispatch — the ``csr-parallel`` backend, worker-count resolution and
-  validation, and the guarantee that ``workers=1`` never spawns a pool.
+  validation, and the guarantee that one worker never builds an executor.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import multiprocessing.process
+import os
 import random
+import sys
+import threading
 from itertools import accumulate
 
 import numpy as np
 import pytest
 
-import repro.parallel.bulk as bulk_module
+import repro.graph.csr as csr_module
 from repro.backends import (
     BACKENDS,
+    WORKERS_ENV,
     as_backend,
     core_peel,
     decompose,
     nucleus34_peel,
     resolve_backend,
+    resolve_workers,
     truss_peel,
 )
-from repro.core.csr_peel import nucleus34_incidence
+from repro.core.csr_peel import (
+    nucleus34_incidence,
+    nucleus34_incidence_arrays,
+    truss_incidence_arrays,
+)
 from repro.errors import InvalidParameterError
 from repro.graph import generators
 from repro.graph.adjacency import Graph
 from repro.graph.cliques import four_cliques, triangles
 from repro.graph.csr import (
     CSRGraph,
+    _chunk_starts,
+    csr_k4_arrays,
     csr_k4_triangle_ids,
     csr_triangle_edge_ids,
+    triangle_tuples,
 )
 from repro.parallel import (
-    WORKERS_ENV,
-    SharedArrayBundle,
-    WorkerPool,
     bulk_core_peel,
     bulk_nucleus34_peel,
     bulk_truss_peel,
-    parallel_triangle_edge_ids,
-    parallel_truss_incidence,
-    resolve_workers,
-    weighted_cuts,
 )
-from repro.parallel.bulk import FORCE_SHARDING_ENV, sharding_effective
-from repro.parallel.incidence import parallel_nucleus34_incidence
 
 
 def random_csr(seed: int, max_n: int = 60) -> CSRGraph:
@@ -72,74 +77,92 @@ def powerlaw_csr() -> CSRGraph:
 
 
 @pytest.fixture
-def forced_sharding(monkeypatch):
-    """Exercise the worker protocol even on single-core hosts, at any
-    input size."""
-    monkeypatch.setenv(FORCE_SHARDING_ENV, "1")
-    monkeypatch.setattr(bulk_module, "POOL_CROSSOVER_EDGES", 0)
+def eight_cpus(monkeypatch):
+    """Let the listing use up to 8 threads whatever the host's affinity
+    mask, so the 3- and 8-thread range splits run on any host."""
+    monkeypatch.setattr(csr_module, "available_cpus", lambda: 8)
+
+
+class InlineExecutor:
+    """A stand-in for ``ThreadPoolExecutor`` that records ``max_workers``
+    and runs ``map`` in the calling thread."""
+
+    def __init__(self, created: list, max_workers: int):
+        created.append(max_workers)
+
+    def __enter__(self) -> "InlineExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def inline_executor(monkeypatch) -> list:
+    """Replace the listing's executor; returns the recorded ``max_workers``."""
+    created: list = []
+    monkeypatch.setattr(
+        csr_module, "ThreadPoolExecutor",
+        lambda max_workers: InlineExecutor(created, max_workers))
+    return created
+
+
+def _refuse_threads(*args, **kwargs):
+    raise AssertionError("this path must not build a pool or start a thread")
+
+
+def assert_same_bytes(got, want) -> None:
+    """Equal nested tuples of arrays: same dtype, shape and bytes."""
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bytes(g, w)
+        return
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _listings(csr: CSRGraph, workers: int) -> tuple:
+    return (csr_triangle_edge_ids(csr, workers), csr_k4_arrays(csr, workers),
+            truss_incidence_arrays(csr, workers),
+            nucleus34_incidence_arrays(csr, workers))
 
 
 # ---------------------------------------------------------------------------
-# shm layer
-# ---------------------------------------------------------------------------
-class TestSharedMemory:
-    def test_bundle_round_trip_same_process(self):
-        arrays = {"a": np.arange(10, dtype=np.int64),
-                  "b": np.array([7], dtype=np.int64),
-                  "empty": np.empty(0, dtype=np.int64)}
-        with SharedArrayBundle.create(arrays) as bundle:
-            attached = SharedArrayBundle.attach(bundle.spec)
-            for key, arr in arrays.items():
-                assert np.array_equal(attached[key], arr)
-            # writes through the attached view are visible to the owner
-            attached["a"][3] = 99
-            assert bundle["a"][3] == 99
-            attached.close()
-
-    def test_bundle_cross_process_write(self):
-        def child(spec, done):
-            attached = SharedArrayBundle.attach(spec)
-            attached["a"][...] = attached["a"] * 2
-            attached.close()
-            done.send("ok")
-            done.close()
-
-        ctx = multiprocessing.get_context()
-        with SharedArrayBundle.create(
-                {"a": np.arange(5, dtype=np.int64)}) as bundle:
-            parent_end, child_end = ctx.Pipe()
-            proc = ctx.Process(target=child, args=(bundle.spec, child_end))
-            proc.start()
-            assert parent_end.recv() == "ok"
-            proc.join(timeout=10)
-            assert bundle["a"].tolist() == [0, 2, 4, 6, 8]
-
-    def test_unlink_frees_segments(self):
-        bundle = SharedArrayBundle.create(
-            {"a": np.arange(4, dtype=np.int64)})
-        spec = bundle.spec
-        bundle.unlink()
-        with pytest.raises(FileNotFoundError):
-            SharedArrayBundle.attach(spec)
-
-
-# ---------------------------------------------------------------------------
-# kernels
+# the chunk helper
 # ---------------------------------------------------------------------------
 class TestKernels:
     @pytest.mark.parametrize("parts", [1, 2, 3, 7])
-    def test_weighted_cuts_cover_and_monotone(self, parts):
+    def test_chunk_starts_cover_and_monotone(self, parts):
         rng = random.Random(parts)
         weights = np.array([rng.randint(0, 50) for _ in range(23)])
-        cuts = weighted_cuts(weights, parts)
+        cuts = _chunk_starts(weights, parts)
         assert cuts[0] == 0 and cuts[-1] == len(weights)
-        assert all(a <= b for a, b in zip(cuts, cuts[1:]))
-        assert len(cuts) == max(parts, 1) + 1
+        assert all(a < b for a, b in zip(cuts, cuts[1:]))
+        # at least `parts` ranges, none heavier than its share unless a
+        # single entry is
+        assert len(cuts) - 1 >= parts
+        share = int(weights.sum()) // parts
+        for lo, hi in zip(cuts, cuts[1:]):
+            assert hi - lo == 1 or int(weights[lo:hi].sum()) <= share
 
-    def test_weighted_cuts_empty_and_zero_weights(self):
-        assert weighted_cuts(np.empty(0, dtype=np.int64), 3)[-1] == 0
-        cuts = weighted_cuts(np.zeros(10, dtype=np.int64), 2)
-        assert cuts[0] == 0 and cuts[-1] == 10
+    def test_chunk_starts_empty_and_zero_weights(self):
+        assert _chunk_starts(np.empty(0, dtype=np.int64), 3) == [0]
+        assert _chunk_starts(np.zeros(10, dtype=np.int64), 2) == [0, 10]
+
+    def test_chunk_starts_budget_splits_by_threads(self, monkeypatch):
+        monkeypatch.setattr(csr_module, "_KERNEL_CHUNK_PAIRS", 100)
+        weights = np.full(40, 10, dtype=np.int64)
+        for parts in (1, 2, 4):
+            cuts = _chunk_starts(weights, parts)
+            sums = [int(weights[lo:hi].sum())
+                    for lo, hi in zip(cuts, cuts[1:])]
+            assert max(sums) <= 100 // parts
+            assert sum(sums) == 400
 
 
 # ---------------------------------------------------------------------------
@@ -227,26 +250,23 @@ class TestBulkPeels:
 
 
 # ---------------------------------------------------------------------------
-# worker pool + sharded execution
+# the listing thread pool
 # ---------------------------------------------------------------------------
 class TestWorkerPool:
-    def test_sharded_listing_matches_sequential(self, powerlaw_csr):
+    """The thread pool the ``csr-parallel`` listing maps its ranges over."""
+
+    def test_sharded_listing_matches_sequential(self, powerlaw_csr,
+                                                eight_cpus):
         sequential = csr_triangle_edge_ids(powerlaw_csr)
-        with WorkerPool(3) as pool:
-            sharded = parallel_triangle_edge_ids(powerlaw_csr, pool)
-        for a, b in zip(sequential, sharded):
-            assert np.array_equal(a, b)
+        assert_same_bytes(csr_triangle_edge_ids(powerlaw_csr, 3), sequential)
 
-    def test_sharded_incidence_deterministic_across_worker_counts(self):
+    def test_sharded_incidence_deterministic_across_worker_counts(
+            self, eight_cpus):
         csr = random_csr(7, max_n=50)
-        with WorkerPool(2) as pool:
-            two = parallel_truss_incidence(csr, pool)
-        with WorkerPool(3) as pool:
-            three = parallel_truss_incidence(csr, pool)
-        for a, b in zip(two, three):
-            assert np.array_equal(a, b)
+        assert_same_bytes(truss_incidence_arrays(csr, 2),
+                          truss_incidence_arrays(csr, 3))
 
-    def test_huge_vertex_ids_match_unshifted_graph(self, forced_sharding):
+    def test_huge_vertex_ids_match_unshifted_graph(self):
         # two layouts past the old 2**21-vertex cliff: every id shifted by
         # 2**21, and ids ending at 2**21 + 15, where (u·n + v)·n + w triple
         # keys pass 2**63 for some triangles and not for others.  The
@@ -269,38 +289,115 @@ class TestWorkerPool:
                     assert got.hierarchy.canonical_nuclei() == \
                         want.hierarchy.canonical_nuclei(), where
 
-    def test_sharded_nucleus34_incidence_matches_sequential(self):
+    def test_sharded_nucleus34_incidence_matches_sequential(self,
+                                                            eight_cpus):
         csr = random_csr(11, max_n=45)
-        with WorkerPool(2) as pool:
-            triangles, sup, ptr, comps = parallel_nucleus34_incidence(
-                csr, pool)
+        triangles, sup, ptr, comps = nucleus34_incidence_arrays(csr, 2)
         s_tri, s_sup, s_ptr, s_comps = nucleus34_incidence(csr)
-        assert triangles == s_tri
+        assert triangles.dtype == np.int64 and triangles.shape == \
+            (len(s_tri), 3)
+        assert triangle_tuples(triangles) == s_tri
         assert sup.tolist() == s_sup and ptr.tolist() == s_ptr
         assert [c.tolist() for c in comps] == list(s_comps)
 
-    def test_pool_peel_parity(self, powerlaw_csr):
-        with WorkerPool(2) as pool:
-            assert bulk_core_peel(powerlaw_csr, pool=pool).lam == \
-                core_peel(powerlaw_csr, backend="object").lam
-            assert bulk_truss_peel(powerlaw_csr, pool=pool).lam == \
-                truss_peel(powerlaw_csr, backend="object").lam
-            assert bulk_nucleus34_peel(powerlaw_csr, pool=pool).lam == \
-                nucleus34_peel(powerlaw_csr, backend="object").lam
+    def test_pool_peel_parity(self, powerlaw_csr, eight_cpus):
+        assert bulk_truss_peel(powerlaw_csr, 2).lam == \
+            truss_peel(powerlaw_csr, backend="object").lam
+        assert bulk_nucleus34_peel(powerlaw_csr, 2).lam == \
+            nucleus34_peel(powerlaw_csr, backend="object").lam
 
-    def test_pool_survives_task_errors(self):
-        with WorkerPool(2) as pool:
-            with pytest.raises(RuntimeError, match="unknown pool command"):
-                pool.broadcast(("no-such-command",))
-            # the pipes stay usable after a failed command
-            pool.broadcast(("unbind",))
+    def test_pool_survives_task_errors(self, powerlaw_csr, monkeypatch,
+                                       eight_cpus):
+        real = csr_module.triangle_pair_kernel
+        calls = []
 
-    def test_pool_empty_and_tiny_graphs(self):
-        for n, edges in [(0, []), (1, []), (2, [(0, 1)])]:
+        def failing_kernel(*args):
+            calls.append(args[-2:])
+            if len(calls) == 2:
+                raise RuntimeError("kernel range failed")
+            return real(*args)
+
+        monkeypatch.setattr(csr_module, "triangle_pair_kernel",
+                            failing_kernel)
+        with pytest.raises(RuntimeError, match="kernel range failed"):
+            csr_triangle_edge_ids(powerlaw_csr, 2)
+        monkeypatch.setattr(csr_module, "triangle_pair_kernel", real)
+        # a failed range leaves nothing behind: the next listing is whole
+        assert_same_bytes(csr_triangle_edge_ids(powerlaw_csr, 2),
+                          csr_triangle_edge_ids(powerlaw_csr))
+
+    def test_pool_empty_and_tiny_graphs(self, eight_cpus):
+        for n, edges in [(0, []), (1, []), (2, [(0, 1)]),
+                         (3, [(0, 1), (1, 2), (0, 2)])]:
             csr = CSRGraph(n, edges)
-            with WorkerPool(2) as pool:
-                assert bulk_core_peel(csr, pool=pool).lam == \
-                    core_peel(csr, backend="object").lam
+            for func, peel in ((bulk_truss_peel, truss_peel),
+                               (bulk_nucleus34_peel, nucleus34_peel)):
+                assert func(csr, 2).lam == peel(csr, backend="object").lam
+
+    @pytest.mark.parametrize("rs", [(1, 2), (2, 3), (3, 4)])
+    def test_no_process_is_started(self, rs, monkeypatch):
+        def no_process(self):
+            raise AssertionError("csr-parallel started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            no_process)
+        graph = as_backend(generators.powerlaw_cluster(200, 6, 0.6, seed=2),
+                           "csr")
+        parallel = decompose(graph, *rs, backend="csr-parallel", workers=4)
+        sequential = decompose(graph, *rs, backend="csr")
+        assert parallel.lam == sequential.lam
+        assert parallel.hierarchy.canonical_nuclei() == \
+            sequential.hierarchy.canonical_nuclei()
+
+    def test_threads_capped_by_affinity_mask(self, powerlaw_csr, monkeypatch,
+                                             inline_executor):
+        monkeypatch.setattr(threading.Thread, "start", _refuse_threads)
+        want = _listings(powerlaw_csr, 1)
+        assert inline_executor == []
+        assert_same_bytes(_listings(powerlaw_csr, 10**6), want)
+        cpus = len(os.sched_getaffinity(0))
+        assert all(count <= cpus for count in inline_executor)
+        if cpus > 1:
+            assert inline_executor
+        # a wider mask widens the pool, never past the request
+        monkeypatch.setattr(csr_module, "available_cpus", lambda: 3)
+        inline_executor.clear()
+        assert_same_bytes(_listings(powerlaw_csr, 10**6), want)
+        assert inline_executor and set(inline_executor) == {3}
+        inline_executor.clear()
+        assert_same_bytes(_listings(powerlaw_csr, 2), want)
+        assert inline_executor and set(inline_executor) == {2}
+
+    def test_many_threads_under_fast_switching(self, powerlaw_csr,
+                                               eight_cpus):
+        # more threads than cores, switching as often as the interpreter
+        # allows: the kernels share their inputs read-only and each range
+        # returns its own arrays, so no interleaving can change the bytes
+        want = _listings(powerlaw_csr, 1)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert_same_bytes(_listings(powerlaw_csr, 8), want)
+        finally:
+            sys.setswitchinterval(previous)
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    @pytest.mark.parametrize("name", ["edgeless", "star", "k5",
+                                      "few-forward-runs"])
+    def test_listings_equal_single_worker(self, name, workers, eight_cpus):
+        graphs = {
+            "edgeless": CSRGraph(6, []),
+            "star": CSRGraph(9, [(0, v) for v in range(1, 9)]),
+            "k5": CSRGraph(5, [(u, v) for u in range(5)
+                               for v in range(u + 1, 5)]),
+            # K4 plus a tail: 3 non-empty forward runs, fewer than threads
+            "few-forward-runs": CSRGraph(6, [(0, 1), (0, 2), (0, 3), (1, 2),
+                                             (1, 3), (2, 3), (3, 4),
+                                             (4, 5)]),
+        }
+        csr = graphs[name]
+        assert_same_bytes(_listings(csr, workers), _listings(csr, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +412,7 @@ class TestBackendDispatch:
         assert isinstance(as_backend(powerlaw_csr.to_object(),
                                      "csr-parallel"), CSRGraph)
 
-    def test_peel_parity_through_backend(self, powerlaw_csr,
-                                         forced_sharding):
+    def test_peel_parity_through_backend(self, powerlaw_csr):
         for func in (core_peel, truss_peel, nucleus34_peel):
             expected = func(powerlaw_csr, backend="object").lam
             assert func(powerlaw_csr, backend="csr-parallel",
@@ -325,8 +421,7 @@ class TestBackendDispatch:
                         workers=2).lam == expected
 
     @pytest.mark.parametrize("rs", [(1, 2), (2, 3), (3, 4)])
-    def test_decompose_condensed_hierarchy_parity(self, rs,
-                                                  forced_sharding):
+    def test_decompose_condensed_hierarchy_parity(self, rs):
         graph = generators.powerlaw_cluster(400, 7, 0.6, seed=9)
         csr = as_backend(graph, "csr")
         r, s = rs
@@ -368,10 +463,8 @@ class TestBackendDispatch:
             resolve_workers(None)
 
     def test_workers_one_spawns_no_pool(self, monkeypatch, powerlaw_csr):
-        def boom(*args, **kwargs):
-            raise AssertionError("a process pool was spawned for workers=1")
-
-        monkeypatch.setattr("repro.parallel.pool.WorkerPool.__init__", boom)
+        monkeypatch.setattr(csr_module, "ThreadPoolExecutor",
+                            _refuse_threads)
         expected = core_peel(powerlaw_csr, backend="object").lam
         assert core_peel(powerlaw_csr, backend="csr-parallel",
                          workers=1).lam == expected
@@ -380,31 +473,21 @@ class TestBackendDispatch:
             decompose(powerlaw_csr, 2, 3, backend="csr").lam
 
     def test_workers_env_feeds_backend_dispatch(self, monkeypatch,
-                                                powerlaw_csr):
+                                                powerlaw_csr,
+                                                inline_executor):
         monkeypatch.setenv(WORKERS_ENV, "2")
-        monkeypatch.setenv(FORCE_SHARDING_ENV, "1")
-        monkeypatch.setattr(bulk_module, "POOL_CROSSOVER_EDGES", 0)
-        result = core_peel(powerlaw_csr, backend="csr-parallel")
-        assert result.lam == core_peel(powerlaw_csr, backend="object").lam
-
-    def test_sharding_effective_override(self, monkeypatch):
-        monkeypatch.setenv(FORCE_SHARDING_ENV, "1")
-        assert sharding_effective() is True
-        monkeypatch.setenv(FORCE_SHARDING_ENV, "off")
-        assert sharding_effective() is False
-        monkeypatch.delenv(FORCE_SHARDING_ENV)
-        from repro.parallel.bulk import _available_cpus
-        assert sharding_effective() == (_available_cpus() >= 2)
+        monkeypatch.setattr(csr_module, "available_cpus", lambda: 4)
+        result = truss_peel(powerlaw_csr, backend="csr-parallel")
+        assert result.lam == truss_peel(powerlaw_csr, backend="object").lam
+        assert inline_executor and set(inline_executor) == {2}
 
     def test_single_core_hosts_degrade_to_bulk(self, monkeypatch,
                                                powerlaw_csr):
-        # with sharding off, a multi-worker request must not spawn a pool
-        monkeypatch.setenv(FORCE_SHARDING_ENV, "0")
-        monkeypatch.setattr(bulk_module, "POOL_CROSSOVER_EDGES", 0)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("pool spawned although sharding is off")
-
-        monkeypatch.setattr("repro.parallel.pool.WorkerPool.__init__", boom)
-        result = core_peel(powerlaw_csr, backend="csr-parallel", workers=4)
-        assert result.lam == core_peel(powerlaw_csr, backend="object").lam
+        # one CPU in the affinity mask: a multi-worker request must not
+        # build a thread pool
+        monkeypatch.setattr(csr_module, "available_cpus", lambda: 1)
+        monkeypatch.setattr(csr_module, "ThreadPoolExecutor",
+                            _refuse_threads)
+        for func in (core_peel, truss_peel, nucleus34_peel):
+            result = func(powerlaw_csr, backend="csr-parallel", workers=4)
+            assert result.lam == func(powerlaw_csr, backend="object").lam

@@ -1,4 +1,4 @@
-"""The level-wise parallel hierarchy construction (PR 4).
+"""The level-wise hierarchy construction and the ``csr-parallel`` pipeline.
 
 The contract under test: ``decompose(..., backend="csr-parallel",
 workers=N)`` produces λ elementwise identical and a *condensed*
@@ -8,12 +8,9 @@ count, deterministically.
 Covers the layers bottom-up:
 
 * the level-edge kernels against brute-force oracles;
-* the worker-side spanning-forest reduction;
-* the in-process (``pool=None``) level-wise build vs the object
-  engine's FND;
-* the full pooled pipeline — including every-level farming, repeated-run
-  determinism, and the single-core / ``workers=1`` degradation paths;
-* the sparse pool-farmed decrement merge of the bulk peels.
+* the level-wise build vs the object engine's FND;
+* the full pipeline — repeated-run determinism, and the single-core /
+  ``workers=1`` paths that never build a thread pool.
 """
 
 from __future__ import annotations
@@ -23,8 +20,7 @@ import random
 import numpy as np
 import pytest
 
-import repro.parallel.bulk as bulk_module
-import repro.parallel.construct as construct_module
+import repro.graph.csr as csr_module
 from repro.backends import (
     as_backend,
     core_peel,
@@ -36,18 +32,11 @@ from repro.core.csr_peel import truss_incidence_arrays
 from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.parallel import (
-    WorkerPool,
-    bulk_core_peel,
-    bulk_nucleus34_peel,
-    bulk_truss_peel,
     core_hierarchy_from_lambda,
     core_level_edges,
     incidence_hierarchy_from_lambda,
     incidence_level_edges,
-    merge_sparse_decrements,
-    spanning_forest_reduce,
 )
-from repro.parallel.bulk import FORCE_SHARDING_ENV
 
 RS_PAIRS = ((1, 2), (2, 3), (3, 4))
 
@@ -77,12 +66,6 @@ def skeleton_signature(hierarchy):
 def powerlaw_csr() -> CSRGraph:
     graph = generators.powerlaw_cluster(400, 6, 0.5, seed=9)
     return as_backend(graph, "csr")
-
-
-@pytest.fixture
-def forced_sharding(monkeypatch):
-    monkeypatch.setenv(FORCE_SHARDING_ENV, "1")
-    monkeypatch.setattr(bulk_module, "POOL_CROSSOVER_EDGES", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -129,49 +112,6 @@ class TestLevelEdgeKernels:
                     for other in clique[1:]:
                         expected.add((u, other))
             assert got == expected
-
-    def test_spanning_forest_reduce_preserves_connectivity(self):
-        rng = random.Random(3)
-        nodes = list(range(50))
-        a = np.array([rng.choice(nodes) for _ in range(300)], dtype=np.int64)
-        b = np.array([rng.choice(nodes) for _ in range(300)], dtype=np.int64)
-        ra, rb = spanning_forest_reduce(a, b)
-        # one star per component: the same components, no redundant pair,
-        # and every pair led by one of the input owners
-        touched = set(a.tolist()) | set(b.tolist())
-        full = _components(zip(a.tolist(), b.tolist()), touched)
-        reduced = _components(zip(ra.tolist(), rb.tolist()), touched)
-        assert full == reduced
-        assert len(ra) == len(touched) - len(full)
-        assert set(ra.tolist()) <= set(a.tolist())
-
-    def test_spanning_forest_reduce_empty_and_deterministic(self):
-        empty = np.empty(0, dtype=np.int64)
-        ra, rb = spanning_forest_reduce(empty, empty)
-        assert len(ra) == 0 and len(rb) == 0
-        a = np.array([5, 1, 5, 1, 9], dtype=np.int64)
-        b = np.array([6, 2, 6, 6, 9], dtype=np.int64)
-        first = spanning_forest_reduce(a, b)
-        second = spanning_forest_reduce(a, b)
-        assert first[0].tolist() == second[0].tolist()
-        assert first[1].tolist() == second[1].tolist()
-
-
-def _components(pairs, nodes):
-    parent = {x: x for x in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in pairs:
-        parent[find(x)] = find(y)
-    groups: dict[int, set] = {}
-    for x in nodes:
-        groups.setdefault(find(x), set()).add(x)
-    return {frozenset(g) for g in groups.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +162,13 @@ class TestLevelwiseConstruction:
 
 
 # ---------------------------------------------------------------------------
-# the pooled pipeline through the backend
+# the csr-parallel pipeline through the backend
 # ---------------------------------------------------------------------------
 class TestParallelFndParity:
     @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_condensed_parity_at_every_worker_count(
-            self, powerlaw_csr, forced_sharding, rs, workers):
+            self, powerlaw_csr, rs, workers):
         sequential = decompose(powerlaw_csr, *rs, algorithm="fnd",
                                backend="csr")
         parallel = decompose(powerlaw_csr, *rs, algorithm="fnd",
@@ -240,7 +180,7 @@ class TestParallelFndParity:
 
     @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
     def test_deterministic_across_repeated_runs(
-            self, powerlaw_csr, forced_sharding, rs):
+            self, powerlaw_csr, rs):
         first = decompose(powerlaw_csr, *rs, algorithm="fnd",
                           backend="csr-parallel", workers=3)
         second = decompose(powerlaw_csr, *rs, algorithm="fnd",
@@ -249,20 +189,8 @@ class TestParallelFndParity:
             skeleton_signature(second.hierarchy)
         assert first.lam == second.lam
 
-    @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
-    def test_parity_with_every_level_farmed(
-            self, powerlaw_csr, forced_sharding, monkeypatch, rs):
-        monkeypatch.setattr(construct_module, "MIN_LEVEL_SLOTS", 0)
-        sequential = decompose(powerlaw_csr, *rs, algorithm="fnd",
-                               backend="csr")
-        parallel = decompose(powerlaw_csr, *rs, algorithm="fnd",
-                             backend="csr-parallel", workers=2)
-        assert parallel.lam == sequential.lam
-        assert condensed_signature(parallel.hierarchy) == \
-            condensed_signature(sequential.hierarchy)
-
     @pytest.mark.parametrize("seed", range(10))
-    def test_random_graph_sweep_two_workers(self, forced_sharding, seed):
+    def test_random_graph_sweep_two_workers(self, seed):
         csr = random_csr(seed)
         for rs in RS_PAIRS:
             sequential = decompose(csr, *rs, algorithm="fnd", backend="csr")
@@ -274,10 +202,9 @@ class TestParallelFndParity:
 
     def test_single_core_hosts_degrade_to_sequential_path(
             self, powerlaw_csr, monkeypatch):
-        monkeypatch.setenv(FORCE_SHARDING_ENV, "0")
-        monkeypatch.setattr(bulk_module, "POOL_CROSSOVER_EDGES", 0)
+        monkeypatch.setattr(csr_module, "available_cpus", lambda: 1)
         monkeypatch.setattr(
-            "repro.parallel.pool.WorkerPool",
+            csr_module, "ThreadPoolExecutor",
             _RaisingPool)  # the degraded path must never build a pool
         sequential = decompose(powerlaw_csr, 2, 3, algorithm="fnd",
                                backend="csr")
@@ -288,53 +215,16 @@ class TestParallelFndParity:
             condensed_signature(sequential.hierarchy)
 
     def test_workers_one_never_builds_a_pool(
-            self, powerlaw_csr, forced_sharding, monkeypatch):
-        monkeypatch.setattr("repro.parallel.pool.WorkerPool", _RaisingPool)
-        result = decompose(powerlaw_csr, 1, 2, algorithm="fnd",
-                           backend="csr-parallel", workers=1)
-        sequential = decompose(powerlaw_csr, 1, 2, algorithm="fnd",
-                               backend="csr")
-        assert result.lam == sequential.lam
+            self, powerlaw_csr, monkeypatch):
+        monkeypatch.setattr(csr_module, "ThreadPoolExecutor", _RaisingPool)
+        for rs in RS_PAIRS:
+            result = decompose(powerlaw_csr, *rs, algorithm="fnd",
+                               backend="csr-parallel", workers=1)
+            sequential = decompose(powerlaw_csr, *rs, algorithm="fnd",
+                                   backend="csr")
+            assert result.lam == sequential.lam
 
 
 class _RaisingPool:
     def __init__(self, *args, **kwargs):
-        raise AssertionError("a worker pool must not be built on this path")
-
-
-# ---------------------------------------------------------------------------
-# sparse pool-farmed decrements
-# ---------------------------------------------------------------------------
-class TestSparseShardedDecrement:
-    @pytest.fixture
-    def every_round_farmed(self, monkeypatch):
-        monkeypatch.setattr(bulk_module, "MIN_SHARD_SLOTS", 0)
-
-    def test_merge_sparse_decrements_sums_overlaps(self):
-        empty = np.empty(0, dtype=np.int64)
-        targets, counts = merge_sparse_decrements([
-            (empty, empty),
-            (np.array([2, 5], dtype=np.int64),
-             np.array([1, 3], dtype=np.int64)),
-            (np.array([5, 9], dtype=np.int64),
-             np.array([2, 1], dtype=np.int64)),
-        ])
-        assert targets.tolist() == [2, 5, 9]
-        assert counts.tolist() == [1, 5, 1]
-        targets, counts = merge_sparse_decrements([(empty, empty)])
-        assert len(targets) == 0 and len(counts) == 0
-
-    def test_farmed_rounds_match_sequential(self, powerlaw_csr,
-                                            every_round_farmed):
-        with WorkerPool(2) as pool:
-            assert bulk_core_peel(powerlaw_csr, pool).lam == \
-                core_peel(powerlaw_csr, backend="object").lam
-            assert bulk_truss_peel(powerlaw_csr, pool).lam == \
-                truss_peel(powerlaw_csr, backend="object").lam
-
-    def test_farmed_nucleus34_matches_sequential(self, every_round_farmed):
-        csr = as_backend(generators.powerlaw_cluster(150, 6, 0.6, seed=2),
-                         "csr")
-        with WorkerPool(3) as pool:
-            assert bulk_nucleus34_peel(csr, pool).lam == \
-                nucleus34_peel(csr, backend="object").lam
+        raise AssertionError("a thread pool must not be built on this path")

@@ -67,6 +67,24 @@ class TestProcessPool:
         assert parallel.hierarchy.canonical_nuclei() == \
             sequential.hierarchy.canonical_nuclei()
 
+    def test_no_fork_start_method_runs_sequentially(self, monkeypatch):
+        # where fork does not exist (Windows), get_context("fork") raises
+        # ValueError; the documented fallback is the sequential path
+        import multiprocessing
+
+        def no_fork_context(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork_context)
+        g = two_islands()
+        fallback = decompose_by_components(g, 1, 2, processes=2)
+        sequential = decompose_by_components(g, 1, 2, processes=None)
+        assert fallback.hierarchy.canonical_nuclei() == \
+            sequential.hierarchy.canonical_nuclei()
+        assert fallback.lam == sequential.lam
+
 
 class TestMergeValidation:
     def test_bad_cell_map_rejected(self):

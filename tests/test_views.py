@@ -1,9 +1,11 @@
 """Cell views: degrees and coface iteration for each (r, s)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.core.views import (
+    CSRTriangleView,
     EdgeView,
     GenericCliqueView,
     TriangleView,
@@ -11,8 +13,10 @@ from repro.core.views import (
     build_view,
 )
 from repro.errors import InvalidParameterError
+from repro.graph.csr import CSRGraph
+from repro.parallel.fnd import frontier_fnd
 
-from _graphs import dense_small_graphs
+from _graphs import GENERATOR_SUITE, dense_small_graphs
 
 
 class TestVertexView:
@@ -150,3 +154,28 @@ def test_degree_equals_coface_count(g):
         degrees = view.initial_degrees()
         for cell in range(view.num_cells):
             assert degrees[cell] == sum(1 for _ in view.cofaces(cell))
+
+
+@pytest.mark.parametrize("graph", GENERATOR_SUITE, ids=lambda g: g.name)
+def test_csr_triangle_views_hold_arrays_and_match_object_view(graph):
+    """Both CSR (3,4) views — built from the graph and handed out by the
+    FND pipeline — keep the triangles as one int64 array and answer every
+    question like the object engine's :class:`TriangleView`."""
+    csr = CSRGraph.from_graph(graph)
+    reference = TriangleView(graph)
+    cells = range(reference.num_cells)
+    for view in (build_view(csr, 3, 4), frontier_fnd(csr, 3, 4)[2]):
+        assert isinstance(view, CSRTriangleView)
+        assert view._vertices.dtype == np.int64
+        assert view._vertices.shape == (reference.num_cells, 3)
+        assert view.num_cells == reference.num_cells
+        assert view.initial_degrees() == reference.initial_degrees()
+        assert [view.cell_vertices(c) for c in cells] == \
+            [reference.cell_vertices(c) for c in cells]
+        assert all(type(v) is int for c in cells
+                   for v in view.cell_vertices(c))
+        assert [sorted(view.cofaces(c)) for c in cells] == \
+            [sorted(reference.cofaces(c)) for c in cells]
+        for chosen in (cells, cells[::3], []):
+            assert view.vertices_of_cells(iter(chosen)) == \
+                reference.vertices_of_cells(chosen)
