@@ -64,10 +64,11 @@ __all__ = [
     "k4_pair_kernel",
     "lex_triangle_vertices",
     "lex_triangles",
+    "run_bounds",
     "run_heads",
     "sorted_unique",
+    "stable_order",
     "triangle_pair_kernel",
-    "triangle_run_pointers",
     "triangle_tuples",
 ]
 
@@ -81,6 +82,13 @@ def run_heads(values):
     return head
 
 
+def run_bounds(values):
+    """Boundaries of the runs of equal values in a 1-d array:
+    ``bounds[g] .. bounds[g+1]`` delimits the ``g``-th run, the first
+    bound is 0 and the last ``len(values)``."""
+    return np.append(np.flatnonzero(run_heads(values)), len(values))
+
+
 def sorted_unique(keys):
     """``np.unique(keys)`` for integer keys: one sort and a neighbour mask.
 
@@ -92,6 +100,27 @@ def sorted_unique(keys):
     """
     keys = np.sort(keys, axis=None)
     return keys[run_heads(keys)]
+
+
+def stable_order(keys, size: int):
+    """The permutation a stable ``np.argsort`` gives for integer keys in
+    ``[0, size)``, from one unstable sort.
+
+    numpy's stable sort of int64 keys is a timsort, several times slower
+    than its default sort.  Packing each key with its position,
+    ``key·len(keys) + position``, makes the keys distinct, so any sort
+    orders them by key with ties by position, and the remainder modulo
+    ``len(keys)`` reads the positions back.  The packed keys stay below
+    ``size·len(keys)``, which must be below ``2**63``.
+    """
+    count = len(keys)
+    if size * count >= 1 << 63:
+        raise OverflowError(
+            f"{count} keys below {size} do not pack into int64")
+    packed = np.asarray(keys, dtype=np.int64) * count
+    packed += np.arange(count, dtype=np.int64)
+    packed.sort()
+    return packed % count
 
 
 def csr_build_arrays(n: int, u, v) -> tuple:
@@ -535,19 +564,18 @@ def csr_forward_structure(csr: CSRGraph) -> tuple:
     vertices rank last, so forward runs — and the wedge-pair blow-up —
     stay small on skewed graphs.
     """
-    n, m = csr.n, csr.m
-    deg = np.diff(csr.indptr)
+    n = csr.n
     rank = np.empty(n, dtype=np.int64)
-    rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
+    # a degree is below n; ties go to the smaller id
+    rank[stable_order(np.diff(csr.indptr), n)] = np.arange(n)
     ru, rv = rank[csr.esrc], rank[csr.etgt]
     fsrc = np.minimum(ru, rv)
-    fdst = np.maximum(ru, rv)
-    order = np.lexsort((fdst, fsrc))
-    fsrc_s, fdst_s = fsrc[order], fdst[order]
-    feid = np.arange(m, dtype=np.int64)[order]
+    keys = fsrc * n + np.maximum(ru, rv)
+    feid = np.argsort(keys)  # keys are distinct: any sort agrees
+    fkeys = keys[feid]
     fptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(fsrc_s, minlength=n), out=fptr[1:])
-    return fptr, fdst_s, feid, fsrc_s * n + fdst_s
+    np.cumsum(np.bincount(fsrc, minlength=n), out=fptr[1:])
+    return fptr, fkeys % n, feid, fkeys
 
 
 def run_slots(starts, ends):
@@ -603,17 +631,17 @@ def fill_incidence(occ_columns, comp_rows, size: int):
 
     ``occ_columns[j][i]`` is the cell owning occurrence ``j`` of s-clique
     ``i``; ``comp_rows[j]`` the tuple of its companion columns.  Stacking
-    clique-major and stable-sorting by cell lays each cell's slots out in
-    clique order — the one incidence-layout algorithm shared by the
-    (2,3)/(3,4) builders (keep it single-sourced: the cross-backend
-    parity contract depends on every builder producing this same layout
-    discipline).
+    clique-major and stable-sorting by cell (:func:`stable_order`) lays
+    each cell's slots out in clique order — the one incidence-layout
+    algorithm shared by the (2,3)/(3,4) builders (keep it single-sourced:
+    the cross-backend parity contract depends on every builder producing
+    this same layout discipline).
     """
     occ = np.stack(occ_columns, axis=1).ravel()
     sup = np.bincount(occ, minlength=size).astype(np.int64)
     ptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(sup, out=ptr[1:])
-    order = np.argsort(occ, kind="stable")
+    order = stable_order(occ, size)
     comps = tuple(
         np.stack(columns, axis=1).ravel()[order]
         for columns in zip(*comp_rows, strict=True))
@@ -728,16 +756,6 @@ def triangle_tuples(triangles) -> list[tuple[int, int, int]]:
     return list(map(tuple, triangles.tolist()))
 
 
-def triangle_run_pointers(uv):
-    """Boundaries of the runs of triangles sharing their lowest edge.
-
-    ``run_ptr[g] .. run_ptr[g+1]`` delimits the ``g``-th maximal run of
-    lex-consecutive triangles with equal lowest edge id ``uv`` — exactly
-    the groups the K₄ pair kernel enumerates within.
-    """
-    return np.append(np.flatnonzero(run_heads(uv)), len(uv))
-
-
 def k4_pair_kernel(tri_keys, tri_uw, tri_vw, tri_w, run_ptr, n: int,
                    glo: int, ghi: int):
     """All four-cliques whose lowest-edge run index falls in ``[glo, ghi)``.
@@ -786,7 +804,9 @@ def csr_k4_arrays(csr: CSRGraph, workers: int = 1) -> tuple:  # repro-lint: disa
     keys, uv, uw, vw = lex_triangles(
         csr.etgt, n, *csr_triangle_edge_ids(csr, workers))
     tri_w = csr.etgt[vw]
-    run_ptr = triangle_run_pointers(uv)
+    # lex-consecutive triangles with one lowest edge: the groups the K₄
+    # pair kernel enumerates within
+    run_ptr = run_bounds(uv)
     run_sizes = np.diff(run_ptr)
 
     def kernel(glo, ghi):

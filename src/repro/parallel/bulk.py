@@ -18,6 +18,8 @@ same for every worker count.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro.core.csr_peel import (
@@ -25,7 +27,7 @@ from repro.core.csr_peel import (
     truss_incidence_arrays,
 )
 from repro.core.peeling import PeelingResult
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, run_bounds
 from repro.parallel.kernels import core_decrement, incidence_decrement
 
 __all__ = ["bulk_core_peel", "bulk_nucleus34_peel", "bulk_truss_peel"]
@@ -47,7 +49,9 @@ def _round_loop(sup, peel_round, decrement_for) -> tuple:
     at build time, then on every effective decrement), and the loop only
     ever touches the cells of the current bucket plus the cells a round
     actually decremented — entries left behind at higher levels are
-    filtered by the liveness check.  A round therefore costs
+    filtered by the liveness check.  Buckets exist only for the levels
+    present, and a heap of those levels gives the next k, so no step
+    costs anything per level absent.  A round therefore costs
     O(frontier + touched), so long-cascade graphs (paths, trees: O(n)
     rounds) peel in linear total time instead of the quadratic a
     full-array rescan per round would give.
@@ -56,26 +60,36 @@ def _round_loop(sup, peel_round, decrement_for) -> tuple:
     lam = np.zeros(size, dtype=np.int64)
     if size == 0:
         return lam, 0, lam
-    max_sup = int(sup.max())
-    # pending[v]: arrays of cells whose support last settled at v
-    pending: list[list] = [[] for _ in range(max_sup + 1)]
-    by_sup = np.argsort(sup, kind="stable")
-    bounds = np.searchsorted(sup[by_sup], np.arange(max_sup + 2))
-    for level in range(max_sup + 1):
-        chunk = by_sup[bounds[level]:bounds[level + 1]]
-        if len(chunk):
-            pending[level].append(chunk)
+    # pending[v]: arrays of cells whose support last settled at v, for
+    # the levels v present; levels: a heap of pending's keys
+    pending: dict[int, list] = {}
+    levels: list[int] = []
+
+    def settle(cells, vals) -> None:
+        """File ``cells`` under their new levels ``vals``."""
+        # each round sorts its frontier: any order within a level will do
+        by_val = np.argsort(vals)
+        vals = vals[by_val]
+        cells = cells[by_val]
+        bounds = run_bounds(vals)
+        for level, lo, hi in zip(vals[bounds[:-1]].tolist(),
+                                 bounds[:-1].tolist(), bounds[1:].tolist()):
+            bucket = pending.get(level)
+            if bucket is None:
+                pending[level] = [cells[lo:hi]]
+                heapq.heappush(levels, level)
+            else:
+                bucket.append(cells[lo:hi])
+
+    settle(np.arange(size, dtype=np.int64), sup)
     order_parts = []
     remaining = size
     rnd = 0
-    k = 0
     max_lambda = 0
     while remaining:
-        while not pending[k]:
-            k += 1
-        groups = pending[k]
+        k = heapq.heappop(levels)
+        groups = pending.pop(k)
         candidates = groups[0] if len(groups) == 1 else np.concatenate(groups)
-        pending[k] = []
         # a candidate is stale when the cell was peeled at a lower level
         # (its entry here was superseded); live ones all sit exactly at k
         frontier = candidates[peel_round[candidates] < 0]
@@ -83,8 +97,7 @@ def _round_loop(sup, peel_round, decrement_for) -> tuple:
             continue
         frontier = np.sort(frontier)
         lam[frontier] = k
-        if k > max_lambda:
-            max_lambda = k
+        max_lambda = k
         peel_round[frontier] = rnd
         targets, counts = decrement_for(frontier, rnd)
         if len(targets):
@@ -95,15 +108,7 @@ def _round_loop(sup, peel_round, decrement_for) -> tuple:
             if len(cells):
                 vals = new_vals[changed]
                 sup[cells] = vals
-                # one stable sort splits the touched cells by new level
-                by_val = np.argsort(vals, kind="stable")
-                vals = vals[by_val]
-                cells = cells[by_val]
-                cuts = (np.flatnonzero(vals[1:] != vals[:-1]) + 1).tolist()
-                starts = [0, *cuts]
-                for level, lo, hi in zip(vals[starts].tolist(), starts,
-                                         [*cuts, len(cells)], strict=True):
-                    pending[level].append(cells[lo:hi])
+                settle(cells, vals)
         order_parts.append(frontier)
         remaining -= len(frontier)
         rnd += 1

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.fnd import FndInstrumentation
 from repro.core.hierarchy import Hierarchy
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, run_bounds, stable_order
 from repro.parallel.kernels import (
     component_roots,
     core_level_edges,
@@ -104,14 +104,15 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
     nodes = 0
     downward = 0
     build_start = time.perf_counter()
-    order = np.argsort(-lam, kind="stable")  # λ descending, cell id ascending
+    highest = int(lam.max(initial=0))
+    # λ descending, cell id ascending
+    order = stable_order(highest - lam, highest + 1)
     lam_sorted = lam[order]
-    start = 0
-    while start < size:
-        k = int(lam_sorted[start])
+    bounds = run_bounds(lam_sorted)
+    for k, start, end in zip(lam_sorted[bounds[:-1]].tolist(),
+                             bounds[:-1].tolist(), bounds[1:].tolist()):
         if k == 0:
             break  # λ = 0 cells belong to the root
-        end = int(np.searchsorted(-lam_sorted, -k, side="right"))
         frontier = order[start:end]
         width = end - start
         cell_label[frontier] = np.arange(width, dtype=np.int64)
@@ -136,7 +137,6 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
         parent[tops] = made[width:]
         jump[tops] = made[width:]
         downward += len(tops)
-        start = end
 
     # number the nodes as the per-cell engines do — ascending λ, the root
     # last — so anything keyed by node id (a served index's node order)
@@ -146,7 +146,9 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
     first_cell = np.full(nodes, size, dtype=np.int64)
     np.minimum.at(first_cell, comp[owned], owned)
     renumber = np.empty(nodes, dtype=np.int64)
-    renumber[np.lexsort((first_cell, node_lambda[:nodes]))] = np.arange(nodes)
+    # the keys are distinct: no two nodes own the same cell
+    renumber[np.argsort(node_lambda[:nodes] * size + first_cell)] = \
+        np.arange(nodes)
     root = nodes
     comp[owned] = renumber[comp[owned]]
     comp[comp < 0] = root

@@ -9,6 +9,7 @@ directory (``benchmarks/``) also carries one.
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 from hypothesis import strategies as st
 
 from repro.core.disjoint_set import DisjointSetForest
@@ -32,6 +33,78 @@ GENERATOR_SUITE = [
     generators.barabasi_albert(120, 4, seed=5, name="ba"),
     generators.powerlaw_cluster(150, 5, 0.6, seed=9, name="plc"),
 ]
+
+
+def assert_same_bytes(got, want) -> None:
+    """Equal nested tuples of arrays: same dtype, shape and bytes."""
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bytes(g, w)
+        return
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def grid_graph(rows: int, cols: int, name: str = "") -> Graph:
+    """The ``rows × cols`` grid: interior degree 4, border 3, corners 2."""
+    edges = [(r * cols + c, r * cols + c + 1)
+             for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c)
+              for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges, name=name)
+
+
+#: graphs whose degrees, supports and clique counts tie everywhere: the
+#: inputs on which a sort that breaks ties by anything but the id or the
+#: position shows in the arrays
+TIE_GRAPHS = [
+    Graph.empty(0, name="empty"),
+    Graph.empty(9, name="isolated"),
+    generators.cycle_graph(40, name="cycle"),
+    generators.complete_graph(12, name="k12"),
+    generators.star(40, name="star"),
+    grid_graph(6, 7, name="grid"),
+    Graph(30, [(u, v) for u in range(10, 20) for v in range(u + 1, 20)]
+          + [(0, 29), (5, 25)], name="k10-with-isolated"),
+    generators.ring_of_cliques(6, 6, name="ring-of-k6"),
+]
+
+
+def reference_forward_structure(csr) -> tuple:
+    """``(fptr, fdst, feid, fkeys)`` by two ``np.lexsort`` calls, one for
+    the (degree, id) rank and one for the (source, target) edge order: the
+    forward structure the packed-key sorts replaced, kept as their
+    oracle."""
+    n, m = csr.n, csr.m
+    deg = np.diff(csr.indptr)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
+    ru, rv = rank[csr.esrc], rank[csr.etgt]
+    fsrc = np.minimum(ru, rv)
+    fdst = np.maximum(ru, rv)
+    order = np.lexsort((fdst, fsrc))
+    fsrc_s, fdst_s = fsrc[order], fdst[order]
+    feid = np.arange(m, dtype=np.int64)[order]
+    fptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(fsrc_s, minlength=n), out=fptr[1:])
+    return fptr, fdst_s, feid, fsrc_s * n + fdst_s
+
+
+def reference_fill_incidence(occ_columns, comp_rows, size: int) -> tuple:
+    """``(sup, ptr, comps)`` by a stable ``np.argsort`` of the
+    clique-major occurrences: the incidence fill the packed-key sort
+    replaced, kept as its oracle."""
+    occ = np.stack(occ_columns, axis=1).ravel()
+    sup = np.bincount(occ, minlength=size).astype(np.int64)
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(sup, out=ptr[1:])
+    order = np.argsort(occ, kind="stable")
+    comps = tuple(
+        np.stack(columns, axis=1).ravel()[order]
+        for columns in zip(*comp_rows, strict=True))
+    return sup, ptr, comps
 
 
 @st.composite

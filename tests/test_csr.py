@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.graph.csr as csr_module
 from repro.backends import (
@@ -26,6 +27,7 @@ from repro.backends import (
     truss_peel,
 )
 from repro.core.bucket import FlatBucketQueue
+from repro.core.csr_peel import nucleus34_fill, truss_fill
 from repro.core.peeling import peel
 from repro.core.views import CSRTriangleView, EdgeView, VertexView, build_view
 from repro.errors import InvalidGraphError, InvalidParameterError
@@ -40,19 +42,29 @@ from repro.graph.cliques import (
 from repro.graph.csr import (
     CSRGraph,
     csr_edge_support,
+    csr_forward_structure,
+    csr_k4_arrays,
+    csr_triangle_edge_ids,
     csr_triangles,
+    stable_order,
 )
 from repro.kcore.core import core_numbers, degeneracy
 from repro.ktruss.truss import truss_numbers
 
 from _graphs import (
     GENERATOR_SUITE,
+    TIE_GRAPHS,
+    assert_same_bytes,
     dense_small_graphs,
     reference_csr_arrays,
+    reference_fill_incidence,
+    reference_forward_structure,
     small_graphs,
 )
 
 _ids = [g.name for g in GENERATOR_SUITE]
+_ORDER_GRAPHS = TIE_GRAPHS + GENERATOR_SUITE
+_order_ids = [f"tie-{g.name}" for g in TIE_GRAPHS] + _ids
 
 ARRAYS = ("indptr", "indices", "eids", "esrc", "etgt")
 
@@ -254,6 +266,64 @@ class TestEnumeration:
         # the same listing runs over the disk backend's memory maps
         with as_diskcsr(graph) as disk:
             assert _k4_counts_by_triple(CSRTriangleView(disk)) == counts
+
+
+class TestStableOrders:
+    """The packed-key sorts equal the stable sorts they replaced, tie for
+    tie: ``stable_order`` against ``np.argsort(kind="stable")``, and the
+    forward structure and incidence fills against the lexsort and
+    stable-argsort code kept in ``_graphs``."""
+
+    @pytest.mark.parametrize("keys, size", [
+        ([], 1), ([], 0), ([0], 1), ([4], 5), ([3] * 50, 4),
+        ([6, 0, 6, 6, 0, 6, 3] * 9, 7), (list(range(30, -1, -1)) * 3, 31)],
+        ids=["empty", "empty-no-range", "one-zero", "one-at-top",
+             "all-equal", "at-size-minus-one", "descending-runs"])
+    def test_stable_order_equals_stable_argsort(self, keys, size):
+        keys = np.array(keys, dtype=np.int64)
+        got = stable_order(keys, size)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.argsort(keys, kind="stable").tolist()
+
+    @given(st.integers(min_value=1, max_value=2**40).flatmap(
+        lambda size: st.tuples(st.just(size), st.lists(
+            st.integers(min_value=0, max_value=size - 1), max_size=300))))
+    @settings(max_examples=200, deadline=None)
+    def test_stable_order_random_keys(self, case):
+        size, keys = case
+        keys = np.array(keys, dtype=np.int64)
+        assert stable_order(keys, size).tolist() == \
+            np.argsort(keys, kind="stable").tolist()
+
+    def test_stable_order_rejects_keys_that_do_not_pack(self):
+        keys = np.zeros(4, dtype=np.int64)
+        assert stable_order(keys, 2**61 - 1).tolist() == [0, 1, 2, 3]
+        with pytest.raises(OverflowError):
+            stable_order(keys, 2**61)
+
+    @pytest.mark.parametrize("graph", _ORDER_GRAPHS, ids=_order_ids)
+    def test_forward_structure_equals_lexsort_reference(self, graph):
+        csr = CSRGraph.from_graph(graph)
+        assert_same_bytes(csr_forward_structure(csr),
+                                 reference_forward_structure(csr))
+
+    @pytest.mark.parametrize("graph", _ORDER_GRAPHS, ids=_order_ids)
+    def test_fills_equal_stable_argsort_reference(self, graph):
+        csr = CSRGraph.from_graph(graph)
+        e1, e2, e3 = csr_triangle_edge_ids(csr)
+        sup, ptr, comps = truss_fill(csr.m, e1, e2, e3)
+        want_sup, want_ptr, want_comps = reference_fill_incidence(
+            [e1, e2, e3], [(e2, e3), (e1, e3), (e1, e2)], csr.m)
+        assert_same_bytes((sup, ptr, *comps),
+                                 (want_sup, want_ptr, *want_comps))
+        tri_keys, (q1, q2, q3, q4) = csr_k4_arrays(csr)
+        _, sup, ptr, comps = nucleus34_fill(csr, tri_keys, (q1, q2, q3, q4))
+        want_sup, want_ptr, want_comps = reference_fill_incidence(
+            [q1, q2, q3, q4],
+            [(q2, q3, q4), (q1, q3, q4), (q1, q2, q4), (q1, q2, q3)],
+            len(tri_keys))
+        assert_same_bytes((sup, ptr, *comps),
+                                 (want_sup, want_ptr, *want_comps))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ pattern, stays quiet on the sanctioned alternative, and the tree under
 ``src/`` is clean under the full rule set."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -454,6 +455,23 @@ def test_src_tree_is_clean():
     violations, errors = lint_paths([REPO / "src"])
     assert errors == []
     assert violations == [], "\n".join(v.format() for v in violations)
+
+
+def test_mypy_hook_covers_the_typed_tier():
+    # the hook runs mypy only for commits touching its ``files`` pattern,
+    # so a commit that changes nothing but a typed-tier file must match
+    tomllib = pytest.importorskip("tomllib")
+    tier = tomllib.loads((REPO / "pyproject.toml").read_text())
+    hooks = (REPO / ".pre-commit-config.yaml").read_text().split("- id: ")
+    mypy_hook = next(hook for hook in hooks if hook.startswith("mypy"))
+    pattern = re.search(r"^\s*files:\s*(\S+)\s*$", mypy_hook,
+                        re.MULTILINE).group(1)
+    for entry in tier["tool"]["mypy"]["files"]:
+        path = REPO / entry
+        for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            assert re.search(pattern, file.relative_to(REPO).as_posix()), file
+    assert re.search(pattern, "pyproject.toml")
+    assert not re.search(pattern, "src/repro/graph/csr.py")
 
 
 def test_mypy_typed_tier_is_clean():

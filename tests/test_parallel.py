@@ -60,6 +60,8 @@ from repro.parallel import (
     bulk_truss_peel,
 )
 
+from _graphs import assert_same_bytes
+
 
 def random_csr(seed: int, max_n: int = 60) -> CSRGraph:
     rng = random.Random(seed)
@@ -112,18 +114,6 @@ def inline_executor(monkeypatch) -> list:
 
 def _refuse_threads(*args, **kwargs):
     raise AssertionError("this path must not build a pool or start a thread")
-
-
-def assert_same_bytes(got, want) -> None:
-    """Equal nested tuples of arrays: same dtype, shape and bytes."""
-    if isinstance(want, tuple):
-        assert isinstance(got, tuple) and len(got) == len(want)
-        for g, w in zip(got, want):
-            assert_same_bytes(g, w)
-        return
-    assert got.dtype == want.dtype
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
 
 
 def _listings(csr: CSRGraph, workers: int) -> tuple:
@@ -238,6 +228,45 @@ class TestBulkPeels:
         elapsed = time.perf_counter() - start
         assert result.lam == core_peel(csr, backend="object").lam
         assert elapsed < 10.0  # quadratic behaviour would take minutes
+
+    def test_support_gaps_cost_no_memory(self):
+        # buckets exist only for the support levels present: two cells
+        # 2·10⁵ levels apart peel in two rounds with no per-level state
+        import tracemalloc
+
+        from repro.parallel.bulk import _round_loop
+
+        def no_decrement(frontier, rnd):
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+
+        sup = np.array([200_000, 0], dtype=np.int64)
+        peel_round = np.full(2, -1, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            lam, max_lambda, order = _round_loop(sup, peel_round,
+                                                 no_decrement)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert lam.tolist() == [200_000, 0] and max_lambda == 200_000
+        assert order.tolist() == [1, 0] and peel_round.tolist() == [1, 0]
+
+    def test_star_parity(self):
+        # a hub of degree 3000, in a K₉ with eight of its leaves: supports
+        # 1 and 3000 at (1,2), two λ levels at (1,2) and (2,3)
+        leaves = 3000
+        graph = Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)]
+                      + [(u, v) for u in range(1, 9) for v in range(u + 1, 9)])
+        csr = as_backend(graph, "csr")
+        assert bulk_core_peel(csr).lam == core_peel(graph, backend="object").lam
+        for (r, s), k9_lambda in (((1, 2), 8), ((2, 3), 7)):
+            want = decompose(graph, r, s, backend="object")
+            got = decompose(csr, r, s, backend="csr")
+            assert got.lam == want.lam
+            assert got.max_lambda == want.max_lambda == k9_lambda
+            assert got.hierarchy.canonical_nuclei() == \
+                want.hierarchy.canonical_nuclei()
 
     def test_bulk_order_is_valid_peel_order(self, powerlaw_csr):
         result = bulk_core_peel(powerlaw_csr)

@@ -152,6 +152,29 @@ class TestLevelwiseConstruction:
         assert condensed_signature(hierarchy) == \
             condensed_signature(reference.hierarchy)
 
+    @pytest.mark.parametrize("rs", [(1, 2), (2, 3)], ids=["12", "23"])
+    def test_nodes_numbered_by_lambda_then_smallest_cell(self, rs):
+        # the served index's node order depends on it; twenty disjoint K₅
+        # put twenty nodes on one λ level
+        csr = as_backend(generators.planted_cliques(
+            20, 5, bridge_edges=0, noise_vertices=7, noise_edges=9, seed=4),
+            "csr")
+        if rs == (1, 2):
+            lam = np.asarray(core_peel(csr, backend="object").lam)
+            hierarchy = core_hierarchy_from_lambda(csr, lam)
+        else:
+            lam = np.asarray(truss_peel(csr, backend="object").lam)
+            _, ptr, comps = truss_incidence_arrays(csr)
+            hierarchy = incidence_hierarchy_from_lambda(2, 3, lam, ptr, comps)
+        comp = np.asarray(hierarchy.comp)
+        node_lambda = np.asarray(hierarchy.node_lambda).tolist()
+        root = hierarchy.root
+        assert root == len(node_lambda) - 1
+        keys = [(node_lambda[node], int(np.flatnonzero(comp == node)[0]))
+                for node in range(root)]
+        assert node_lambda[:root].count(max(node_lambda)) == 20
+        assert keys == sorted(keys)
+
     def test_empty_and_edgeless_graphs(self):
         for csr in (CSRGraph(0, []), CSRGraph(5, [])):
             lam = np.asarray(core_peel(csr, backend="object").lam, dtype=np.int64)
