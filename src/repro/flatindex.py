@@ -30,7 +30,8 @@ Every query of :class:`~repro.queries.HierarchyIndex` has a scalar
 equivalent here with identical answers (cell lists are returned sorted
 ascending), plus a vectorised **batch** variant over arrays of vertices or
 cells.  :meth:`FlatHierarchyIndex.save` persists the whole index as an
-uncompressed ``.npz`` (one flat binary blob per array, loadable lazily), so
+uncompressed ``.npz`` (one flat binary blob per array, each starting at a
+64-byte boundary so :func:`mmap_npz` maps it aligned), so
 ``decompose → save`` runs once and a fresh process serves queries with
 :meth:`FlatHierarchyIndex.load` — no re-peeling, no graph needed.  ``load``
 checks the tree, cell and vertex-map arrays for consistency in passes
@@ -70,12 +71,15 @@ masking all m edges once per node cost O(nodes · m).
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 import threading
+import tokenize
 import zipfile
+import zlib
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, BinaryIO, Iterable, Sequence
 from zipfile import BadZipFile
 
 import numpy as np
@@ -86,7 +90,8 @@ from repro.errors import GraphFormatError, InvalidParameterError
 from repro.graph.csr import run_heads, sorted_unique
 from repro.queries import CommunityLevel
 
-__all__ = ["FlatHierarchyIndex", "FLAT_INDEX_FORMAT", "mmap_npz"]
+__all__ = ["FlatHierarchyIndex", "FLAT_INDEX_FORMAT", "mmap_npz",
+           "write_npz"]
 
 #: on-disk schema version of the ``.npz`` payload
 FLAT_INDEX_FORMAT = 1
@@ -109,72 +114,160 @@ _STAT_KINDS = ("iu", "iu", "f")
 _STATS_CHUNK = 1 << 16
 
 
-def _read_npy_header(handle: Any, version: tuple[int, int]) -> Any:
-    """(shape, fortran_order, dtype) of the ``.npy`` stream at ``handle``."""
-    reader = getattr(np.lib.format,
-                     f"read_array_header_{version[0]}_{version[1]}", None)
-    if reader is not None:
+#: zip extra-field ID of the padding :func:`write_npz` puts in each local
+#: header: Android ``zipalign``'s alignment field (the alignment as a u16,
+#: then zero bytes), which zip readers skip like any unknown field
+_ALIGN_FIELD_ID = 0xD935
+
+#: what reading a damaged archive raises besides ``GraphFormatError``:
+#: zipfile's and numpy's errors, ``TokenError`` from numpy's header filter
+#: (an unbalanced brace or quote), and ``RuntimeError`` (its subclass
+#: ``NotImplementedError`` too) from zipfile for a member whose flags or
+#: fields in the central directory ask for a password, an unsupported
+#: zip version or an unsupported compression method
+_READ_ERRORS = (OSError, ValueError, BadZipFile, tokenize.TokenError,
+                RuntimeError)
+
+
+def write_npz(handle: BinaryIO, arrays: dict[str, Any]) -> None:
+    """Write ``arrays`` to the binary file ``handle`` as an uncompressed
+    ``.npz`` whose every array starts at a file offset that is a multiple
+    of ``np.lib.format.ARRAY_ALIGN`` (64).
+
+    The members are the bytes ``np.savez`` writes (same ``.npy`` streams,
+    same zip64 headers and timestamps, so two saves are byte-identical),
+    plus one extra field in each local header that pads it to the
+    boundary; ``np.load`` and ``zipfile`` skip it.  ``np.savez`` leaves a
+    member's data wherever its header ends, and numpy copies a misaligned
+    array whole before a ``searchsorted`` reads it; the ``.npy`` header
+    is padded to a multiple of ``ARRAY_ALIGN``, so an aligned member
+    start aligns its array.
+    """
+    align = np.lib.format.ARRAY_ALIGN
+    with zipfile.ZipFile(handle, "w", zipfile.ZIP_STORED,
+                         allowZip64=True) as archive:
+        for key, value in arrays.items():
+            info = zipfile.ZipInfo(key + ".npy")
+            # zipfile writes the local header at the handle's position:
+            # 30 fixed bytes, the name, this field's 6 bytes before its
+            # padding, and the 20-byte zip64 field that force_zip64 adds
+            end = (handle.tell() + 30 + len(info.filename.encode("utf-8"))
+                   + 6 + 20)
+            pad = -end % align
+            info.extra = struct.pack(
+                "<HHH", _ALIGN_FIELD_ID, 2 + pad, align) + bytes(pad)
+            with archive.open(info, "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asanyarray(value),
+                                          allow_pickle=False)
+
+
+def _read_npy_header(handle: Any, path: str | Path, name: str) -> Any:
+    """(shape, fortran_order, dtype) of the ``.npy`` stream at ``handle``;
+    :class:`GraphFormatError` naming member ``name`` when it has none."""
+    try:
+        version = np.lib.format.read_magic(handle)
+        reader = getattr(np.lib.format,
+                         f"read_array_header_{version[0]}_{version[1]}", None)
+        if reader is None:  # numpy reads 3.0 only through a private call
+            raise GraphFormatError(
+                f"{path}: member {name} has unsupported .npy format "
+                f"version {version[0]}.{version[1]}")
         return reader(handle)
-    return np.lib.format._read_array_header(  # type: ignore[attr-defined]
-        handle, version)
+    except (ValueError, tokenize.TokenError) as exc:
+        raise GraphFormatError(
+            f"{path}: member {name} is not a valid .npy: {exc}") from exc
 
 
 def mmap_npz(path: str | Path) -> dict | None:
     """Memory-map every array member of an **uncompressed** ``.npz``.
 
     ``np.load(..., mmap_mode="r")`` silently ignores ``mmap_mode`` for
-    zipped files, so this maps each member by hand: ``np.savez`` stores
-    members with ``ZIP_STORED`` (no compression), which means every
-    embedded ``.npy`` sits verbatim in the archive and can be handed to
-    :class:`numpy.memmap` at its data offset.  The returned arrays are
-    **read-only views of the page cache** — N processes mapping the same
-    index share one physical copy.
+    zipped files, so this maps each member by hand: an uncompressed
+    (``ZIP_STORED``) member holds its ``.npy`` verbatim, which can be
+    handed to :class:`numpy.memmap` at its data offset.  The returned
+    arrays are **read-only views of the page cache** — N processes
+    mapping the same index share one physical copy.
 
-    Returns ``None`` when the archive cannot be mapped (a compressed or
-    object-dtype member) — callers fall back to an eager load.  Raises
-    :class:`GraphFormatError` on a structurally broken archive, matching
-    :meth:`FlatHierarchyIndex.load`.
+    Returns ``None`` when the archive cannot be mapped usefully — a
+    compressed or object-dtype member, or one whose data offset is not a
+    multiple of its dtype's alignment, as ``np.savez`` leaves most
+    members (numpy copies a misaligned array whole before a
+    ``searchsorted`` reads it) — and callers fall back to an eager load;
+    :func:`write_npz` writes mappable archives.  Raises
+    :class:`GraphFormatError` on a structurally broken archive or a
+    member whose bytes fail the CRC-32 the zip's central directory
+    records for them, matching :meth:`FlatHierarchyIndex.load`.
     """
     arrays: dict = {}
-    with zipfile.ZipFile(path) as archive, open(path, "rb") as raw:
+    with zipfile.ZipFile(path) as archive, open(path, "rb") as raw, \
+            mmap.mmap(raw.fileno(), 0, access=mmap.ACCESS_READ) as whole:
         for info in archive.infolist():
             if info.compress_type != zipfile.ZIP_STORED:
                 return None  # compressed member: not mappable
-            key = info.filename
-            if key.endswith(".npy"):
-                key = key[:-4]
+            name = info.filename
+            key = name[:-4] if name.endswith(".npy") else name
             # the local header's name/extra lengths can differ from the
             # central directory's, so read it from the file itself
-            raw.seek(info.header_offset)
-            header = raw.read(30)
+            header = whole[info.header_offset:info.header_offset + 30]
             if len(header) != 30 or header[:4] != b"PK\x03\x04":
                 raise GraphFormatError(
-                    f"{path}: malformed zip local header for {info.filename}")
+                    f"{path}: malformed zip local header for {name}")
             name_len, extra_len = struct.unpack("<HH", header[26:30])
-            raw.seek(info.header_offset + 30 + name_len + extra_len)
-            try:
-                version = np.lib.format.read_magic(raw)
-                shape, fortran, dtype = _read_npy_header(raw, version)
-            except ValueError as exc:
+            start = info.header_offset + 30
+            encoding = "utf-8" if info.flag_bits & 0x800 else "cp437"
+            if whole[start:start + name_len] != \
+                    info.orig_filename.encode(encoding):
                 raise GraphFormatError(
-                    f"{path}: member {info.filename} is not a valid .npy: "
-                    f"{exc}") from exc
+                    f"{path}: member {name} is named differently in its "
+                    f"local header")
+            start += name_len + extra_len
+            end = start + info.file_size
+            raw.seek(start)
+            shape, fortran, dtype = _read_npy_header(raw, path, name)
             if dtype.hasobject:
                 return None  # pickled payload: not mappable
+            offset = raw.tell()
             count = 1
             for dim in shape:
                 count *= dim
+            if offset + count * dtype.itemsize > end:
+                raise GraphFormatError(
+                    f"{path}: member {name} holds fewer bytes than its "
+                    f"shape {shape} needs")
+            if offset % dtype.alignment:
+                return None  # misaligned: numpy would copy on every read
+            with memoryview(whole) as view:
+                crc = zlib.crc32(view[start:end])
+            if crc != info.CRC:
+                raise GraphFormatError(
+                    f"{path}: member {name} fails its CRC-32 check")
             if count == 0:
                 arrays[key] = np.empty(shape, dtype=dtype)
             elif shape == ():
                 # np.memmap treats an empty shape as "map the whole
                 # file"; scalars are a handful of bytes — read them
                 arrays[key] = np.frombuffer(
-                    raw.read(dtype.itemsize), dtype=dtype).reshape(())
+                    whole[offset:offset + dtype.itemsize],
+                    dtype=dtype).reshape(())
             else:
                 arrays[key] = np.memmap(
-                    path, dtype=dtype, mode="r", offset=raw.tell(),
+                    path, dtype=dtype, mode="r", offset=offset,
                     shape=shape, order="F" if fortran else "C")
+    return arrays
+
+
+def _load_npz(path: str | Path) -> dict:
+    """Every member of ``path`` read into memory through ``np.load``; a
+    member that fails to read raises :class:`GraphFormatError` naming it
+    (``zipfile`` checks each member's CRC-32 as it reads to the end)."""
+    arrays = {}
+    with np.load(path, allow_pickle=False) as payload:
+        for key in payload.files:
+            try:
+                arrays[key] = payload[key]
+            except _READ_ERRORS as exc:
+                raise GraphFormatError(
+                    f"{path}: member {key}.npy does not read: {exc}") from exc
     return arrays
 
 
@@ -773,7 +866,8 @@ class FlatHierarchyIndex:
     # persistence
     # ------------------------------------------------------------------
     def save(self, path: str | Path, stats: bool = True) -> None:
-        """Persist the index as an uncompressed ``.npz``, atomically.
+        """Persist the index as an uncompressed ``.npz``, atomically, with
+        every array aligned for :func:`mmap_npz` (:func:`write_npz`).
 
         ``stats=True`` (default) additionally materialises the per-node
         profile statistics so a fresh process can answer *every* query
@@ -810,8 +904,8 @@ class FlatHierarchyIndex:
         tmp = path.with_name(
             f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
-            with open(tmp, "wb") as handle:  # savez would append ".npz"
-                np.savez(handle, **payload)
+            with open(tmp, "wb") as handle:
+                write_npz(handle, payload)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
@@ -835,8 +929,10 @@ class FlatHierarchyIndex:
         ignores ``mmap_mode`` for ``.npz`` archives).  Pages are shared
         through the OS page cache, so any number of serving processes
         hold **one** physical copy of the index; an archive that cannot
-        be mapped falls back to an eager load.  ``mmap_mode=None`` (the
-        default) loads eagerly.
+        be mapped (compressed, or written by ``np.savez`` or before
+        :meth:`save` aligned its arrays) falls back to an eager load, and
+        ``FlatHierarchyIndex.load(old).save(new)`` rewrites it mappable.
+        ``mmap_mode=None`` (the default) loads eagerly.
         """
         if mmap_mode not in (None, "r"):
             raise InvalidParameterError(
@@ -846,9 +942,8 @@ class FlatHierarchyIndex:
             arrays = mmap_npz(path) if mmap_mode == "r" else None
             mapped = arrays is not None
             if not mapped:
-                with np.load(path, allow_pickle=False) as payload:
-                    arrays = {key: payload[key] for key in payload.files}
-        except (OSError, ValueError, BadZipFile) as exc:
+                arrays = _load_npz(path)
+        except _READ_ERRORS as exc:
             raise GraphFormatError(
                 f"{path}: malformed flat index file: {exc}") from exc
         missing = [key for key in _REQUIRED_KEYS if key not in arrays]

@@ -47,6 +47,10 @@ __all__ = ["NucleusServer", "ServerConfig", "ServerThread", "run_server"]
 _HTTP_METHODS = (b"GET ", b"POST ", b"HEAD ", b"PUT ", b"DELETE ",
                  b"OPTIONS ")
 
+#: seconds ``aclose`` lets closed connections flush their replies before
+#: it aborts the ones whose peers read nothing
+_CLOSE_GRACE_S = 5.0
+
 
 class _BadRequest(ReproError):
     """A per-request problem: reported to the client, never fatal."""
@@ -98,6 +102,8 @@ class NucleusServer:
                 window=self.config.coalesce_window,
                 max_batch=self.config.max_batch)
         self._server: asyncio.AbstractServer | None = None
+        #: the handler task of every open connection, and its writer
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -120,9 +126,23 @@ class NucleusServer:
         await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        """Stop accepting, close every open connection and wait for its
+        handler to return.  A handler still awaiting ``readline`` when the
+        event loop shuts down is cancelled instead, and asyncio reports
+        that as an error in the stream's connection callback."""
+        if self._server is None:
+            return
+        self._server.close()
+        for writer in self._connections.values():
+            writer.close()  # the handler's reader sees EOF
+        if self._connections:
+            _, stuck = await asyncio.wait(list(self._connections),
+                                          timeout=_CLOSE_GRACE_S)
+            for task in stuck:  # a full send buffer holds close() back
+                self._connections[task].transport.abort()
+            if stuck:
+                await asyncio.wait(stuck)
+        await self._server.wait_closed()
 
     def stats(self) -> dict:
         """The ``/stats`` payload of this worker process."""
@@ -149,6 +169,9 @@ class NucleusServer:
             # and a client that delays its ACKs would then wait one
             # delayed-ACK interval per reply
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        task = asyncio.current_task()
+        assert task is not None  # asyncio runs every handler as a task
+        self._connections[task] = writer
         self.metrics.connections_total += 1
         self.metrics.connections_open += 1
         try:
@@ -163,6 +186,7 @@ class NucleusServer:
                 asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
         finally:
+            del self._connections[task]
             self.metrics.connections_open -= 1
             writer.close()
             try:

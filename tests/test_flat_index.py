@@ -320,6 +320,16 @@ def _run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
                           timeout=QUERY_TIMEOUT_S)
 
 
+def _write_index_file(path: Path, arrays: dict) -> Path:
+    """``arrays`` written as ``FlatHierarchyIndex.save`` writes them, so
+    the ``mmap_mode="r"`` loads of the file map it rather than falling
+    back to an eager load."""
+    with open(path, "wb") as handle:
+        flatindex_module.write_npz(handle, arrays)
+    assert flatindex_module.mmap_npz(path) is not None
+    return path
+
+
 def _broken_tree_file(index: FlatHierarchyIndex, variant: str,
                       tmp_path: Path) -> Path:
     """``index`` saved with one corruption of its tree, cell or vertex-map
@@ -366,9 +376,7 @@ def _broken_tree_file(index: FlatHierarchyIndex, variant: str,
     else:
         assert variant == "vert_nodes_out_of_range"
         arrays["vert_nodes"][0] = len(parent)
-    path = tmp_path / f"{variant}.npz"
-    np.savez(path, **arrays)
-    return path
+    return _write_index_file(tmp_path / f"{variant}.npz", arrays)
 
 
 class TestPersistence:
@@ -427,8 +435,7 @@ class TestPersistence:
         else:
             arrays[key] = stat.astype(
                 np.int64 if stat.dtype.kind == "f" else np.float64)
-        path = tmp_path / "bad.npz"
-        np.savez(path, **arrays)
+        path = _write_index_file(tmp_path / "bad.npz", arrays)
         for mmap_mode in (None, "r"):
             with pytest.raises(GraphFormatError, match=key):
                 FlatHierarchyIndex.load(path, mmap_mode=mmap_mode)
@@ -451,11 +458,11 @@ class TestPersistence:
         built.save(path)
         before = path.read_bytes()
 
-        def dies_mid_write(handle, **arrays):
+        def dies_mid_write(handle, arrays):
             handle.write(before[:100])
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez", dies_mid_write)
+        monkeypatch.setattr(flatindex_module, "write_npz", dies_mid_write)
         with pytest.raises(OSError, match="disk full"):
             built.save(path)
         assert path.read_bytes() == before

@@ -6,10 +6,12 @@ import json
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import urllib.error
 import urllib.request
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from repro.backends import build_query_index, load_query_index
 from repro.errors import InvalidParameterError
 from repro.flatindex import FlatHierarchyIndex, mmap_npz
 from repro.graph import generators
+from repro.serve import server as server_module
 from repro.serve import (
     IndexRegistry,
     NucleusServer,
@@ -69,6 +72,25 @@ class TestMmapLoad:
         member = arrays["lam"]
         assert isinstance(member, np.memmap)
         assert not member.flags.writeable
+
+    def test_arrays_start_on_64_byte_boundaries(self, npz_path):
+        """Every member's array data starts at a multiple of
+        ``ARRAY_ALIGN`` in the file (read from the zip and ``.npy`` headers
+        directly), so every mapped array is aligned: numpy copies a
+        misaligned array whole before ``searchsorted`` reads it."""
+        with zipfile.ZipFile(npz_path) as archive, \
+                open(npz_path, "rb") as raw:
+            for info in archive.infolist():
+                raw.seek(info.header_offset + 26)
+                name_len, extra_len = struct.unpack("<HH", raw.read(4))
+                raw.seek(name_len + extra_len, os.SEEK_CUR)
+                assert np.lib.format.read_magic(raw) == (1, 0)
+                np.lib.format.read_array_header_1_0(raw)
+                assert raw.tell() % np.lib.format.ARRAY_ALIGN == 0, \
+                    info.filename
+        arrays = mmap_npz(npz_path)
+        assert len(arrays) == len(archive.infolist())
+        assert all(array.flags.aligned for array in arrays.values())
 
     def test_load_mmap_marks_index(self, npz_path):
         index = FlatHierarchyIndex.load(npz_path, mmap_mode="r")
@@ -120,6 +142,27 @@ class TestMmapCompressedFallback:
         assert not index.mmapped
         assert index.communities_of_vertex(0, 2) == \
             flat.communities_of_vertex(0, 2)
+
+    def test_unaligned_npz_loads_eagerly_until_resaved(self, flat, tmp_path):
+        """An index written by plain ``np.savez``, as every index was before
+        ``save`` aligned its arrays, serves eagerly with the same answers;
+        loading and saving it once makes it mappable."""
+        old = tmp_path / "old.npz"
+        flat.save(tmp_path / "new.npz")
+        with np.load(tmp_path / "new.npz") as payload:
+            np.savez(old, **dict(payload.items()))
+        assert mmap_npz(old) is None
+        registry = IndexRegistry()
+        registry.open("old", old)
+        assert registry.describe()["old"]["mmapped"] is False
+        index = registry.get("old")
+        for vertex in range(0, flat.n, 7):
+            assert index.communities_of_vertex(vertex, 2) == \
+                flat.communities_of_vertex(vertex, 2)
+            assert index.profile(vertex) == flat.profile(vertex)
+        FlatHierarchyIndex.load(old).save(tmp_path / "resaved.npz")
+        assert FlatHierarchyIndex.load(tmp_path / "resaved.npz",
+                                       mmap_mode="r").mmapped
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +437,40 @@ class TestNagleOff:
         assert len(seen) == 1 and seen[0] != 0
 
 
+class TestClose:
+    def test_aclose_aborts_a_peer_that_reads_nothing(self, registry,
+                                                     monkeypatch):
+        """A client that sends requests and never reads leaves replies in
+        the send buffer, and ``close()`` waits for them to flush: after
+        its grace period ``aclose`` aborts such a connection instead of
+        waiting forever."""
+        monkeypatch.setattr(server_module, "_CLOSE_GRACE_S", 0.2)
+        request = b'{"op": "communities_of_vertex", "vertex": 0, "k": 0}\n'
+
+        async def scenario() -> None:
+            server = NucleusServer(registry, ServerConfig())
+            listener = socket.create_server(("127.0.0.1", 0))
+            # accepted sockets inherit the small send buffer
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            await server.start(sock=listener)
+            with socket.socket() as client:
+                client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                client.setblocking(False)
+                loop = asyncio.get_running_loop()
+                await loop.sock_connect(client, listener.getsockname()[:2])
+                await loop.sock_sendall(client, request * 300)
+                for _ in range(200):  # until replies back up
+                    await asyncio.sleep(0.01)
+                    (writer,) = server._connections.values()
+                    if writer.transport.get_write_buffer_size():
+                        break
+                assert writer.transport.get_write_buffer_size() > 0
+                await asyncio.wait_for(server.aclose(), timeout=10)
+                assert not server._connections
+
+        asyncio.run(scenario())
+
+
 # ---------------------------------------------------------------------------
 # the real process: `repro-nucleus serve` end to end
 # ---------------------------------------------------------------------------
@@ -441,6 +518,46 @@ class TestServeProcess:
         finally:
             returncode = self._shutdown(proc)
         assert returncode == 0  # SIGTERM exits cleanly
+
+    def test_sigterm_with_open_connections_is_clean(self, npz_path):
+        """Shut down with an idle NDJSON connection after a reply, a
+        half-sent request line and an HTTP keep-alive connection open:
+        exit 0, every client reads EOF, and nothing on stderr."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(npz_path),
+             "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            text=True)
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("serving "), line
+            port = int(line.split(" on ", 1)[1].split()[0].rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port)) as ndjson, \
+                    socket.create_connection(("127.0.0.1", port)) as half, \
+                    socket.create_connection(("127.0.0.1", port)) as http:
+                clients = (ndjson, half, http)
+                for sock in clients:
+                    sock.settimeout(10)
+                ndjson.sendall(b'{"op": "ping"}\n')
+                assert b"pong" in ndjson.makefile("rb").readline()
+                half.sendall(b'{"op": "pi')
+                http.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                reply = b""
+                while not reply.endswith(b'{"ok":true}\n'):
+                    reply += http.recv(4096)
+                assert b"keep-alive" in reply
+                proc.terminate()
+                _, stderr = proc.communicate(timeout=10)
+                assert [sock.recv(4096) for sock in clients] == [b""] * 3
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "Traceback" not in stderr, stderr
 
     def test_sigint_also_clean(self, npz_path):
         proc, port = self._spawn(npz_path)
