@@ -610,7 +610,16 @@ class FlatHierarchyIndex:
         """Per node: shallowest ancestor-or-self with level >= k (-1 when
         the node itself is below k).  Pointer doubling, cached per k; a
         tree is shallower than its node count, so the doubling stops within
-        that count's bit length, as in :func:`_lifting_table`."""
+        that count's bit length, as in :func:`_lifting_table`.
+
+        Every k at or below the lowest level has the same tops, and every
+        k above the highest has none, so k is clamped to one past each end
+        before it is cached: the cache holds at most one entry per level
+        in between, whatever k clients send."""
+        cached = self._tops_cache.get(k)
+        if cached is not None:
+            return cached
+        k = min(max(k, int(self.node_k.min())), int(self.node_k.max()) + 1)
         cached = self._tops_cache.get(k)
         if cached is not None:
             return cached
@@ -966,6 +975,10 @@ class FlatHierarchyIndex:
                 f"graph has {graph.n}")
         index.root = int(arrays["root"])
         index.algorithm = str(arrays["algorithm"])
+        # plain ndarray views of the maps (still read-only and zero-copy,
+        # ``.base`` is the np.memmap): slicing an np.memmap runs its
+        # Python-level __getitem__ and __array_finalize__ on every query
+        arrays = {key: np.asarray(value) for key, value in arrays.items()}
         for key in ("node_k", "node_parent", "tin", "tout",
                     "cell_node", "lam", "cells_in_tour",
                     "cell_tin_sorted", "vert_indptr", "vert_nodes"):

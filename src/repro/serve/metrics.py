@@ -1,4 +1,5 @@
-"""Per-route serving counters: requests, latency quantiles, batch sizes.
+"""Per-route serving counters: requests, latency quantiles, batch sizes,
+and each coalesced flush's kernel and encode seconds.
 
 Pure bookkeeping — no locks, because every mutation happens on the event
 loop thread of one worker process.  ``/stats`` snapshots are therefore
@@ -25,28 +26,57 @@ def _percentile(sample: list[float], q: float) -> float:
     return ordered[rank]
 
 
-class RouteStats:
-    """Counters for one request route (op name)."""
+class _Window:
+    """The last ``_RESERVOIR`` samples (seconds) of one timing."""
 
-    __slots__ = ("requests", "errors", "seconds_total", "_window", "_next")
+    __slots__ = ("samples", "_next")
+
+    def __init__(self) -> None:
+        self.samples: list[float] = []
+        self._next = 0
+
+    def add(self, seconds: float) -> None:
+        if len(self.samples) < _RESERVOIR:
+            self.samples.append(seconds)
+        else:  # overwrite round-robin: a sliding window of recent samples
+            self.samples[self._next] = seconds
+            self._next = (self._next + 1) % _RESERVOIR
+
+    def quantiles(self, prefix: str) -> dict:
+        """``{prefix}p50_ms`` and ``{prefix}p99_ms`` (0 with no samples)."""
+        return {f"{prefix}p{q}_ms":
+                round(_percentile(self.samples, q / 100) * 1000, 4)
+                for q in (50, 99)}
+
+
+class RouteStats:
+    """Counters for one request route (op name).
+
+    ``kernel_*`` and ``encode_*`` time each coalesced flush of the route:
+    its one batch-kernel call, and the JSON encoding of its answers.
+    """
+
+    __slots__ = ("requests", "errors", "seconds_total", "_latency",
+                 "_kernel", "_encode")
 
     def __init__(self) -> None:
         self.requests = 0
         self.errors = 0
         self.seconds_total = 0.0
-        self._window: list[float] = []
-        self._next = 0
+        self._latency = _Window()
+        self._kernel = _Window()
+        self._encode = _Window()
 
     def record(self, seconds: float, error: bool = False) -> None:
         self.requests += 1
         self.errors += int(error)
         self.seconds_total += seconds
-        if len(self._window) < _RESERVOIR:
-            self._window.append(seconds)
-        else:  # overwrite round-robin: a sliding window of recent requests
-            self._window[self._next] = seconds
-            self._next = (self._next + 1) % _RESERVOIR
-        return None
+        self._latency.add(seconds)
+
+    def record_flush(self, kernel_seconds: float,
+                     encode_seconds: float) -> None:
+        self._kernel.add(kernel_seconds)
+        self._encode.add(encode_seconds)
 
     def snapshot(self) -> dict:
         mean = self.seconds_total / self.requests if self.requests else 0.0
@@ -54,8 +84,9 @@ class RouteStats:
             "requests": self.requests,
             "errors": self.errors,
             "mean_ms": round(mean * 1000, 4),
-            "p50_ms": round(_percentile(self._window, 0.50) * 1000, 4),
-            "p99_ms": round(_percentile(self._window, 0.99) * 1000, 4),
+            **self._latency.quantiles(""),
+            **self._kernel.quantiles("kernel_"),
+            **self._encode.quantiles("encode_"),
         }
 
 
@@ -82,6 +113,11 @@ class ServerMetrics:
     def record_request(self, route: str, seconds: float,
                        error: bool = False) -> None:
         self.route(route).record(seconds, error=error)
+
+    def record_flush(self, route: str, kernel_seconds: float,
+                     encode_seconds: float) -> None:
+        """Time one coalesced flush: its kernel call and its encoding."""
+        self.route(route).record_flush(kernel_seconds, encode_seconds)
 
     def record_batch(self, size: int) -> None:
         self.batches += 1

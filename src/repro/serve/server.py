@@ -15,11 +15,11 @@ speak either protocol — the first bytes decide:
   and ``POST /query`` with a JSON object or array body.  Keep-alive is
   honoured; the implementation is stdlib-only and deliberately minimal.
 
-Scale-out is process-based, like :mod:`repro.parallel`: ``run_server``
-binds one socket, loads the registry **once**, then forks ``workers - 1``
-children that inherit both — every worker accepts on the shared socket
-and reads the same memory-mapped index pages, so N workers cost one
-page-cache copy per index (see ``docs/SERVING.md``).
+Scale-out is process-based: ``run_server`` binds one socket, loads the
+registry **once**, then forks ``workers - 1`` children that inherit both
+— every worker accepts on the shared socket and reads the same
+memory-mapped index pages, so N workers cost one page-cache copy per
+index (see ``docs/SERVING.md``).
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ __all__ = ["NucleusServer", "ServerConfig", "ServerThread", "run_server"]
 
 _HTTP_METHODS = (b"GET ", b"POST ", b"HEAD ", b"PUT ", b"DELETE ",
                  b"OPTIONS ")
+
+#: ops with a ``/stats`` route of their own (the rest share "invalid")
+_ROUTES = frozenset((*protocol.QUERY_OPS, "ping", "stats", "indexes"))
 
 #: seconds ``aclose`` lets closed connections flush their replies before
 #: it aborts the ones whose peers read nothing
@@ -245,7 +248,9 @@ class NucleusServer:
         """One request dict → one NDJSON envelope line."""
         request_id = request.get("id")
         op = request.get("op")
-        route = op if isinstance(op, str) else "invalid"
+        # one "invalid" route for every unknown op: each route keeps a
+        # latency window, so client-chosen names must not make new ones
+        route = op if isinstance(op, str) and op in _ROUTES else "invalid"
         start = time.perf_counter()
         error = False
         try:

@@ -261,6 +261,34 @@ class TestBatchVariants:
         with pytest.raises(InvalidParameterError):
             flat.communities_of_vertex_batch([[0, 1], [2, 3]], 1)
 
+    def test_out_of_range_k_keeps_the_tops_cache_bounded(self, parity_graph):
+        """k below the lowest level answers as the lowest level, k above
+        the highest answers nothing, and neither side grows the per-k
+        cache past one entry per level plus one per side."""
+        flat = FlatHierarchyIndex(
+            decompose(parity_graph, 2, 3, algorithm="fnd", backend="csr"))
+        low, high = int(flat.node_k.min()), int(flat.node_k.max())
+        vertices = list(range(parity_graph.n))
+        cells = list(range(flat.num_cells))
+
+        def answers(k):
+            return ([[c.tolist() for c in row] for row in
+                     flat.communities_of_vertex_batch(vertices, k)],
+                    [a.tolist() for a in flat.nucleus_at_batch(cells, k)]
+                    if k <= low else None)
+
+        at_low = answers(low)
+        at_levels = {k: answers(k) for k in range(low, high + 1)}
+        for k in [*range(high + 1, high + 400), 10**30, *range(-40, low),
+                  -10**30]:
+            communities, nuclei = answers(k)
+            if k < low:
+                assert (communities, nuclei) == at_low
+            else:
+                assert communities == [[] for _ in vertices]
+        assert len(flat._tops_cache) <= high - low + 2
+        assert {k: answers(k) for k in range(low, high + 1)} == at_levels
+
 
 class TestStructure:
     def test_is_ancestor_matches_tree(self, parity_graph):

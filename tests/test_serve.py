@@ -95,8 +95,9 @@ class TestMmapLoad:
     def test_load_mmap_marks_index(self, npz_path):
         index = FlatHierarchyIndex.load(npz_path, mmap_mode="r")
         assert index.mmapped
-        assert isinstance(index.lam, np.memmap)
+        assert isinstance(index.lam.base, np.memmap)
         assert not index.lam.flags.writeable
+        assert not index.lam.flags.owndata
 
     def test_eager_load_does_not(self, npz_path):
         index = FlatHierarchyIndex.load(npz_path)
@@ -322,6 +323,44 @@ class TestNdjsonServer:
                 batching = client.stats()["batching"]
         assert len(answers) == 32
         assert batching["max_batch"] <= 4
+
+    def test_unknown_ops_share_one_route(self, registry):
+        """Every route keeps a latency window, so ops named by clients
+        must not open new ones."""
+        requests = ([{"op": f"nope-{i}"} for i in range(50)]
+                    + [{"op": ["list"]}, {"op": None}, {}])
+        with ServerThread(registry) as thread:
+            with ServeClient(port=thread.port) as client:
+                results = client.call_many(requests, raise_on_error=False)
+                client.ping()
+                routes = client.stats()["routes"]
+        assert all(isinstance(result, ServeError) for result in results)
+        assert set(routes) == {"invalid", "ping"}
+        assert routes["invalid"]["requests"] == len(requests)
+        assert routes["invalid"]["errors"] == len(requests)
+
+    def test_stats_split_kernel_and_encode(self, registry, flat):
+        with ServerThread(registry) as thread:
+            with ServeClient(port=thread.port) as client:
+                client.call_many(
+                    [{"op": "communities_of_vertex", "vertex": v, "k": 2}
+                     for v in range(40)])
+                client.call_many([{"op": "max_nucleus", "cell": c}
+                                  for c in range(40)])
+                client.ping()
+                stats = client.stats()
+        routes = stats["routes"]
+        for op in ("communities_of_vertex", "max_nucleus"):
+            route = routes[op]
+            assert route["requests"] == 40
+            assert 0 < route["p50_ms"] <= route["p99_ms"]
+            assert 0 < route["kernel_p50_ms"] <= route["kernel_p99_ms"]
+            assert 0 < route["encode_p50_ms"] <= route["encode_p99_ms"]
+            assert route["kernel_p50_ms"] < route["p99_ms"]
+        # a route no flush served reports zeros
+        assert routes["ping"]["kernel_p50_ms"] == 0.0
+        assert routes["ping"]["encode_p99_ms"] == 0.0
+        assert stats["batching"]["batches"] >= 2
 
     def test_uncoalesced_mode_same_answers(self, registry, flat):
         with ServerThread(registry, uncoalesced=True) as thread:
