@@ -20,14 +20,6 @@ Three modes:
   versus recomputing the decomposition from scratch.
   ``check_regression.py`` gates the recorded batch speedup (≥10×) and
   the load-vs-recompute ratio (≤1).
-* **serving tier** (``run_serving_smoke``, part of the default standalone
-  run): spawns ``repro-nucleus serve`` over the persisted index twice —
-  default micro-batching mode and ``--uncoalesced`` (the scalar
-  per-request reference) — proves every TCP route answers identically to
-  direct in-process scalar queries, then measures pipelined throughput
-  and closed-loop p50/p99 from concurrent client threads.
-  ``check_regression.py`` gates the recorded coalesced-over-uncoalesced
-  QPS speedup (≥2×).
 * **scenario variants** (``run_variant_smoke``, part of the default
   standalone run): the weighted, uncertain and temporal-sweep
   decompositions on the object reference engines vs the generic flat
@@ -166,30 +158,6 @@ DISK_WORKLOADS = {
         "fnd12": dict(rs=(1, 2), gen=dict(n=18000, m=40, p=0.2, seed=7)),
         "fnd23": dict(rs=(2, 3), gen=dict(n=5000, m=10, p=0.6, seed=17)),
         "fnd34": dict(rs=(3, 4), gen=dict(n=1500, m=12, p=0.7, seed=13)),
-    },
-}
-
-#: serving workloads: one persisted index each, served by a freshly
-#: spawned ``repro-nucleus serve`` process and hammered over TCP.
-#: ``hot_vertices`` bounds the distinct vertices queried (a skewed
-#: residential workload: most requests hit popular vertices, which is
-#: exactly where coalescing + per-batch answer dedup pays);
-#: ``requests``/``connections`` size the pipelined throughput phase,
-#: ``latency_requests``/``latency_connections`` the closed-loop phase, and
-#: ``window_ms`` is the coalesce window the batching leg serves with (the
-#: uncoalesced leg always runs the scalar per-request path).
-SERVING_WORKLOADS = {
-    "quick": {
-        "kcore": dict(rs=(1, 2), k_num=2, k_den=3, hot_vertices=128,
-                      requests=4000, connections=8, window_ms=2.0,
-                      latency_requests=600, latency_connections=4,
-                      gen=dict(n=20000, m=8, p=0.5, seed=7)),
-    },
-    "full": {
-        "kcore": dict(rs=(1, 2), k_num=2, k_den=3, hot_vertices=256,
-                      requests=12000, connections=8, window_ms=2.0,
-                      latency_requests=1500, latency_connections=4,
-                      gen=dict(n=60000, m=8, p=0.5, seed=7)),
     },
 }
 
@@ -635,258 +603,6 @@ def run_variant_smoke(mode: str = "quick", repeats: int = 3) -> dict:
     return results
 
 
-# ---------------------------------------------------------------------------
-# serving smoke: the TCP tier over a spawned `repro-nucleus serve` process
-# ---------------------------------------------------------------------------
-def _spawn_server(npz_path, extra_args=()) -> tuple:
-    """Start ``repro-nucleus serve`` on a free port; return (proc, port).
-
-    The port is parsed from the announce line the server prints once it
-    is bound (``serving NAME on HOST:PORT (...)``), so the benchmark
-    never races the bind or guesses a free port.
-    """
-    import os
-    import subprocess
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", str(npz_path),
-         "--port", "0", *extra_args],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True)
-    line = proc.stdout.readline()
-    if not line.startswith("serving "):
-        rest = proc.stdout.read() or ""
-        proc.kill()
-        proc.wait()
-        raise AssertionError(f"server failed to start: {line}{rest}")
-    endpoint = line.split(" on ", 1)[1].split()[0]
-    return proc, int(endpoint.rsplit(":", 1)[1])
-
-
-def _stop_server(proc) -> None:
-    proc.terminate()
-    try:
-        proc.wait(timeout=10)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
-
-
-def _serving_parity(port, flat, hot, k) -> None:
-    """Every route must answer exactly what the direct in-process scalar
-    calls on the :class:`FlatHierarchyIndex` answer."""
-    from repro.serve.client import ServeClient
-
-    vertices = hot[:12]
-    cells = [c for c in range(flat.num_cells) if int(flat.lam[c]) >= k][:8]
-    with ServeClient(port=port) as client:
-        for vertex in vertices:
-            expect = [[int(x) for x in community]
-                      for community in flat.communities_of_vertex(vertex, k)]
-            if client.communities_of_vertex(vertex, k) != expect:
-                raise AssertionError(
-                    f"serving parity: communities_of_vertex({vertex}, {k}) "
-                    f"differs from the direct index answer")
-            expect_profile = [
-                {"k": int(lv.k), "node_id": int(lv.node_id),
-                 "num_vertices": int(lv.num_vertices),
-                 "num_edges": int(lv.num_edges), "density": lv.density}
-                for lv in flat.profile(vertex)]
-            if client.profile(vertex) != expect_profile:
-                raise AssertionError(
-                    f"serving parity: profile({vertex}) differs from the "
-                    f"direct index answer")
-        for cell in cells:
-            if client.max_nucleus(cell) != \
-                    [int(x) for x in flat.max_nucleus(cell)]:
-                raise AssertionError(
-                    f"serving parity: max_nucleus({cell}) differs from the "
-                    f"direct index answer")
-            if client.nucleus_at(cell, k) != \
-                    [int(x) for x in flat.nucleus_at(cell, k)]:
-                raise AssertionError(
-                    f"serving parity: nucleus_at({cell}, {k}) differs from "
-                    f"the direct index answer")
-
-
-def _pipelined_qps(port, requests, connections, build_request,
-                   chunk: int = 200) -> float:
-    """Open-loop throughput: ``connections`` threads each pipeline their
-    share of ``requests`` in ``chunk``-sized :meth:`call_many` blocks."""
-    import threading
-
-    from repro.serve.client import ServeClient
-
-    per_conn = [[] for _ in range(connections)]
-    for i in range(requests):
-        per_conn[i % connections].append(build_request(i))
-    barrier = threading.Barrier(connections + 1)
-    errors: list[BaseException] = []
-
-    def worker(reqs):
-        try:
-            with ServeClient(port=port) as client:
-                barrier.wait()
-                for start in range(0, len(reqs), chunk):
-                    client.call_many(reqs[start:start + chunk])
-        except BaseException as exc:
-            errors.append(exc)
-            barrier.abort()
-
-    threads = [threading.Thread(target=worker, args=(reqs,))
-               for reqs in per_conn]
-    for thread in threads:
-        thread.start()
-    try:
-        barrier.wait()
-    except threading.BrokenBarrierError:
-        pass
-    start = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - start
-    if errors:
-        raise errors[0]
-    return requests / elapsed
-
-
-def _closed_loop_latency(port, requests, connections,
-                         build_request) -> tuple[float, float]:
-    """Closed-loop per-request latency: each connection issues one request
-    at a time and waits for its answer.  Returns (p50, p99) seconds."""
-    import threading
-
-    from repro.serve.client import ServeClient
-    from repro.serve.metrics import _percentile
-
-    per_conn = max(1, requests // connections)
-    samples: list[list[float]] = [[] for _ in range(connections)]
-    errors: list[BaseException] = []
-
-    def worker(conn_id):
-        try:
-            with ServeClient(port=port) as client:
-                out = samples[conn_id]
-                for i in range(per_conn):
-                    request = build_request(conn_id * per_conn + i)
-                    start = time.perf_counter()
-                    client.call_many([request])
-                    out.append(time.perf_counter() - start)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(conn_id,))
-               for conn_id in range(connections)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    merged = [second for chunk in samples for second in chunk]
-    return _percentile(merged, 0.50), _percentile(merged, 0.99)
-
-
-def _serving_leg(npz_path, spec, flat, hot, k, uncoalesced: bool,
-                 repeats: int) -> dict:
-    """One server mode end to end: spawn, prove parity, measure pipelined
-    QPS (best of ``repeats``) and closed-loop p50/p99, read /stats."""
-    from repro.serve.client import ServeClient
-
-    extra = (("--uncoalesced",) if uncoalesced
-             else ("--coalesce-window", str(spec["window_ms"])))
-    proc, port = _spawn_server(npz_path, extra)
-    try:
-        _serving_parity(port, flat, hot, k)
-
-        def build_request(i, hot=hot, k=k):
-            return {"op": "communities_of_vertex",
-                    "vertex": hot[(i * 7) % len(hot)], "k": k}
-
-        qps = 0.0
-        for _ in range(repeats):
-            qps = max(qps, _pipelined_qps(port, spec["requests"],
-                                          spec["connections"], build_request))
-        # snapshot batching before the closed-loop phase: its single-request
-        # batches would dilute the pipelined-phase mean
-        with ServeClient(port=port) as client:
-            batching = client.stats()["batching"]
-        p50, p99 = _closed_loop_latency(
-            port, spec["latency_requests"], spec["latency_connections"],
-            build_request)
-        row = {
-            "qps": round(qps, 1),
-            "p50_ms": round(p50 * 1000, 3),
-            "p99_ms": round(p99 * 1000, 3),
-        }
-        if not uncoalesced:
-            row["mean_batch"] = batching["mean_batch"]
-            row["max_batch"] = batching["max_batch"]
-        return row
-    finally:
-        _stop_server(proc)
-
-
-def run_serving_smoke(mode: str = "quick", repeats: int = 2) -> dict:
-    """Benchmark the serving tier: coalesced vs uncoalesced over real TCP.
-
-    Per workload: build the decomposition once, persist the flat index,
-    then spawn ``repro-nucleus serve`` twice — once in its default
-    micro-batching mode and once with ``--uncoalesced`` (the scalar
-    per-request reference path) — and measure pipelined throughput and
-    closed-loop latency against each from concurrent client threads.
-    Both servers must answer every route identically to direct scalar
-    calls on the in-process :class:`FlatHierarchyIndex` before any
-    timing counts; ``check_regression.py`` gates the recorded
-    ``coalesce_qps_speedup`` (the whole point of the coalescer).
-    """
-    import tempfile
-
-    from repro.flatindex import FlatHierarchyIndex
-
-    results: dict = {"mode": mode, "workloads": {}}
-    for name, spec in SERVING_WORKLOADS[mode].items():
-        gen = spec["gen"]
-        graph = generators.powerlaw_cluster(
-            gen["n"], gen["m"], gen["p"], seed=gen["seed"],
-            name=f"{name}-serving-smoke")
-        csr = as_backend(graph, "csr")
-        csr.hot_arrays()
-        r, s = spec["rs"]
-        decomposition = decompose(csr, r, s, algorithm="fnd", backend="csr")
-        flat = FlatHierarchyIndex(decomposition)
-        k = max(1, spec["k_num"] * decomposition.max_lambda // spec["k_den"])
-        hot = [(i * 9973) % graph.n for i in range(spec["hot_vertices"])]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / f"{name}.npz"
-            flat.save(path)
-            coalesced = _serving_leg(path, spec, flat, hot, k, False, repeats)
-            uncoalesced = _serving_leg(path, spec, flat, hot, k, True,
-                                       repeats)
-        results["workloads"][name] = {
-            "n": graph.n,
-            "m": graph.m,
-            "r": r,
-            "s": s,
-            "k": k,
-            "hot_vertices": len(hot),
-            "requests": spec["requests"],
-            "connections": spec["connections"],
-            "coalesced": coalesced,
-            "uncoalesced": uncoalesced,
-            "coalesce_qps_speedup": round(
-                coalesced["qps"] / uncoalesced["qps"], 3),
-        }
-    # both server modes of every workload above proved route-for-route
-    # answer parity against the direct in-process index
-    results["parity"] = "ok"
-    return results
-
-
 def run_lint_smoke(repeats: int = 3) -> dict:
     """Time ``repro-lint`` over the shipped ``src`` tree.
 
@@ -1106,19 +822,6 @@ def main(argv: list[str] | None = None) -> int:
                   f"disk {row['disk_seconds']:.3f}s  "
                   f"csr {row['csr_seconds']:.3f}s  "
                   f"ratio {row['disk_vs_csr']:.1f}x")
-        serving = run_serving_smoke(mode, repeats=args.repeats)
-        results["serving"] = serving
-        print("serving tier (TCP, coalesced vs uncoalesced, identical "
-              "answers)")
-        for name, row in serving["workloads"].items():
-            coalesced, uncoalesced = row["coalesced"], row["uncoalesced"]
-            print(f"{name:10s} k={row['k']} "
-                  f"requests={row['requests']:>6}  "
-                  f"coalesced {coalesced['qps']:.0f} qps "
-                  f"(batch~{coalesced['mean_batch']:.0f}, "
-                  f"p99 {coalesced['p99_ms']:.1f}ms)  "
-                  f"uncoalesced {uncoalesced['qps']:.0f} qps  "
-                  f"speedup {row['coalesce_qps_speedup']:.2f}x")
         lint = run_lint_smoke(repeats=args.repeats)
         results["lint"] = lint
         print(f"repro-lint src ({lint['rules']} rules, "

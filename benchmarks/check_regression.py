@@ -22,16 +22,6 @@ above ``--min-query-speedup`` (default 10x; ratios are dimensionless so no
 rescale applies), and loading the persisted ``.npz`` index may cost at most
 ``--max-load-ratio`` (default 1x) of recomputing the decomposition.
 
-The fresh run also records the serving section
-(``bench_backends.run_serving_smoke``): a real ``repro-nucleus serve``
-process answering the pipelined TCP workload, once through the
-micro-batching coalescer and once through the ``--uncoalesced`` scalar
-path.  When the baseline carries the section, the coalesced leg must
-sustain at least ``--min-coalesce-speedup`` (default 2x) the uncoalesced
-throughput — again dimensionless, so no rescale — and route-for-route
-answer parity against direct in-process index calls must have been
-asserted.
-
 The fresh run also records the scenario-variant section
 (``bench_backends.run_variant_smoke``): the weighted, uncertain and
 temporal-sweep decompositions on the object reference engine vs the
@@ -97,7 +87,7 @@ from pathlib import Path
 
 from bench_backends import (
     run_disk_smoke, run_lint_smoke, run_parallel_smoke, run_query_smoke,
-    run_serving_smoke, run_smoke, run_variant_smoke)
+    run_smoke, run_variant_smoke)
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_baseline.json"
 
@@ -113,10 +103,6 @@ _ROW_KEYS = ("csr_seconds", "object_seconds", "speedup")
 #: fresh run (the two ratio fields are the gated ones)
 _QUERY_ROW_KEYS = ("legacy_seconds", "flat_seconds", "batch_speedup",
                    "load_seconds", "decompose_seconds", "load_vs_recompute")
-
-#: per-workload fields of the serving section; all must exist in a fresh
-#: run (the speedup is the gated one)
-_SERVING_ROW_KEYS = ("coalesced", "uncoalesced", "coalesce_qps_speedup")
 
 #: per-workload fields of the disk-backend section; all must exist in a
 #: fresh run (the rescaled disk time is the gated one)
@@ -239,52 +225,6 @@ def check_queries(fresh: dict, baseline: dict, min_batch_speedup: float,
                 f"{row['load_vs_recompute']:.2f}x a fresh decomposition "
                 f"(gate: {max_load_ratio}x; baseline recorded "
                 f"{base_row['load_vs_recompute']:.2f}x)")
-    return failures
-
-
-def check_serving(fresh: dict, baseline: dict,
-                  min_coalesce_speedup: float) -> list[str]:
-    """Failure messages for the serving-tier gate (empty = pass).
-
-    The gated quantity is the coalesced-over-uncoalesced QPS ratio from
-    the same fresh run — dimensionless, so no calibration rescale.  Both
-    server modes must also have proved route-for-route answer parity
-    against direct in-process index calls (asserted inside the smoke run
-    before any timing counts).
-    """
-    base = baseline.get("serving")
-    if base is None:
-        return []
-    fresh_serving = fresh.get("serving")
-    if fresh_serving is None:
-        return ["serving: baseline records a serving section but the fresh "
-                "run has none — the smoke run no longer produces it"]
-    failures: list[str] = []
-    if fresh_serving.get("parity") != "ok":
-        failures.append(
-            "serving: the fresh run did not assert route-vs-scalar answer "
-            "parity")
-    for name, base_row in base["workloads"].items():
-        row = fresh_serving.get("workloads", {}).get(name)
-        if row is None:
-            failures.append(
-                f"serving/{name}: baseline workload missing from fresh run "
-                f"— renamed or dropped workloads must update the baseline "
-                f"explicitly (--update)")
-            continue
-        missing = [key for key in _SERVING_ROW_KEYS
-                   if key in base_row and key not in row]
-        if missing:
-            failures.append(
-                f"serving/{name}: baseline field(s) {', '.join(missing)} "
-                f"missing from fresh run")
-            continue
-        if row["coalesce_qps_speedup"] < min_coalesce_speedup:
-            failures.append(
-                f"serving/{name}: coalesced throughput is only "
-                f"{row['coalesce_qps_speedup']:.2f}x the uncoalesced scalar "
-                f"path (gate: {min_coalesce_speedup}x; baseline recorded "
-                f"{base_row['coalesce_qps_speedup']:.2f}x)")
     return failures
 
 
@@ -535,9 +475,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-load-ratio", type=float, default=1.0,
                         help="max allowed persisted-index load time as a "
                              "fraction of a fresh decomposition (default 1)")
-    parser.add_argument("--min-coalesce-speedup", type=float, default=2.0,
-                        help="min required coalesced-over-uncoalesced "
-                             "serving throughput (default 2)")
     parser.add_argument("--min-variant-speedup", type=float, default=2.0,
                         help="min required generic-kernel speedup over the "
                              "object reference on gated scenario-variant "
@@ -615,13 +552,6 @@ def main(argv: list[str] | None = None) -> int:
               f"disk {row['disk_seconds']:.3f}s  "
               f"csr {row['csr_seconds']:.3f}s  "
               f"ratio {row['disk_vs_csr']:.1f}x")
-    fresh["serving"] = run_serving_smoke("quick", repeats=min(args.repeats, 2))
-    for name, row in fresh["serving"]["workloads"].items():
-        print(f"serve/{name:10s} coalesced "
-              f"{row['coalesced']['qps']:.0f} qps "
-              f"(batch~{row['coalesced']['mean_batch']:.0f})  "
-              f"uncoalesced {row['uncoalesced']['qps']:.0f} qps  "
-              f"speedup {row['coalesce_qps_speedup']:.2f}x")
     fresh["lint"] = run_lint_smoke(repeats=args.repeats)
     lint = fresh["lint"]
     print(f"lint/src       full {lint['full_seconds']:.3f}s  "
@@ -646,7 +576,6 @@ def main(argv: list[str] | None = None) -> int:
     failures = check(fresh, baseline, args.threshold, args.min_speedup)
     failures += check_queries(fresh, baseline, args.min_query_speedup,
                               args.max_load_ratio)
-    failures += check_serving(fresh, baseline, args.min_coalesce_speedup)
     failures += check_variants(fresh, baseline, args.min_variant_speedup)
     failures += check_disk(fresh, baseline, args.threshold)
     failures += check_lint(fresh, baseline, args.max_lint_overhead)

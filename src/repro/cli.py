@@ -10,7 +10,7 @@ Examples::
     repro-nucleus build-index graph.txt graph.npz --r 2 --s 3
     repro-nucleus query graph.npz --vertices 0,5,9 --k 2
     repro-nucleus serve graph.npz --port 8765 --workers 4
-    repro-nucleus serve web=web.npz social=social.npz --coalesce-window 2
+    repro-nucleus serve web=web.npz social=social.npz
 
 Every subcommand is documented in ``docs/CLI.md``.
 """
@@ -161,21 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8765,
                        help="TCP port (0 picks a free one; the printed "
                             "'serving ...' line reports it)")
-    serve.add_argument("--coalesce-window", type=float, default=0.0,
-                       metavar="MS",
-                       help="max milliseconds a scalar request waits to "
-                            "be coalesced into a batch kernel call "
-                            "(default 0: batch whatever arrived by the "
-                            "next event-loop tick)")
-    serve.add_argument("--max-batch", type=int, default=512,
-                       help="flush a coalescer bucket early at this many "
-                            "requests (default 512)")
     serve.add_argument("--workers", type=int, default=1,
                        help="accept-loop processes sharing the listening "
                             "socket and the mmap'd index pages (default 1)")
-    serve.add_argument("--uncoalesced", action="store_true",
-                       help="answer through the per-request scalar path "
-                            "(the benchmark's reference mode)")
     serve.add_argument("--no-mmap", action="store_true",
                        help="copy the index arrays into each process "
                             "instead of memory-mapping them")
@@ -395,11 +383,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "serve":
         from repro.serve.server import ServerConfig, run_server
 
-        config = ServerConfig(
-            host=args.host, port=args.port,
-            coalesce_window=args.coalesce_window / 1000.0,
-            max_batch=args.max_batch, uncoalesced=args.uncoalesced,
-            workers=args.workers)
+        config = ServerConfig(host=args.host, port=args.port,
+                              workers=args.workers)
         return run_server(args.indexes, config, mmap=not args.no_mmap)
     if args.command == "export":
         from repro.export import save_hierarchy, skeleton_to_dot, tree_to_dot

@@ -740,7 +740,9 @@ class FlatHierarchyIndex:
         inside = (vertices >= 0) & (vertices < self.n)
         safe = np.where(inside, vertices, 0)
         starts = self.vert_indptr[safe]
-        counts = np.where(inside, self.vert_indptr[safe + 1] - starts, 0)
+        # an outside vertex reads its end at its start (entry 0): count 0,
+        # and no read past the one entry of an empty graph's vert_indptr
+        counts = self.vert_indptr[safe + inside] - starts
         gather = _multi_range(starts, counts)
         nodes = self.vert_nodes[gather].astype(np.int64)
         owner = np.repeat(np.arange(len(vertices), dtype=np.int64), counts)

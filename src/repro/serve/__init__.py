@@ -9,11 +9,10 @@ one-shot CLI call; this package turns it into a long-lived server:
 * :class:`NucleusServer` — an asyncio front end speaking newline-delimited
   JSON over TCP plus a minimal HTTP/1.1 surface (stdlib only), exposing
   ``max_nucleus`` / ``nucleus_at`` / ``communities_of_vertex`` /
-  ``profile`` with multi-index routing and per-route request, latency and
-  batch-size counters on ``/stats``;
-* :class:`BatchCoalescer` — gathers concurrent scalar requests for up to a
-  configurable window and answers them through the existing vectorised
-  ``*_batch`` kernels, serialising each distinct answer once per batch;
+  ``profile`` with multi-index routing; it answers each connection's
+  requests in order, each through one call of the index's ``*_batch``
+  kernel, and counts requests, errors, latency and the kernel/encode
+  split per route on ``/stats``;
 * :func:`run_server` / ``repro-nucleus serve`` — the process entry point:
   one listening socket, ``--workers N`` forked accept loops;
 * :class:`ServerThread` / :class:`ServeClient` — embed a server in-process
@@ -23,7 +22,6 @@ See ``docs/SERVING.md`` for the build → persist → serve walkthrough.
 """
 
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.coalesce import BatchCoalescer
 from repro.serve.metrics import ServerMetrics
 from repro.serve.registry import IndexRegistry
 from repro.serve.server import (
@@ -34,7 +32,6 @@ from repro.serve.server import (
 )
 
 __all__ = [
-    "BatchCoalescer",
     "IndexRegistry",
     "NucleusServer",
     "ServeClient",

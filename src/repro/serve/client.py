@@ -4,8 +4,8 @@ Used by the tests, the benchmark drivers and the docs walkthrough; any
 language with sockets and JSON can implement the same ten lines.  One
 client owns one TCP connection.  :meth:`ServeClient.call_many` pipelines:
 it writes every request line before reading any response, then matches
-responses to requests by ``id`` — the server answers out of order by
-design (that is what lets concurrent requests coalesce into batches).
+responses to requests by ``id``.  The server replies in request order,
+and every reply carries its request's ``id``.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ class ServeClient:
         """Pipeline ``requests`` and return their results in order.
 
         Requests are tagged with fresh ``id`` values, written as one
-        block, and the responses (in whatever order they arrive) are
-        matched back.  With ``raise_on_error=False`` an error response
-        yields a :class:`ServeError` *instance* in the result list
-        instead of raising.
+        block, and the responses are matched back by ``id``.  With
+        ``raise_on_error=False`` an error response yields a
+        :class:`ServeError` *instance* in the result list instead of
+        raising.
         """
         tagged: list[dict] = []
         for request in requests:

@@ -1,5 +1,5 @@
-"""Per-route serving counters: requests, latency quantiles, batch sizes,
-and each coalesced flush's kernel and encode seconds.
+"""Per-route serving counters: requests, errors, latency quantiles, and
+each answer's kernel and encode seconds.
 
 Pure bookkeeping — no locks, because every mutation happens on the event
 loop thread of one worker process.  ``/stats`` snapshots are therefore
@@ -52,8 +52,8 @@ class _Window:
 class RouteStats:
     """Counters for one request route (op name).
 
-    ``kernel_*`` and ``encode_*`` time each coalesced flush of the route:
-    its one batch-kernel call, and the JSON encoding of its answers.
+    ``kernel_*`` and ``encode_*`` time each answer of a query route: its
+    one batch-kernel call, and the JSON encoding of its answer.
     """
 
     __slots__ = ("requests", "errors", "seconds_total", "_latency",
@@ -97,11 +97,8 @@ class ServerMetrics:
         self.started = time.time()
         self.connections_total = 0
         self.connections_open = 0
+        #: queries answered, each by one batch-kernel call
         self.batches = 0
-        self.batched_requests = 0
-        self.max_batch = 0
-        self.batch_failures = 0
-        self.last_batch_error = ""
         self._routes: dict[str, RouteStats] = {}
 
     def route(self, name: str) -> RouteStats:
@@ -116,36 +113,22 @@ class ServerMetrics:
 
     def record_flush(self, route: str, kernel_seconds: float,
                      encode_seconds: float) -> None:
-        """Time one coalesced flush: its kernel call and its encoding."""
+        """Time one answer: its kernel call and its encoding."""
+        self.batches += 1
         self.route(route).record_flush(kernel_seconds, encode_seconds)
 
-    def record_batch(self, size: int) -> None:
-        self.batches += 1
-        self.batched_requests += size
-        if size > self.max_batch:
-            self.max_batch = size
-
-    def record_batch_failure(self, error: BaseException) -> None:
-        """Count a batch kernel that raised (every parked request failed)."""
-        self.batch_failures += 1
-        self.last_batch_error = f"{type(error).__name__}: {error}"
-
     def snapshot(self) -> dict:
-        mean_batch = (self.batched_requests / self.batches
-                      if self.batches else 0.0)
         return {
             "uptime_seconds": round(time.time() - self.started, 3),
             "connections": {
                 "open": self.connections_open,
                 "total": self.connections_total,
             },
+            # each kernel call answers one request; mean_batch stays
+            # because perfbench reads it
             "batching": {
                 "batches": self.batches,
-                "batched_requests": self.batched_requests,
-                "mean_batch": round(mean_batch, 3),
-                "max_batch": self.max_batch,
-                "failures": self.batch_failures,
-                "last_error": self.last_batch_error,
+                "mean_batch": 1.0 if self.batches else 0.0,
             },
             "routes": {name: stats.snapshot()
                        for name, stats in self._routes.items()},

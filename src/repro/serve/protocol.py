@@ -6,12 +6,13 @@ Requests are JSON objects; responses are JSON envelopes::
      "index": "web", "id": 41}
     {"id": 41, "ok": true, "result": [[0, 4, 9], [22, 23]]}
 
-Answers are built as JSON *fragments* so the batch path can serialise
-each distinct answer exactly once: the ``*_batch`` kernels return the
-**same ndarray object** for every request that resolves to the same
-nucleus within a batch, so an ``id()``-keyed cache turns duplicate
-answers into a dict hit instead of a re-encode.  That cache is scoped to
-one batch — object identity means nothing beyond it.
+Answers are built as JSON *fragments* that the envelope wraps as they
+are.  The ``*_batch`` kernels return the **same ndarray object** for
+every look-up of one call that resolves to the same nucleus, so a caller
+encoding a whole batch can pass an ``id()``-keyed cache and encode each
+distinct answer once.  That cache is scoped to one kernel call — object
+identity means nothing beyond it.  The server answers each request with
+a one-element batch and passes none.
 
 Long answers skip Python's per-int ``str``: a sorted, non-negative
 integer array is printed by numpy (:func:`_sorted_ids_json`), four

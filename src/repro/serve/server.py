@@ -1,15 +1,15 @@
 """The asyncio serving front end: NDJSON-over-TCP plus minimal HTTP/1.1.
 
-One :class:`NucleusServer` owns a listening socket, an
-:class:`~repro.serve.registry.IndexRegistry` and one
-:class:`~repro.serve.coalesce.BatchCoalescer` per index.  Connections
-speak either protocol — the first bytes decide:
+One :class:`NucleusServer` owns a listening socket and an
+:class:`~repro.serve.registry.IndexRegistry`.  Connections speak either
+protocol — the first bytes decide:
 
 * **NDJSON** (the native protocol): one JSON request per line, one JSON
-  envelope per line back.  Responses carry the request's ``id`` and may
-  return **out of order** — a connection pipelines freely, every request
-  becomes an independent task, and concurrent requests coalesce into
-  batch-kernel calls.
+  envelope per line back, carrying the request's ``id``.  A connection
+  pipelines freely; its lines are answered **in order**, each through
+  one call of the index's ``*_batch`` kernel, and each reply is written
+  and drained before the next line is read, so a client that reads
+  nothing holds up only its own connection.
 * **HTTP/1.1** (for curl / browsers / load-balancer checks): ``GET
   /stats``, ``GET /healthz``, ``GET /indexes``, ``GET /query/<op>?…``
   and ``POST /query`` with a JSON object or array body.  Keep-alive is
@@ -32,13 +32,13 @@ import socket
 import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import InvalidParameterError, ReproError
 from repro.serve import protocol
-from repro.serve.coalesce import BatchCoalescer
 from repro.serve.metrics import ServerMetrics
 from repro.serve.registry import IndexRegistry
 
@@ -54,6 +54,14 @@ _ROUTES = frozenset((*protocol.QUERY_OPS, "ping", "stats", "indexes"))
 #: it aborts the ones whose peers read nothing
 _CLOSE_GRACE_S = 5.0
 
+#: each query op's JSON encoder for its kernel's answer
+_ENCODERS = {
+    "max_nucleus": protocol.cells_json,
+    "nucleus_at": protocol.cells_json,
+    "communities_of_vertex": protocol.communities_json,
+    "profile": protocol.profile_json,
+}
+
 
 class _BadRequest(ReproError):
     """A per-request problem: reported to the client, never fatal."""
@@ -65,26 +73,11 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8765
-    #: max seconds a scalar request waits to be coalesced; 0 = flush on
-    #: the next event-loop tick (load-driven batching, no added latency)
-    coalesce_window: float = 0.0
-    #: flush a coalescer bucket early at this many parked requests
-    max_batch: int = 512
-    #: answer every request through the scalar query path (A/B reference
-    #: for the benchmark; the coalesced path must beat it)
-    uncoalesced: bool = False
     #: accept-loop processes sharing the listening socket and the mmap'd
     #: index pages (1 = serve from the calling process only)
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.coalesce_window < 0:
-            raise InvalidParameterError(
-                f"coalesce window must be >= 0 seconds, "
-                f"got {self.coalesce_window}")
-        if self.max_batch < 1:
-            raise InvalidParameterError(
-                f"max batch must be >= 1, got {self.max_batch}")
         if self.workers < 1:
             raise InvalidParameterError(
                 f"workers must be >= 1, got {self.workers}")
@@ -98,12 +91,6 @@ class NucleusServer:
         self.registry = registry
         self.config = config or ServerConfig()
         self.metrics = ServerMetrics()
-        self._coalescers: dict[str, BatchCoalescer] = {}
-        for name in registry.names():
-            self._coalescers[name] = BatchCoalescer(
-                registry.get(name), self.metrics,
-                window=self.config.coalesce_window,
-                max_batch=self.config.max_batch)
         self._server: asyncio.AbstractServer | None = None
         #: the handler task of every open connection, and its writer
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
@@ -151,12 +138,7 @@ class NucleusServer:
         """The ``/stats`` payload of this worker process."""
         snapshot = self.metrics.snapshot()
         snapshot["indexes"] = self.registry.describe()
-        snapshot["config"] = {
-            "coalesce_window": self.config.coalesce_window,
-            "max_batch": self.config.max_batch,
-            "uncoalesced": self.config.uncoalesced,
-            "workers": self.config.workers,
-        }
+        snapshot["config"] = {"workers": self.config.workers}
         return snapshot
 
     # ------------------------------------------------------------------
@@ -203,48 +185,37 @@ class NucleusServer:
     async def _serve_ndjson(self, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter,
                             first: bytes) -> None:
-        """Pipelined request lines; every line becomes its own task.
+        """Answer request lines in order, one reply per line.
 
-        The reader loop never awaits an answer, so all requests buffered
-        on the socket are submitted before the coalescer's next flush —
-        that is what turns a pipelined connection into full batches.
+        Each reply is written and drained before the next line is read:
+        a client that sends and never reads stalls this loop once the
+        transport's write buffer passes its high-water mark, so the
+        server holds a bounded amount of replies for it.  A write to a
+        peer that went away raises out to :meth:`_on_connection`.
         """
-        tasks: set[asyncio.Task] = set()
         line = first
         while line:
             stripped = line.strip()
             if stripped:
-                task = asyncio.create_task(
-                    self._respond_line(stripped, writer))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
+                writer.write(self._respond_line(stripped))
+                await writer.drain()
             line = await reader.readline()
-        if tasks:  # EOF: flush the in-flight answers before closing
-            await asyncio.gather(*tasks, return_exceptions=True)
 
-    async def _respond_line(self, line: bytes,
-                            writer: asyncio.StreamWriter) -> None:
+    def _respond_line(self, line: bytes) -> bytes:
         try:
             request = json.loads(line)
         except ValueError:
-            response = protocol.error_envelope(
+            return protocol.error_envelope(
                 None, f"malformed JSON request: {line[:120]!r}")
-        else:
-            if not isinstance(request, dict):
-                response = protocol.error_envelope(
-                    None, "request must be a JSON object")
-            else:
-                response = await self._answer(request)
-        try:
-            writer.write(response)
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        if not isinstance(request, dict):
+            return protocol.error_envelope(
+                None, "request must be a JSON object")
+        return self._answer(request)
 
     # ------------------------------------------------------------------
     # request dispatch (shared by both protocols)
     # ------------------------------------------------------------------
-    async def _answer(self, request: dict) -> bytes:
+    def _answer(self, request: dict) -> bytes:
         """One request dict → one NDJSON envelope line."""
         request_id = request.get("id")
         op = request.get("op")
@@ -263,8 +234,8 @@ class NucleusServer:
                 response = protocol.envelope(
                     request_id, json.dumps(self.registry.describe()))
             elif op in protocol.QUERY_OPS:
-                fragment = await self._run_query(op, request)
-                response = protocol.envelope(request_id, fragment)
+                response = protocol.envelope(
+                    request_id, self._run_query(op, request))
             else:
                 raise _BadRequest(
                     f"unknown op {op!r} (expected one of "
@@ -273,6 +244,12 @@ class NucleusServer:
         except (_BadRequest, InvalidParameterError) as exc:
             error = True
             response = protocol.error_envelope(request_id, str(exc))
+        except Exception as exc:  # a server fault: answer it, keep serving
+            error = True
+            response = protocol.error_envelope(
+                request_id,
+                f"internal error: {type(exc).__name__}: {exc}")
+            traceback.print_exc()
         self.metrics.record_request(route, time.perf_counter() - start,
                                     error=error)
         return response
@@ -290,8 +267,8 @@ class NucleusServer:
                 f"parameter")
         return value
 
-    async def _run_query(self, op: str, request: dict) -> str:
-        """Validate, then answer via the coalescer (or scalar path)."""
+    def _run_query(self, op: str, request: dict) -> str:
+        """Validate, then answer with one batch-kernel call and encode."""
         name = request.get("index")
         if name is not None and not isinstance(name, str):
             raise _BadRequest("index must be a string name")
@@ -315,30 +292,20 @@ class NucleusServer:
         if op == "nucleus_at" and k > int(index.lam[value]):
             raise _BadRequest(
                 f"cell {value} has lambda {int(index.lam[value])} < k={k}")
-        if self.config.uncoalesced:
-            return self._scalar_answer(index, op, value, k)
-        route = name or self.registry.default_name
-        assert route is not None  # registry.get(name) succeeded above
-        coalescer = self._coalescers[route]
+        start = time.perf_counter()
         if op == "max_nucleus":
-            return await coalescer.max_nucleus(value)
-        if op == "nucleus_at":
-            return await coalescer.nucleus_at(value, k)
-        if op == "communities_of_vertex":
-            return await coalescer.communities_of_vertex(value, k)
-        return await coalescer.profile(value)
-
-    @staticmethod
-    def _scalar_answer(index: Any, op: str, value: int, k: int) -> str:
-        """The per-request reference path: one scalar query, one encode."""
-        if op == "max_nucleus":
-            return protocol.cells_json(index.max_nucleus(value))
-        if op == "nucleus_at":
-            return protocol.cells_json(index.nucleus_at(value, k))
-        if op == "communities_of_vertex":
-            return protocol.communities_json(
-                index.communities_of_vertex(value, k))
-        return protocol.profile_json(index.profile(value))
+            answer = index.max_nucleus_batch([value])[0]
+        elif op == "nucleus_at":
+            answer = index.nucleus_at_batch([value], k)[0]
+        elif op == "communities_of_vertex":
+            answer = index.communities_of_vertex_batch([value], k)[0]
+        else:
+            answer = index.profile_batch([value])[0]
+        middle = time.perf_counter()
+        fragment = _ENCODERS[op](answer)
+        self.metrics.record_flush(op, middle - start,
+                                  time.perf_counter() - middle)
+        return fragment
 
     # ------------------------------------------------------------------
     # HTTP protocol
@@ -367,7 +334,7 @@ class NucleusServer:
             keep_alive = (version == "HTTP/1.1"
                           and headers.get("connection", "").lower()
                           != "close")
-            status, payload = await self._http_response(method, target, body)
+            status, payload = self._http_response(method, target, body)
             await self._http_reply(writer, status, payload,
                                    close=not keep_alive,
                                    head_only=method == "HEAD")
@@ -375,8 +342,8 @@ class NucleusServer:
                 return
             request_line = await reader.readline()
 
-    async def _http_response(self, method: str, target: str,
-                             body: bytes) -> tuple[int, bytes]:
+    def _http_response(self, method: str, target: str,
+                       body: bytes) -> tuple[int, bytes]:
         split = urlsplit(target)
         path = split.path.rstrip("/") or "/"
         if method in ("GET", "HEAD"):
@@ -391,7 +358,7 @@ class NucleusServer:
                 request = {key: values[-1] for key, values
                            in parse_qs(split.query).items()}
                 request["op"] = path[len("/query/"):]
-                return 200, await self._answer(request)
+                return 200, self._answer(request)
             return 404, protocol.error_envelope(
                 None, f"no route {path!r} (try /stats, /indexes, "
                       f"/healthz, /query/<op>?..., POST /query)")
@@ -402,11 +369,10 @@ class NucleusServer:
                 return 400, protocol.error_envelope(
                     None, "POST /query body must be JSON")
             if isinstance(parsed, dict):
-                return 200, await self._answer(parsed)
+                return 200, self._answer(parsed)
             if isinstance(parsed, list) and all(
                     isinstance(item, dict) for item in parsed):
-                lines = await asyncio.gather(
-                    *(self._answer(item) for item in parsed))
+                lines = [self._answer(item) for item in parsed]
                 return 200, (b"[" + b",".join(
                     line.rstrip(b"\n") for line in lines) + b"]\n")
             return 400, protocol.error_envelope(
@@ -482,11 +448,8 @@ def run_server(specs: list[str], config: ServerConfig | None = None, *,
     sock = socket.create_server((config.host, config.port), backlog=1024)
     host, port = sock.getsockname()[:2]
     print(f"serving {','.join(registry.names())} on {host}:{port} "
-          f"(workers={config.workers}, "
-          f"coalesce_window={config.coalesce_window}, "
-          f"max_batch={config.max_batch}"
-          f"{', uncoalesced' if config.uncoalesced else ''}"
-          f"{', mmap' if mmap else ''})", flush=True)
+          f"(workers={config.workers}{', mmap' if mmap else ''})",
+          flush=True)
     children: list = []
     previous = signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
     try:
@@ -520,8 +483,8 @@ class ServerThread:
         with ServerThread(registry) as server:
             client = ServeClient(port=server.port)
 
-    Used by the tests, the docs snippets and the benchmark's latency
-    phase; production serving should prefer ``repro-nucleus serve``
+    Used by the tests and the docs snippets; production serving should
+    prefer ``repro-nucleus serve``
     (real worker processes, no GIL sharing with the application).
     """
 

@@ -256,6 +256,11 @@ class TestBatchVariants:
         batch = flat.communities_of_vertex_batch([-3, 10 ** 6], 1)
         assert batch == [[], []]
         assert flat.profile_batch([10 ** 6]) == [[]]
+        # n = 0: every vertex is out of range of a one-entry vert_indptr
+        empty = build_query_index(Graph(0, []), 1, 2, backend="csr")
+        assert empty.communities_of_vertex_batch([0, -3], 1) == [[], []]
+        assert empty.communities_of_vertex(0, 1) == []
+        assert empty.profile_batch([0]) == [[]]
 
     def test_rejects_non_flat_input(self, flat):
         with pytest.raises(InvalidParameterError):

@@ -1,5 +1,6 @@
-"""The serving tier: mmap loads, the registry, the coalescer, both wire
-protocols, and the `repro-nucleus serve` process end to end."""
+"""The serving tier: mmap loads, the registry, in-order answers and their
+back-pressure, both wire protocols, and the `repro-nucleus serve` process
+end to end."""
 
 import asyncio
 import json
@@ -212,14 +213,12 @@ class TestRegistry:
 class TestServerConfig:
     def test_defaults(self):
         config = ServerConfig()
-        assert config.coalesce_window == 0.0
+        assert (config.host, config.port) == ("127.0.0.1", 8765)
         assert config.workers == 1
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(coalesce_window=-1), dict(max_batch=0), dict(workers=0)])
-    def test_validation(self, kwargs):
+    def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            ServerConfig(**kwargs)
+            ServerConfig(workers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,21 +253,6 @@ class TestNdjsonServer:
             if lam >= 1:
                 assert client.nucleus_at(cell, lam) == \
                     [int(x) for x in flat.nucleus_at(cell, lam)]
-
-    def test_pipelined_batch_coalesces(self, server, flat):
-        vertices = [v % flat.n for v in range(300)]
-        with ServeClient(port=server.port) as client:
-            before = client.stats()["batching"]["batches"]
-            answers = client.call_many(
-                [{"op": "communities_of_vertex", "vertex": v, "k": 2}
-                 for v in vertices])
-            after_stats = client.stats()["batching"]
-        assert answers == [_expected_communities(flat, v, 2)
-                           for v in vertices]
-        # 300 pipelined requests must have shared kernel calls
-        new_batches = after_stats["batches"] - before
-        assert 0 < new_batches < 300
-        assert after_stats["max_batch"] > 1
 
     def test_named_index_routing(self, client, flat):
         assert client.communities_of_vertex(3, 2, index="kcore") == \
@@ -314,16 +298,6 @@ class TestNdjsonServer:
         assert not first["ok"] and "malformed" in first["error"]
         assert not second["ok"] and "object" in second["error"]
 
-    def test_max_batch_flushes_early(self, registry, flat):
-        with ServerThread(registry, max_batch=4) as thread:
-            with ServeClient(port=thread.port) as client:
-                answers = client.call_many(
-                    [{"op": "max_nucleus", "cell": c % flat.num_cells}
-                     for c in range(32)])
-                batching = client.stats()["batching"]
-        assert len(answers) == 32
-        assert batching["max_batch"] <= 4
-
     def test_unknown_ops_share_one_route(self, registry):
         """Every route keeps a latency window, so ops named by clients
         must not open new ones."""
@@ -357,22 +331,42 @@ class TestNdjsonServer:
             assert 0 < route["kernel_p50_ms"] <= route["kernel_p99_ms"]
             assert 0 < route["encode_p50_ms"] <= route["encode_p99_ms"]
             assert route["kernel_p50_ms"] < route["p99_ms"]
-        # a route no flush served reports zeros
+        # a route no kernel served reports zeros
         assert routes["ping"]["kernel_p50_ms"] == 0.0
         assert routes["ping"]["encode_p99_ms"] == 0.0
-        assert stats["batching"]["batches"] >= 2
+        # one kernel call per request, timed inside the request's own
+        # latency: each split quantile is at most the route's
+        assert stats["batching"] == {"batches": 80, "mean_batch": 1.0}
+        for op in ("communities_of_vertex", "max_nucleus"):
+            for quantile in ("p50_ms", "p99_ms"):
+                assert routes[op][f"kernel_{quantile}"] <= routes[op][quantile]
+                assert routes[op][f"encode_{quantile}"] <= routes[op][quantile]
 
-    def test_uncoalesced_mode_same_answers(self, registry, flat):
-        with ServerThread(registry, uncoalesced=True) as thread:
-            with ServeClient(port=thread.port) as client:
-                vertices = list(range(0, flat.n, 9))
-                answers = client.call_many(
-                    [{"op": "communities_of_vertex", "vertex": v, "k": 2}
-                     for v in vertices])
-                batching = client.stats()["batching"]
-        assert answers == [_expected_communities(flat, v, 2)
-                           for v in vertices]
-        assert batching["batches"] == 0  # the coalescer never ran
+    def test_internal_error_gets_an_answer(self, npz_path, capfd):
+        """A query that fails inside the index is answered with an error,
+        counted on its route and printed once; the connection serves on."""
+        index = FlatHierarchyIndex.load(npz_path, mmap_mode="r")
+
+        def broken(cells):
+            raise RuntimeError("kernel fault")
+
+        index.max_nucleus_batch = broken
+        registry = IndexRegistry()
+        registry.add("broken", index)
+        with ServerThread(registry) as thread:
+            with ServeClient(port=thread.port, timeout=10) as client:
+                results = client.call_many(
+                    [{"op": "max_nucleus", "cell": 0},
+                     {"op": "communities_of_vertex", "vertex": 0, "k": 1}],
+                    raise_on_error=False)
+                route = client.stats()["routes"]["max_nucleus"]
+        assert isinstance(results[0], ServeError)
+        assert str(results[0]) == \
+            "internal error: RuntimeError: kernel fault"
+        assert results[1] == [[int(x) for x in community] for community
+                              in index.communities_of_vertex(0, 1)]
+        assert (route["requests"], route["errors"]) == (1, 1)
+        assert capfd.readouterr().err.count("Traceback") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +390,7 @@ class TestHttpServer:
 
     def test_stats_and_indexes(self, server):
         stats = self._get(server, "/stats")
-        assert stats["config"]["max_batch"] == 512
+        assert stats["config"] == {"workers": 1}
         assert self._get(server, "/indexes")["kcore"]["r"] == 1
 
     def test_query_route(self, server, flat):
@@ -508,6 +502,49 @@ class TestClose:
                 assert not server._connections
 
         asyncio.run(scenario())
+
+
+class TestBackPressure:
+    def test_unread_replies_stall_only_their_connection(self, registry):
+        """A client that sends requests and reads nothing gets no more
+        answers than the socket buffers and the transport's high-water
+        mark hold: the server stops reading its lines instead of holding
+        every reply.  Once the client reads, every reply arrives, in
+        request order."""
+        count = 300
+        lines = b"".join(b'{"id": %d, "op": "communities_of_vertex", '
+                         b'"vertex": 0, "k": 0}\n' % i for i in range(count))
+
+        async def scenario() -> tuple[int, bytes]:
+            server = NucleusServer(registry, ServerConfig())
+            listener = socket.create_server(("127.0.0.1", 0))
+            # accepted sockets inherit the small send buffer
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            await server.start(sock=listener)
+            route = server.metrics.route("communities_of_vertex")
+            received = b""
+            with socket.socket() as client:
+                client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                client.setblocking(False)
+                loop = asyncio.get_running_loop()
+                await loop.sock_connect(client, listener.getsockname()[:2])
+                await loop.sock_sendall(client, lines)
+                answered = -1
+                while answered != route.requests:  # until answers stop
+                    answered = route.requests
+                    await asyncio.sleep(0.1)
+                while received.count(b"\n") < count:
+                    chunk = await loop.sock_recv(client, 1 << 16)
+                    assert chunk, "server closed the connection"
+                    received += chunk
+            await asyncio.wait_for(server.aclose(), timeout=10)
+            return answered, received
+
+        answered, received = asyncio.run(scenario())
+        assert 0 < answered < count
+        replies = [json.loads(line) for line in received.splitlines()]
+        assert [reply["id"] for reply in replies] == list(range(count))
+        assert all(reply["ok"] for reply in replies)
 
 
 # ---------------------------------------------------------------------------
