@@ -1,47 +1,54 @@
-"""Core algorithms: peeling, hierarchy construction, the paper's Alg. 1-9."""
+"""Core algorithms: peeling, hierarchy construction, the paper's Alg. 1-9.
 
-from repro.core.bucket import MaxBucketQueue, MinBucketQueue
-from repro.core.decomposition import ALGORITHMS, Decomposition, nucleus_decomposition
-from repro.core.dft import dft_hierarchy
-from repro.core.disjoint_set import DisjointSetForest, RootedForest
-from repro.core.fnd import FndInstrumentation, fnd_decomposition
-from repro.core.hierarchy import Hierarchy, NucleusNode, NucleusTree
-from repro.core.hypo import hypo_traversal
-from repro.core.lcps import lcps_hierarchy
-from repro.core.peeling import PeelingResult, peel
-from repro.core.traversal import naive_hierarchy
-from repro.core.views import (
-    CellView,
-    EdgeView,
-    GenericCliqueView,
-    TriangleView,
-    VertexView,
-    build_view,
-)
+Names resolve lazily on first access, so importing one module of this
+package does not import the rest.
+"""
 
-__all__ = [
-    "ALGORITHMS",
-    "Decomposition",
-    "nucleus_decomposition",
-    "Hierarchy",
-    "NucleusNode",
-    "NucleusTree",
-    "PeelingResult",
-    "peel",
-    "naive_hierarchy",
-    "dft_hierarchy",
-    "fnd_decomposition",
-    "FndInstrumentation",
-    "lcps_hierarchy",
-    "hypo_traversal",
-    "CellView",
-    "VertexView",
-    "EdgeView",
-    "TriangleView",
-    "GenericCliqueView",
-    "build_view",
-    "DisjointSetForest",
-    "RootedForest",
-    "MinBucketQueue",
-    "MaxBucketQueue",
-]
+from __future__ import annotations
+
+import importlib
+from typing import Any
+
+#: public name → the module of this package that defines it
+_EXPORTS = {
+    "ALGORITHMS": "decomposition",
+    "Decomposition": "decomposition",
+    "nucleus_decomposition": "decomposition",
+    "Hierarchy": "hierarchy",
+    "NucleusNode": "hierarchy",
+    "NucleusTree": "hierarchy",
+    "PeelingResult": "peeling",
+    "peel": "peeling",
+    "naive_hierarchy": "traversal",
+    "dft_hierarchy": "dft",
+    "fnd_decomposition": "fnd",
+    "FndInstrumentation": "fnd",
+    "lcps_hierarchy": "lcps",
+    "hypo_traversal": "hypo",
+    "CellView": "views",
+    "VertexView": "views",
+    "EdgeView": "views",
+    "TriangleView": "views",
+    "GenericCliqueView": "views",
+    "build_view": "views",
+    "DisjointSetForest": "disjoint_set",
+    "RootedForest": "disjoint_set",
+    "MinBucketQueue": "bucket",
+    "MaxBucketQueue": "bucket",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

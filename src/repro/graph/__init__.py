@@ -1,39 +1,46 @@
-"""Graph substrate: data structures, IO, generators, clique enumeration."""
+"""Graph substrate: data structures, IO, generators, clique enumeration.
 
-from repro.graph.adjacency import EdgeIndex, Graph, normalize_edge
-from repro.graph.csr import CSRGraph
-from repro.graph.directed import DirectedGraph
-from repro.graph.temporal import TemporalGraph
-from repro.graph.components import (
-    bfs_order,
-    connected_components,
-    is_connected,
-    largest_component,
-)
-from repro.graph.io import (
-    load_edge_list,
-    load_graph,
-    load_json,
-    load_mtx,
-    save_edge_list,
-    save_json,
-)
+Names resolve lazily on first access, so importing one module of this
+package does not import the rest.
+"""
 
-__all__ = [
-    "Graph",
-    "CSRGraph",
-    "DirectedGraph",
-    "TemporalGraph",
-    "EdgeIndex",
-    "normalize_edge",
-    "bfs_order",
-    "connected_components",
-    "is_connected",
-    "largest_component",
-    "load_edge_list",
-    "load_graph",
-    "load_json",
-    "load_mtx",
-    "save_edge_list",
-    "save_json",
-]
+from __future__ import annotations
+
+import importlib
+from typing import Any
+
+#: public name → the module of this package that defines it
+_EXPORTS = {
+    "Graph": "adjacency",
+    "CSRGraph": "csr",
+    "DirectedGraph": "directed",
+    "TemporalGraph": "temporal",
+    "EdgeIndex": "adjacency",
+    "normalize_edge": "adjacency",
+    "bfs_order": "components",
+    "connected_components": "components",
+    "is_connected": "components",
+    "largest_component": "components",
+    "load_edge_list": "io",
+    "load_graph": "io",
+    "load_json": "io",
+    "load_mtx": "io",
+    "save_edge_list": "io",
+    "save_json": "io",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

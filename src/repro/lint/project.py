@@ -9,7 +9,8 @@ the ASTs:
 * an **import graph** — for every module, the set of dotted module names
   it imports anywhere (top level or function-scoped);
 * a **symbol table** — every top-level function, class, and assignment,
-  plus the re-export chains created by ``from x import y``;
+  plus the re-export chains created by ``from x import y`` and by a
+  package's lazy ``_EXPORTS`` table;
 * an approximate **call graph** — each function's calls resolved through
   its import aliases to project-defined functions, recorded on the
   function's :class:`~repro.lint.summaries.FunctionSummary`.
@@ -43,6 +44,22 @@ def module_name(relpath: str) -> str:
 #: alias table entry: ("module", dotted_module) for ``import x``-style
 #: bindings, ("symbol", source_module, original_name) for ``from x import y``
 _Alias = tuple
+
+
+def _lazy_exports(package: str, stmt: ast.Assign) -> dict[str, _Alias]:
+    """The re-exports of a package that resolves its names lazily: each
+    ``"name": "module"`` of ``_EXPORTS = {...}`` (module relative to the
+    package) is what ``from package.module import name`` would bind."""
+    table = stmt.value
+    if not (isinstance(table, ast.Dict) and any(
+            isinstance(target, ast.Name) and target.id == "_EXPORTS"
+            for target in stmt.targets)):
+        return {}
+    return {key.value: ("symbol", f"{package}.{value.value}", key.value)
+            for key, value in zip(table.keys, table.values, strict=True)
+            if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            and isinstance(value, ast.Constant)
+            and isinstance(value.value, str)}
 
 
 class Project:
@@ -97,6 +114,8 @@ class Project:
                 for target in stmt.targets:
                     if isinstance(target, ast.Name):
                         defined[target.id] = stmt
+                if module.relpath.endswith("__init__.py"):
+                    aliases.update(_lazy_exports(name, stmt))
             elif isinstance(stmt, ast.AnnAssign):
                 if isinstance(stmt.target, ast.Name):
                     defined[stmt.target.id] = stmt

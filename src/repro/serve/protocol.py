@@ -7,12 +7,7 @@ Requests are JSON objects; responses are JSON envelopes::
     {"id": 41, "ok": true, "result": [[0, 4, 9], [22, 23]]}
 
 Answers are built as JSON *fragments* that the envelope wraps as they
-are.  The ``*_batch`` kernels return the **same ndarray object** for
-every look-up of one call that resolves to the same nucleus, so a caller
-encoding a whole batch can pass an ``id()``-keyed cache and encode each
-distinct answer once.  That cache is scoped to one kernel call — object
-identity means nothing beyond it.  The server answers each request with
-a one-element batch and passes none.
+are.
 
 Long answers skip Python's per-int ``str``: a sorted, non-negative
 integer array is printed by numpy (:func:`_sorted_ids_json`), four
@@ -114,27 +109,17 @@ def _sorted_ids(cells: Any) -> bool:
             and bool(np.all(cells[:-1] <= cells[1:])))
 
 
-def cells_json(cells: Any, cache: dict[int, str] | None = None) -> str:
-    """A sorted cell array as a JSON list, cached by array identity."""
-    if cache is not None:
-        hit = cache.get(id(cells))
-        if hit is not None:
-            return hit
+def cells_json(cells: Any) -> str:
+    """A sorted cell array as a JSON list."""
     if _sorted_ids(cells):
-        text = _sorted_ids_json(cells)
-    else:
-        text = "[" + ",".join(map(str, cells.tolist()
-                                  if hasattr(cells, "tolist")
-                                  else cells)) + "]"
-    if cache is not None:
-        cache[id(cells)] = text
-    return text
+        return _sorted_ids_json(cells)
+    return "[" + ",".join(map(str, cells.tolist()
+                              if hasattr(cells, "tolist") else cells)) + "]"
 
 
-def communities_json(communities: Iterable[Any],
-                     cache: dict[int, str] | None = None) -> str:
+def communities_json(communities: Iterable[Any]) -> str:
     """A list of cell arrays (one vertex's communities) as JSON."""
-    return "[" + ",".join(cells_json(c, cache) for c in communities) + "]"
+    return "[" + ",".join(map(cells_json, communities)) + "]"
 
 
 def profile_json(levels: Iterable[Any]) -> str:

@@ -54,6 +54,10 @@ _ROUTES = frozenset((*protocol.QUERY_OPS, "ping", "stats", "indexes"))
 #: it aborts the ones whose peers read nothing
 _CLOSE_GRACE_S = 5.0
 
+#: the longest line a connection may send (asyncio's default stream
+#: limit, passed explicitly so the error messages quote it)
+_LINE_LIMIT = 2**16
+
 #: each query op's JSON encoder for its kernel's answer
 _ENCODERS = {
     "max_nucleus": protocol.cells_json,
@@ -101,10 +105,11 @@ class NucleusServer:
     async def start(self, sock: socket.socket | None = None) -> None:
         if sock is not None:
             self._server = await asyncio.start_server(
-                self._on_connection, sock=sock)
+                self._on_connection, sock=sock, limit=_LINE_LIMIT)
         else:
             self._server = await asyncio.start_server(
-                self._on_connection, self.config.host, self.config.port)
+                self._on_connection, self.config.host, self.config.port,
+                limit=_LINE_LIMIT)
 
     @property
     def port(self) -> int:
@@ -160,12 +165,12 @@ class NucleusServer:
         self.metrics.connections_total += 1
         self.metrics.connections_open += 1
         try:
-            first = await reader.readline()
-            if not first:
-                return
-            if first.startswith(_HTTP_METHODS):
+            # a first line over the limit is lost with the method that
+            # would mark it HTTP, so it is answered as NDJSON
+            first = await _read_line(reader)
+            if first is not None and first.startswith(_HTTP_METHODS):
                 await self._serve_http(reader, writer, first)
-            else:
+            elif first != b"":
                 await self._serve_ndjson(reader, writer, first)
         except (ConnectionResetError, BrokenPipeError,
                 asyncio.IncompleteReadError):
@@ -184,22 +189,26 @@ class NucleusServer:
     # ------------------------------------------------------------------
     async def _serve_ndjson(self, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter,
-                            first: bytes) -> None:
+                            first: bytes | None) -> None:
         """Answer request lines in order, one reply per line.
 
         Each reply is written and drained before the next line is read:
         a client that sends and never reads stalls this loop once the
         transport's write buffer passes its high-water mark, so the
         server holds a bounded amount of replies for it.  A write to a
-        peer that went away raises out to :meth:`_on_connection`.
+        peer that went away raises out to :meth:`_on_connection`.  A line
+        over :data:`_LINE_LIMIT` (``None``) gets an error reply.
         """
         line = first
-        while line:
-            stripped = line.strip()
-            if stripped:
+        while line != b"":
+            if line is None:
+                writer.write(protocol.error_envelope(
+                    None, f"request line longer than {_LINE_LIMIT} bytes"))
+                await writer.drain()
+            elif stripped := line.strip():
                 writer.write(self._respond_line(stripped))
                 await writer.drain()
-            line = await reader.readline()
+            line = await _read_line(reader)
 
     def _respond_line(self, line: bytes) -> bytes:
         try:
@@ -313,24 +322,35 @@ class NucleusServer:
     async def _serve_http(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter,
                           request_line: bytes) -> None:
-        while request_line:
-            parts = request_line.decode("latin-1").split()
+        line: bytes | None = request_line
+        while line:
+            parts = line.decode("latin-1").split()
             if len(parts) != 3:
-                await self._http_reply(writer, 400, protocol.error_envelope(
-                    None, "malformed request line"), close=True)
+                await self._http_error(writer, "malformed request line")
                 return
             method, target, version = parts
             headers: dict[str, str] = {}
             while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
+                header = await _read_line(reader)
+                if header is None:
+                    await self._http_error(
+                        writer,
+                        f"header line longer than {_LINE_LIMIT} bytes")
+                    return
+                if header in (b"\r\n", b"\n", b""):
                     break
-                key, _, value = line.decode("latin-1").partition(":")
+                key, _, value = header.decode("latin-1").partition(":")
                 headers[key.strip().lower()] = value.strip()
-            body = b""
-            length = int(headers.get("content-length", 0) or 0)
-            if length:
-                body = await reader.readexactly(length)
+            length = headers.get("content-length", "0")
+            # (int() raises past 4,300 digits; no body is 10**18 bytes)
+            if not (length.isascii() and length.isdigit()
+                    and len(length) <= 18):
+                # the body's end is unknown, and so is the next request's
+                await self._http_error(
+                    writer, f"Content-Length must be a decimal integer "
+                            f"below 10**18, got {length[:32]!r}")
+                return
+            body = await reader.readexactly(int(length))
             keep_alive = (version == "HTTP/1.1"
                           and headers.get("connection", "").lower()
                           != "close")
@@ -340,7 +360,10 @@ class NucleusServer:
                                    head_only=method == "HEAD")
             if not keep_alive:
                 return
-            request_line = await reader.readline()
+            line = await _read_line(reader)
+        if line is None:
+            await self._http_error(
+                writer, f"request line longer than {_LINE_LIMIT} bytes")
 
     def _http_response(self, method: str, target: str,
                        body: bytes) -> tuple[int, bytes]:
@@ -381,6 +404,14 @@ class NucleusServer:
         return 405, protocol.error_envelope(
             None, f"method {method} not supported on {path!r}")
 
+    @classmethod
+    async def _http_error(cls, writer: asyncio.StreamWriter,
+                          message: str) -> None:
+        """A 400 for a request whose framing is broken; the caller then
+        closes the connection."""
+        await cls._http_reply(writer, 400, protocol.error_envelope(
+            None, message), close=True)
+
     @staticmethod
     async def _http_reply(writer: asyncio.StreamWriter, status: int,
                           payload: bytes, close: bool,
@@ -397,6 +428,24 @@ class NucleusServer:
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next line, ``b""`` at EOF, or ``None`` for a line over the
+    stream limit, which is read through its newline and dropped."""
+    too_long = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:  # EOF
+            line = exc.partial
+        except asyncio.LimitOverrunError as exc:
+            # the buffer holds ``exc.consumed`` bytes of the line: all of
+            # it up to its newline, if that has arrived
+            await reader.readexactly(exc.consumed)
+            too_long = True
+            continue
+        return None if too_long else line
 
 
 # ---------------------------------------------------------------------------

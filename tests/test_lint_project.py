@@ -7,6 +7,7 @@ The RL007 fixtures re-enact the PR 3 int64 key-packing incident — the
 which the per-file RL004 cannot see.
 """
 
+import importlib
 import json
 from pathlib import Path
 
@@ -68,6 +69,29 @@ class TestProject:
         assert defmod == "repro.corey" and node.name == "peel"
         assert project.has_symbol("repro.facade", "peel")
         assert not project.has_symbol("repro.facade", "missing")
+
+    def test_lazy_exports_table_reexports(self):
+        """A package whose ``__getattr__`` imports names on first access
+        lists them in ``_EXPORTS``: each resolves to its module's def."""
+        pkg = parse_module('_EXPORTS = {"peel": "peeling"}\n',
+                           "src/repro/pkg/__init__.py")
+        sub = parse_module("def peel(g):\n    return g\n",
+                           "src/repro/pkg/peeling.py")
+        project = Project([pkg, sub])
+        defmod, node = project.resolve_symbol("repro.pkg", "peel")
+        assert defmod == "repro.pkg.peeling" and node.name == "peel"
+        assert not project.has_symbol("repro.pkg", "missing")
+
+    def test_every_lazy_export_resolves_in_the_tree(self):
+        project = Project(parse_module(p.read_text(encoding="utf-8"),
+                                       str(p)) for p in SRC_FILES)
+        unresolved = [
+            f"{package}.{name}"
+            for package in ("repro", "repro.core", "repro.graph",
+                            "repro.analysis", "repro.parallel")
+            for name in importlib.import_module(package)._EXPORTS
+            if not project.has_symbol(package, name)]
+        assert unresolved == []
 
     def test_submodules_are_importable_symbols(self):
         pkg = parse_module("", "src/repro/pkg/__init__.py")

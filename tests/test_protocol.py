@@ -155,30 +155,6 @@ class TestFallbacks:
         assert cells_json(cells) == _dumps(cells)
 
 
-class TestBatchCache:
-    def test_cache_keyed_by_identity(self, monkeypatch):
-        printed = []
-        printer = protocol._sorted_ids_json
-
-        def counting(cells):
-            printed.append(id(cells))
-            return printer(cells)
-
-        monkeypatch.setattr(protocol, "_sorted_ids_json", counting)
-        big = np.arange(ARRAY_MIN_CELLS, dtype=np.int32)
-        other = np.arange(5, ARRAY_MIN_CELLS + 5, dtype=np.int32)
-        small = np.arange(3, dtype=np.int32)
-        cache: dict[int, str] = {}
-        text = communities_json([big, small, big, other, big], cache)
-        assert text == json.dumps(
-            [big.tolist(), small.tolist(), big.tolist(), other.tolist(),
-             big.tolist()], separators=(",", ":"))
-        assert printed == [id(big), id(other)]  # each array printed once
-        assert cells_json(big, cache) is cache[id(big)]
-        assert set(cache) == {id(big), id(small), id(other)}
-        assert cells_json(big) == cache[id(big)]  # no cache, same text
-
-
 @pytest.fixture(scope="module")
 def big_flat():
     """A (2,3) index of seven planted blocks (9,989 cells): at k = 3 its

@@ -435,6 +435,73 @@ class TestHttpServer:
         assert "out of range" in payload["error"]
 
 
+class TestFraming:
+    """A line over the 64 KiB stream limit, or an HTTP body whose length
+    cannot be read, is answered; nothing reaches asyncio's report of an
+    exception out of a connection handler."""
+
+    TOO_LONG = "request line longer than 65536 bytes"
+
+    @pytest.fixture
+    def exchange(self, registry, capfd, caplog):
+        """Send bytes on a fresh connection, close the sending side and
+        return everything the server writes back before it closes."""
+        with ServerThread(registry) as thread:
+            def send(payload: bytes) -> bytes:
+                with socket.create_connection(("127.0.0.1", thread.port),
+                                              timeout=10) as sock:
+                    sock.sendall(payload)
+                    sock.shutdown(socket.SHUT_WR)
+                    received = b""
+                    try:
+                        while chunk := sock.recv(1 << 16):
+                            received += chunk
+                    except ConnectionResetError:
+                        pass  # the caller's checks name what is missing
+                return received
+
+            yield send
+        reported = capfd.readouterr().err + caplog.text
+        assert "Unhandled exception" not in reported
+        assert "Traceback" not in reported
+
+    @pytest.mark.parametrize("pad", [100_000, 1_000_000])
+    def test_overlong_ndjson_line_is_skipped(self, exchange, pad):
+        """The line gets an error reply and the requests after it are
+        answered, whether the line arrives whole or in pieces."""
+        received = exchange(b'{"op": "ping", "id": 1}\n'
+                            b'{"op": "ping", "id": 2, "pad": "'
+                            + b"x" * pad + b'"}\n{"op": "ping", "id": 3}\n')
+        assert [json.loads(line) for line in received.splitlines()] == [
+            {"id": 1, "ok": True, "result": "pong"},
+            {"id": None, "ok": False, "error": self.TOO_LONG},
+            {"id": 3, "ok": True, "result": "pong"}]
+
+    def test_overlong_first_line_is_answered_as_ndjson(self, exchange):
+        received = exchange(b"x" * 200_000 + b'\n{"op": "ping", "id": 3}\n')
+        assert [json.loads(line) for line in received.splitlines()] == [
+            {"id": None, "ok": False, "error": self.TOO_LONG},
+            {"id": 3, "ok": True, "result": "pong"}]
+
+    @pytest.mark.parametrize("request_bytes, error", [
+        (b"POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+         "Content-Length must be a decimal integer below 10**18, got 'abc'"),
+        (b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}",
+         "Content-Length must be a decimal integer below 10**18, got '-5'"),
+        (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"x" * 100_000
+         + b"\r\n\r\n", "header line longer than 65536 bytes"),
+        (b"GET /healthz HTTP/1.1\r\n\r\nGET /" + b"x" * 100_000
+         + b" HTTP/1.1\r\n\r\n", TOO_LONG),
+    ], ids=["letters", "negative", "long-header", "long-request-line"])
+    def test_broken_http_framing_gets_400_and_close(self, exchange,
+                                                    request_bytes, error):
+        last = exchange(request_bytes).rsplit(b"HTTP/1.1 ", 1)[1]
+        head, _, body = last.partition(b"\r\n\r\n")
+        assert head.startswith(b"400 Bad Request\r\n")
+        assert b"Connection: close" in head
+        assert json.loads(body) == {"id": None, "ok": False, "error": error}
+
+
 class TestNagleOff:
     def test_accepted_connection_has_nodelay(self, registry):
         """``run_server`` binds with ``socket.create_server``, whose proto
