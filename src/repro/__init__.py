@@ -48,7 +48,7 @@ from __future__ import annotations
 import importlib
 from typing import Any
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 #: public name → the module under ``repro`` that defines it
 _EXPORTS = {

@@ -62,8 +62,11 @@ N(v), so the nodes holding ``v`` are the union of N(v)'s root paths.
 * **Vectorised LCA.**  In preorder, lca(x, y) is ``min(x, y)`` when that is
   an ancestor of the other; the remaining pairs climb a binary-lifting
   table built by pointer doubling.
-* **Bounded memory.**  The edge groups are expanded ``_STATS_CHUNK``
-  entries at a time, so the working set does not grow with m.
+* **Bounded memory.**  The whole per-edge pass (the own-node lookups,
+  the single/general split, the degree weights and the single-node
+  LCAs) runs ``_STATS_CHUNK`` edges at a time, and the edge groups are
+  expanded ``_STATS_CHUNK`` entries at a time, so the working set does
+  not grow with m.
 
 The passes cost O((Σ_v |N(v)| + Σ_e (|N(u)| + |N(w)|)) · log depth), where
 masking all m edges once per node cost O(nodes · m).
@@ -109,8 +112,9 @@ _REQUIRED_KEYS = (
 _STAT_KEYS = ("node_nv", "node_ne", "node_density")
 _STAT_KINDS = ("iu", "iu", "f")
 
-#: group entries (own nodes of both endpoints) that one chunk of the
-#: stats edge pass expands, bounding its working memory for any m
+#: edges, and group entries (own nodes of both endpoints), that one
+#: chunk of the stats edge pass takes, bounding its working memory for
+#: any m
 _STATS_CHUNK = 1 << 16
 
 
@@ -334,16 +338,31 @@ def _path_union_deltas(keys: Any, num_nodes: int, end: Any,
     return group, label, group[second], lca
 
 
-def _edge_union_deltas(src: Any, tgt: Any, indptr: Any, label: Any,
-                       end: Any, table: list[Any]) -> Any:
-    """Per preorder label, the summed root-path-union deltas of the groups
-    N(u) ++ N(w) of the edges ``(src[i], tgt[i])``, where N(v) is
-    ``label[indptr[v]:indptr[v + 1]]``.  The groups are expanded at most
-    ``_STATS_CHUNK`` entries at a time (and at least one edge)."""
+def _edge_pass(src: Any, tgt: Any, indptr: Any, label: Any, end: Any,
+               table: list[Any], ne_delta: Any, weight: Any) -> None:
+    """The edge terms of the edges ``(src[i], tgt[i])``, added in place.
+
+    N(v) is ``label[indptr[v]:indptr[v + 1]]``.  An edge with one own
+    node at each end puts +1 on lca(x, y) of ``ne_delta``.  Any other
+    edge with both ends in some node counts each end once in ``weight``
+    (its [A(u)] + [A(w)] terms, weighted into the vertex pass later) and
+    puts minus the root-path-union deltas of its group N(u) ++ N(w) on
+    ``ne_delta``; the groups are expanded at most ``_STATS_CHUNK``
+    entries at a time (and at least one edge).  An edge with a cell-less
+    end lies in no node: its terms cancel."""
     num_nodes = len(end)
-    owned = np.diff(indptr)
-    sizes = np.cumsum(owned[src] + owned[tgt])
-    delta = np.zeros(num_nodes, dtype=np.int64)
+    src_owned = indptr[src + 1] - indptr[src]
+    tgt_owned = indptr[tgt + 1] - indptr[tgt]
+    single = (src_owned == 1) & (tgt_owned == 1)
+    multi = (src_owned > 0) & (tgt_owned > 0) & ~single
+    x = label[indptr[src[single]]]
+    y = label[indptr[tgt[single]]]
+    np.add.at(ne_delta, _preorder_lca(np.minimum(x, y), np.maximum(x, y),
+                                      end, table), 1)
+    sides = ((src[multi], src_owned[multi]), (tgt[multi], tgt_owned[multi]))
+    for vertices, _ in sides:
+        np.add.at(weight, vertices, 1)
+    sizes = np.cumsum(sides[0][1] + sides[1][1])
     start = 0
     while start < len(sizes):
         base = int(sizes[start - 1]) if start else 0
@@ -351,16 +370,16 @@ def _edge_union_deltas(src: Any, tgt: Any, indptr: Any, label: Any,
             sizes, base + _STATS_CHUNK, "right")))
         local = np.arange(stop - start, dtype=np.int64)
         keys = []
-        for ends in (src[start:stop], tgt[start:stop]):
-            entries = _multi_range(indptr[ends], owned[ends])
-            keys.append(np.repeat(local, owned[ends]) * num_nodes
+        for vertices, owned in sides:
+            counts = owned[start:stop]
+            entries = _multi_range(indptr[vertices[start:stop]], counts)
+            keys.append(np.repeat(local, counts) * num_nodes
                         + label[entries])
         _, plus, _, minus = _path_union_deltas(
             np.concatenate(keys), num_nodes, end, table)
-        delta += np.bincount(plus, minlength=num_nodes)
-        delta -= np.bincount(minus, minlength=num_nodes)
+        np.subtract.at(ne_delta, plus, 1)
+        np.add.at(ne_delta, minus, 1)
         start = stop
-    return delta
 
 
 def _tour(node_parent: Any, root: int) -> tuple[Any, Any]:
@@ -838,34 +857,26 @@ class FlatHierarchyIndex:
         parent = self.node_parent.astype(np.int64)[node_at]
         table = _lifting_table(tin[np.where(parent >= 0, parent, node_at)])
         indptr = self.vert_indptr
-        owned = np.diff(indptr)
         label = tin[self.vert_nodes]  # per vertex-map entry
-        src_owned, tgt_owned = owned[src], owned[tgt]
-        single = (src_owned == 1) & (tgt_owned == 1)
-        # an edge with a cell-less end lies in no node: its terms cancel
-        multi = (src_owned > 0) & (tgt_owned > 0) & ~single
-        msrc, mtgt = src[multi], tgt[multi]
-        # vertex pass: one group per vertex; the degree weights count the
-        # [A(u)] + [A(w)] terms of the edges that take the general case
-        weight = (np.bincount(msrc, minlength=self.n)
-                  + np.bincount(mtgt, minlength=self.n)).astype(np.float64)
-        owner = np.repeat(np.arange(self.n, dtype=np.int64), owned)
+        # edge pass, _STATS_CHUNK edges at a time: the single-node LCAs,
+        # minus [A(u) ∪ A(w)], and the degree weights of the [A(u)] +
+        # [A(w)] terms of the edges that take the general case
+        ne_delta = np.zeros(num_nodes, dtype=np.int64)
+        weight = np.zeros(self.n, dtype=np.int64)
+        for lo in range(0, len(src), _STATS_CHUNK):
+            _edge_pass(src[lo:lo + _STATS_CHUNK], tgt[lo:lo + _STATS_CHUNK],
+                       indptr, label, end, table, ne_delta, weight)
+        # vertex pass: one group per vertex, weighted by those degrees
+        owner = np.repeat(np.arange(self.n, dtype=np.int64),
+                          np.diff(indptr))
         group, plus, pair_group, minus = _path_union_deltas(
             owner * num_nodes + label, num_nodes, end, table)
         nv_delta = (np.bincount(plus, minlength=num_nodes)
                     - np.bincount(minus, minlength=num_nodes))
         # integer-valued float sums far below 2**53: exact
-        ne_delta = (np.bincount(plus, weight[group], num_nodes)
-                    - np.bincount(minus, weight[pair_group], num_nodes)
-                    ).astype(np.int64)
-        # one own node at both ends: the edge's terms are +1 at lca(x, y)
-        x = label[indptr[src[single]]]
-        y = label[indptr[tgt[single]]]
-        ne_delta += np.bincount(
-            _preorder_lca(np.minimum(x, y), np.maximum(x, y), end, table),
-            minlength=num_nodes)
-        # edge pass: minus [A(u) ∪ A(w)] over the groups N(u) ++ N(w)
-        ne_delta -= _edge_union_deltas(msrc, mtgt, indptr, label, end, table)
+        ne_delta += (np.bincount(plus, weight[group], num_nodes)
+                     - np.bincount(minus, weight[pair_group], num_nodes)
+                     ).astype(np.int64)
         # subtree sums in preorder space, read back in node-id order
         nv = _subtree_sums(nv_delta, end)[tin]
         ne = _subtree_sums(ne_delta, end)[tin]

@@ -123,6 +123,10 @@ def stable_order(keys, size: int):
     return packed % count
 
 
+#: edges one chunk of :func:`csr_build_arrays`' scatters lays out
+_BUILD_CHUNK = 1 << 16
+
+
 def csr_build_arrays(n: int, u, v) -> tuple:
     """``(indptr, indices, eids, esrc, etgt)`` as int64 arrays for the
     simple graph on ``n`` vertices with edges ``{u[i], v[i]}``.
@@ -131,37 +135,54 @@ def csr_build_arrays(n: int, u, v) -> tuple:
     Endpoints must be in range and self-loop free; duplicates and both
     orientations are fine.  A sort-based dedup of the keys ``lo·n + hi``
     yields the edges in lexicographic order, which is their id order.
-    One stable scatter then lays out the adjacency: vertex ``w``'s run
-    holds its smaller neighbours (the edges with ``etgt == w``, in id
-    order) followed by its larger ones (the edges with ``esrc == w``,
-    contiguous in id order), so every run comes out ascending.
+    A second sort, of the keys ``etgt·m + id``, orders the edges by
+    their larger end.  One stable scatter then lays out the adjacency:
+    vertex ``w``'s run holds its smaller neighbours (the edges with
+    ``etgt == w``, in id order) followed by its larger ones (the edges
+    with ``esrc == w``, contiguous in id order), so every run comes out
+    ascending.  Each sort runs in place on one m-sized key array, and the
+    scatter runs ``_BUILD_CHUNK`` edges at a time.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    keys = sorted_unique(np.minimum(u, v) * n + np.maximum(u, v))
+    keys = np.minimum(u, v)
+    keys *= n
+    keys += np.maximum(u, v)
+    keys.sort()
+    keys = keys[run_heads(keys)]
     m = len(keys)
     indptr = np.zeros(n + 1, dtype=np.int64)
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
         return indptr, empty, empty, empty, empty
-    esrc, etgt = np.divmod(keys, n)
-    eid = np.arange(m, dtype=np.int64)
+    etgt = keys % n
+    keys //= n
+    esrc = keys
+    by_tgt = etgt * m
+    by_tgt += np.arange(m, dtype=np.int64)
+    by_tgt.sort()
     below = np.bincount(etgt, minlength=n)  # smaller neighbours per vertex
     above = np.bincount(esrc, minlength=n)
     np.cumsum(below + above, out=indptr[1:])
+    src_before = np.cumsum(above) - above  # edges with esrc < w
+    tgt_upto = np.cumsum(below)  # edges with etgt <= w
     indices = np.empty(2 * m, dtype=np.int64)
     eids = np.empty(2 * m, dtype=np.int64)
-    # smaller-neighbour slots: the j-th edge in (etgt, id) order lands at
-    # indptr[w] + j - (edges with etgt < w), i.e. (edges with esrc < w) + j
-    owner, by_tgt = np.divmod(np.sort(etgt * m + eid), m)
-    slots = (np.cumsum(above) - above)[owner] + eid  # eid doubles as j
-    indices[slots] = esrc[by_tgt]
-    eids[slots] = by_tgt
-    # larger-neighbour slots: edge e lands at indptr[w] + below[w] + (e -
-    # first edge with esrc == w), i.e. (edges with etgt <= w) + e
-    slots = np.cumsum(below)[esrc] + eid
-    indices[slots] = etgt
-    eids[slots] = eid
+    for lo in range(0, m, _BUILD_CHUNK):
+        hi = min(lo + _BUILD_CHUNK, m)
+        j = np.arange(lo, hi, dtype=np.int64)
+        # smaller-neighbour slots: the j-th edge in (etgt, id) order lands
+        # at indptr[w] + j - (edges with etgt < w), i.e. (edges with
+        # esrc < w) + j
+        owner, edge = np.divmod(by_tgt[lo:hi], m)
+        slots = src_before[owner] + j
+        indices[slots] = esrc[edge]
+        eids[slots] = edge
+        # larger-neighbour slots: edge e lands at indptr[w] + below[w] +
+        # (e - first edge with esrc == w), i.e. (edges with etgt <= w) + e
+        slots = tgt_upto[esrc[lo:hi]] + j  # j doubles as the edge id
+        indices[slots] = etgt[lo:hi]
+        eids[slots] = j
     return indptr, indices, eids, esrc, etgt
 
 

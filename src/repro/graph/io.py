@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph, run_heads
+from repro.graph.csr import CSRGraph, run_heads, sorted_unique
 
 __all__ = [
     "BLOCK_BYTES",
@@ -118,9 +118,9 @@ _CANONICAL_BYTES = b"0123456789 \t\n"
 #: ``10**1 .. 10**18``: a value below ``10**18`` has 1 + (powers <= it) digits
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 #: the direct-address id table of canonical blocks holds at most
-#: ``_TABLE_PER_TOKEN`` entries per token read so far, plus ``_TABLE_MIN``;
-#: a file whose values would need more goes to the tokeniser
-_TABLE_PER_TOKEN = 8
+#: ``_TABLE_PER_ID`` entries per id given, plus ``_TABLE_MIN``; a file
+#: whose values would need more goes to the tokeniser
+_TABLE_PER_ID = 8
 _TABLE_MIN = 1 << 16
 
 
@@ -350,21 +350,27 @@ class _DirectIds:
     def __init__(self) -> None:
         self.table = np.empty(0, dtype=np.int64)
         self.count = 0  # ids given
-        self.tokens = 0  # tokens read
 
     def assign(self, values):
         """The ids of ``values`` (``u, v`` interleaved), self-loop rows
         dropped first; ``None``, with nothing assigned, when the table
         would outgrow its cap."""
         pairs = values.reshape(-1, 2)
-        self.tokens += len(values)
         loops = pairs[:, 0] == pairs[:, 1]
         if loops.any():
             values = pairs[~loops].ravel()
         size = int(values.max(initial=-1)) + 1
         if size > len(self.table):
-            if size > _TABLE_PER_TOKEN * self.tokens + _TABLE_MIN:
-                return None
+            # the table may hold _TABLE_PER_ID entries per id; the block's
+            # own new ids count too, but are counted (one sort) only when
+            # the ids given before it do not allow its size already
+            given = self.count
+            if size > _TABLE_PER_ID * given + _TABLE_MIN:
+                new = values >= len(self.table)
+                new[~new] = self.table[values[~new]] < 0
+                given += len(sorted_unique(values[new]))
+                if size > _TABLE_PER_ID * given + _TABLE_MIN:
+                    return None
             grown = np.full(size, -1, dtype=np.int64)
             grown[:len(self.table)] = self.table
             self.table = grown
@@ -441,9 +447,12 @@ class EdgeBlocks:
        ``[0]``.)  Checking each condition with byte masks instead cost
        more than the parse saves.
 
-    The table grows to the largest value seen, up to
-    ``_TABLE_PER_TOKEN`` entries per token read plus ``_TABLE_MIN``.  The
-    first block that fails a step, or would grow the table past that cap,
+    The table grows to the largest value seen, up to ``_TABLE_PER_ID``
+    entries per id given (the block's own new ids included) plus
+    ``_TABLE_MIN``, so it stays O(n) however many times a file repeats a
+    large id; a block's own new ids are counted only when the ids given
+    before it do not already allow its largest value.  The first block
+    that fails a step, or would grow the table past that cap,
     switches the file to the tokeniser for good: the table becomes the
     tokeniser's keys (the decimal strings of the values seen), and later
     ids continue in first-seen order.  A canonical block adds its LF
@@ -518,9 +527,16 @@ def load_edge_list(path: str | Path, name: str = "") -> Graph:
     blocks = EdgeBlocks(path)
     us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for block_u, block_v in blocks:
-        us.append(block_u)
-        vs.append(block_v)
-    u, v = np.concatenate(us), np.concatenate(vs)
+        # copies, and no name left on the views, so that no block's
+        # interleaved id array outlives its block
+        us.append(block_u.copy())
+        vs.append(block_v.copy())
+        del block_u, block_v
+    # the block lists go one at a time, before the build
+    u = np.concatenate(us)
+    del us
+    v = np.concatenate(vs)
+    del vs
     csr = CSRGraph.from_arrays(blocks.n, u, v, name=name or path.stem)
     return Graph.from_csr(csr)
 

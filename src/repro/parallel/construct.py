@@ -17,11 +17,12 @@ connectivity** problems.
   peel + BuildHierarchy: node λ multiset, cell→nucleus map and parent
   structure (the parity suites assert it node for node).
 
-A level is a handful of numpy passes.  The level-edge kernels of
-:mod:`repro.parallel.kernels` list the active pairs.  Higher cells map to
-their tops through a path-compressed jump array, and
-:func:`~repro.parallel.kernels.component_roots` labels the level's
-components by hooking and pointer jumping.
+A level is a handful of numpy passes per chunk of pairs.  The level-edge
+kernels of :mod:`repro.parallel.kernels` list the active pairs a bounded
+chunk at a time.  Higher cells map to their tops through a
+path-compressed jump array, and
+:func:`~repro.parallel.kernels.component_roots` hooks each chunk into the
+level's labels by hooking and pointer jumping.
 """
 
 from __future__ import annotations
@@ -69,26 +70,51 @@ def _tops(jump, nodes):
     return top
 
 
+def _label_tops(top_label, tops, touched, width: int):
+    """Label the tops in ``touched`` (one entry per occurrence) that the
+    level has not labelled yet, and return them, one entry per top.
+
+    ``tops`` holds the level's labelled tops, the ``j``-th at label
+    ``width + j`` in ``top_label``; a slot of ``top_label`` is trusted
+    only when ``tops`` reads its node back, so the scratch array needs
+    no reset between levels.  Each new occurrence writes its position
+    into its top's slot, and the occurrences that read their own
+    position back (one per distinct top) take the next labels.
+    """
+    known = top_label[touched] - width
+    inside = (known >= 0) & (known < len(tops))
+    inside[inside] = tops[known[inside]] == touched[inside]
+    new = touched[~inside]
+    seat = np.arange(len(new), dtype=np.int64)
+    top_label[new] = seat
+    fresh = new[top_label[new] == seat]
+    top_label[fresh] = width + len(tops) + seat[:len(fresh)]
+    return fresh
+
+
 def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
                           instrumentation: FndInstrumentation | None = None,
                           ) -> Hierarchy:
     """Build the FND hierarchy from settled λ values, level by level.
 
-    ``edge_source(frontier, k)`` returns the level's connectivity pairs
-    as one ``(a, b)`` pair of aligned arrays: ``a`` a frontier cell (λ =
-    ``k``) owning an active s-clique, ``b`` a companion with λ >= ``k``.  Each
-    level component becomes one skeleton node, a frontier cell untouched
-    by any active clique a singleton one.
+    ``edge_source(frontier, k)`` yields the level's connectivity pairs
+    in chunks, each an ``(a, b)`` pair of aligned arrays: ``a`` a
+    frontier cell (λ = ``k``) owning an active s-clique, ``b`` a
+    companion with λ >= ``k``.  Each level component becomes one
+    skeleton node, a frontier cell untouched by any active clique a
+    singleton one.
 
     A level labels its graph densely without sorting.  A frontier cell's
     label is its position in the frontier.  A higher companion stands for
     the current top of the component it joined, and the ``j``-th distinct
-    top gets label ``len(frontier) + j``: each occurrence writes its
-    position into a scratch slot per node, and the occurrences that read
-    their own position back (one per distinct top) take the labels.
-    :func:`~repro.parallel.kernels.component_roots` then runs over all
-    frontier cells and tops, so untouched cells come out as singleton
-    components and need no pass of their own.
+    top the level touches gets label ``len(frontier) + j``
+    (:func:`_label_tops`).  Every chunk is hooked into one label
+    array (:func:`~repro.parallel.kernels.component_roots`) over the
+    frontier cells and the tops touched so far, so untouched cells come
+    out as singleton components and need no pass of their own.  A
+    component's root is its smallest label, always a frontier cell's
+    (every top is touched through a pair with one), so the nodes do not
+    depend on the chunking or on the order tops are labelled in.
     """
     lam = np.ascontiguousarray(lam, dtype=np.int64)
     size = len(lam)
@@ -115,21 +141,22 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
             break  # λ = 0 cells belong to the root
         frontier = order[start:end]
         width = end - start
-        cell_label[frontier] = np.arange(width, dtype=np.int64)
-        a, b = edge_source(frontier, k)
-        label_b = cell_label[b]
-        # higher cells stand for the top of the component they joined
-        higher = comp[b] >= 0
-        touched = _tops(jump, comp[b[higher]])  # one entry per occurrence
-        seat = np.arange(len(touched), dtype=np.int64)
-        top_label[touched] = seat
-        tops = touched[top_label[touched] == seat]  # one occurrence per top
-        top_label[tops] = width + np.arange(len(tops), dtype=np.int64)
-        label_b[higher] = top_label[touched]
-        roots = component_roots(cell_label[a], label_b, width + len(tops))
+        label = np.arange(width, dtype=np.int64)
+        cell_label[frontier] = label
+        tops = np.empty(0, dtype=np.int64)
+        for a, b in edge_source(frontier, k):
+            label_b = cell_label[b]
+            # higher cells stand for the top of the component they joined
+            higher = comp[b] >= 0
+            touched = _tops(jump, comp[b[higher]])  # one per occurrence
+            fresh = _label_tops(top_label, tops, touched, width)
+            label = np.concatenate((label, top_label[fresh]))
+            tops = np.concatenate((tops, fresh))
+            label_b[higher] = top_label[touched]
+            label = component_roots(label, cell_label[a], label_b)
         # a component's root is its smallest label: number them in order
-        is_root = roots == np.arange(len(roots))
-        made = nodes + (np.cumsum(is_root) - 1)[roots]
+        is_root = label[:width] == np.arange(width)
+        made = nodes + (np.cumsum(is_root) - 1)[label]
         first = nodes
         nodes += int(np.count_nonzero(is_root))
         node_lambda[first:nodes] = k

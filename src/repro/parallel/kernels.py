@@ -1,12 +1,18 @@
 """Per-round decrement kernels and per-level connectivity kernels.
 
 Pure numpy over flat int64 arrays, no graph objects, no mutation of their
-inputs: :mod:`repro.parallel.bulk` calls the decrement kernels on each
-round's whole frontier, and :mod:`repro.parallel.construct` calls the
-level-edge kernels and :func:`component_roots` on each λ level.
+inputs (bar the label array :func:`component_roots` hooks into):
+:mod:`repro.parallel.bulk` calls the decrement kernels on each round's
+whole frontier, and :mod:`repro.parallel.construct` calls the level-edge
+kernels and :func:`component_roots` on each λ level.  The level-edge
+kernels yield a level's pairs in chunks of at most
+``_LEVEL_CHUNK_SLOTS`` adjacency or incidence slots, so a level's
+working arrays stay that size however many slots its frontier owns.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -22,6 +28,28 @@ __all__ = [
 
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: slots a level-edge kernel gathers per chunk of pairs it yields
+_LEVEL_CHUNK_SLOTS = 1 << 16
+
+
+def _pieces(cells, starts, ends) -> Iterator[tuple]:
+    """The runs ``[starts[i], ends[i])`` of ``cells`` cut into pieces of
+    at most ``_LEVEL_CHUNK_SLOTS`` slots, in order: yields ``(cells,
+    starts, ends)`` of each piece.  A run longer than a piece is cut
+    across several."""
+    budget = _LEVEL_CHUNK_SLOTS
+    run_end = np.cumsum(ends - starts)  # slot offset past each run
+    total = int(run_end[-1]) if len(run_end) else 0
+    for lo in range(0, total, budget):
+        hi = min(lo + budget, total)
+        first = int(np.searchsorted(run_end, lo, "right"))
+        last = int(np.searchsorted(run_end, hi - 1, "right")) + 1
+        piece_starts = starts[first:last].copy()
+        piece_ends = ends[first:last].copy()
+        piece_starts[0] = ends[first] - (run_end[first] - lo)
+        piece_ends[-1] -= run_end[last - 1] - hi
+        yield cells[first:last], piece_starts, piece_ends
 
 
 def core_decrement(indptr, indices, peel_round, frontier):
@@ -79,27 +107,34 @@ def incidence_decrement(ptr, comps, peel_round, frontier, rnd):
                      return_counts=True)
 
 
-def core_level_edges(indptr, indices, lam, frontier, k):
-    """Level-``k`` connectivity pairs of a (1,2) λ frontier.
+def core_level_edges(indptr, indices, lam, frontier, k) -> Iterator[tuple]:
+    """Level-``k`` connectivity pairs of a (1,2) λ frontier, in chunks.
 
     ``frontier`` holds vertices with λ = ``k``.  An edge connects two
     sub-nuclei at level ``k`` exactly when its minimum endpoint λ is
     ``k``; the minimum-id λ = ``k`` endpoint *owns* the edge so each one
-    is emitted by exactly one frontier cell.  Returns aligned ``(a, b)``
-    arrays with ``a`` the owning frontier vertex and λ(b) >= ``k``.
+    is emitted by exactly one frontier cell.  Yields aligned ``(a, b)``
+    arrays with ``a`` the owning frontier vertex and λ(b) >= ``k``, one
+    pair per chunk of at most ``_LEVEL_CHUNK_SLOTS`` adjacency slots.
     """
-    slots, counts = _gather_slots(indptr[frontier], indptr[frontier + 1])
-    if len(slots) == 0:
-        return _EMPTY, _EMPTY
-    cell = np.repeat(frontier, counts)
+    for piece in _pieces(frontier, indptr[frontier], indptr[frontier + 1]):
+        yield _core_pairs(indices, lam, k, *piece)
+
+
+def _core_pairs(indices, lam, k, cells, starts, ends) -> tuple:
+    """:func:`core_level_edges` over one piece of the frontier's runs
+    (its gathers are freed before the consumer hooks the pairs)."""
+    slots, counts = _gather_slots(starts, ends)
+    cell = np.repeat(cells, counts)
     neighbor = indices[slots]
     nl = lam[neighbor]
     keep = (nl > k) | ((nl == k) & (neighbor > cell))
     return cell[keep], neighbor[keep]
 
 
-def incidence_level_edges(ptr, comps, lam, frontier, k):
-    """Level-``k`` connectivity pairs of a (2,3)/(3,4) λ frontier.
+def incidence_level_edges(ptr, comps, lam, frontier, k) -> Iterator[tuple]:
+    """Level-``k`` connectivity pairs of a (2,3)/(3,4) λ frontier, in
+    chunks.
 
     Walks the materialised incidence of every frontier cell (all λ =
     ``k``).  An s-clique becomes *active* at level ``k`` when the
@@ -108,37 +143,43 @@ def incidence_level_edges(ptr, comps, lam, frontier, k):
     a star, so the clique's cells land in one component.  Companions
     with λ < ``k`` kill the slot (the clique activated at a lower
     level); a λ = ``k`` companion with a smaller id means another
-    frontier cell owns it.
+    frontier cell owns it.  Yields the pairs of at most
+    ``_LEVEL_CHUNK_SLOTS`` incidence slots at a time.
     """
-    slots, counts = _gather_slots(ptr[frontier], ptr[frontier + 1])
-    if len(slots) == 0:
-        return _EMPTY, _EMPTY
-    cell_of_slot = np.repeat(frontier, counts)
+    for piece in _pieces(frontier, ptr[frontier], ptr[frontier + 1]):
+        yield _incidence_pairs(comps, lam, k, *piece)
+
+
+def _incidence_pairs(comps, lam, k, cells, starts, ends) -> tuple:
+    """:func:`incidence_level_edges` over one piece of the frontier's
+    runs."""
+    slots, counts = _gather_slots(starts, ends)
+    cell_of_slot = np.repeat(cells, counts)
     companions = [c[slots] for c in comps]
     keep = np.ones(len(slots), dtype=bool)
     for comp in companions:
         cl = lam[comp]
         keep &= cl >= k
         keep &= (cl != k) | (comp > cell_of_slot)
-    if not keep.any():
-        return _EMPTY, _EMPTY
     owner = cell_of_slot[keep]
-    a = np.concatenate([owner] * len(companions))
-    b = np.concatenate([comp[keep] for comp in companions])
-    return a, b
+    return (np.concatenate([owner] * len(companions)),
+            np.concatenate([comp[keep] for comp in companions]))
 
 
-def component_roots(x, y, size: int):
-    """Component label of every node ``0 .. size-1`` under pairs ``(x, y)``.
+def component_roots(label, x, y):
+    """``label`` with the pairs ``(x, y)`` hooked in: every node's root.
 
-    Hooking and pointer jumping (Shiloach–Vishkin style) in numpy: each
-    round hooks the larger root of every pair whose roots differ under
-    the smaller one, then jumps pointers until every node points at its
-    root.  A component that hooks nowhere in one round has a neighbour
-    hooked below it by the next, so the unresolved pairs die out after
-    O(log size) rounds.  The label of a component is its smallest node.
+    ``label[v]`` is the root of node ``v``'s component, its smallest
+    node (``np.arange(size)``: no pairs yet).  Hooking and pointer
+    jumping (Shiloach–Vishkin style) in numpy: each round hooks the
+    larger root of every pair whose roots differ under the smaller one,
+    then jumps pointers until every node points at its root again.  A
+    component that hooks nowhere in one round has a neighbour hooked
+    below it by the next, so the unresolved pairs die out after
+    O(log size) rounds.  The hooks write into ``label``; the caller
+    keeps the returned array, so a level can hook its pairs chunk by
+    chunk into one label array.
     """
-    label = np.arange(size, dtype=np.int64)
     while len(x):
         lx = label[x]
         ly = label[y]

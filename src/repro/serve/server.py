@@ -55,7 +55,8 @@ _ROUTES = frozenset((*protocol.QUERY_OPS, "ping", "stats", "indexes"))
 _CLOSE_GRACE_S = 5.0
 
 #: the longest line a connection may send (asyncio's default stream
-#: limit, passed explicitly so the error messages quote it)
+#: limit, passed explicitly so the error messages quote it), and the
+#: longest ``POST /query`` body
 _LINE_LIMIT = 2**16
 
 #: each query op's JSON encoder for its kernel's answer
@@ -350,6 +351,12 @@ class NucleusServer:
                     writer, f"Content-Length must be a decimal integer "
                             f"below 10**18, got {length[:32]!r}")
                 return
+            if int(length) > _LINE_LIMIT:
+                # refused unread, so the next request's start is unknown
+                await self._http_reply(writer, 413, protocol.error_envelope(
+                    None, f"request body longer than {_LINE_LIMIT} bytes"),
+                    close=True)
+                return
             body = await reader.readexactly(int(length))
             keep_alive = (version == "HTTP/1.1"
                           and headers.get("connection", "").lower()
@@ -417,7 +424,8 @@ class NucleusServer:
                           payload: bytes, close: bool,
                           head_only: bool = False) -> None:
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed"}.get(status, "Error")
+                  405: "Method Not Allowed",
+                  413: "Content Too Large"}.get(status, "Error")
         head = (f"HTTP/1.1 {status} {reason}\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(payload)}\r\n"

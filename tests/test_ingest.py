@@ -344,7 +344,7 @@ class TestCanonicalBlocks:
         assert calls == [b"3 x\n", b"x 1\n", b"4 1\n"]
 
     def test_table_cap(self, tmp_path):
-        """Two tokens allow a table of 8 * 2 + 2**16 entries: values up to
+        """Two ids allow a table of 8 * 2 + 2**16 entries: values up to
         65551 stay on the canonical path, 65552 switches the file."""
         path = tmp_path / "g.txt"
         path.write_bytes(b"0 65551\n")
@@ -355,6 +355,33 @@ class TestCanonicalBlocks:
                 pytest.raises(AssertionError, match="tokeniser"):
             load_edge_list(path)
         check_matches_reference(path, BLOCK_BYTES)
+
+    @pytest.mark.parametrize("block_bytes", [BLOCK_BYTES, 4096])
+    def test_table_counts_ids_not_tokens(self, tmp_path, block_bytes):
+        """10,000 lines of ``0 100000`` give 2 ids: they allow 8 * 2 +
+        2**16 entries, so the file goes to the tokeniser without the
+        100,001-entry table its 20,000 tokens would allow.  Lines of
+        fresh ids before the large one allow it on the canonical path."""
+        sizes = []
+
+        class Recorded(io._DirectIds):
+            def assign(self, values):
+                ids = super().assign(values)
+                sizes.append(len(self.table))
+                return ids
+
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 100000\n" * 10_000)
+        with mock.patch.object(io, "_DirectIds", Recorded):
+            check_matches_reference(path, block_bytes)
+        assert max(sizes) == 0
+        sizes.clear()
+        path.write_bytes(b"".join(b"%d %d\n" % (i, i + 1)
+                                  for i in range(5_000)) + b"0 100000\n")
+        with mock.patch.object(io, "_DirectIds", Recorded), \
+                mock.patch.object(io, "_block_rows", _no_tokeniser):
+            check_matches_reference(path, block_bytes)
+        assert max(sizes) == 100_001
 
 
 class TestSortedUnique:

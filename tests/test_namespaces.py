@@ -8,6 +8,7 @@ most of the package already.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -148,3 +149,20 @@ class TestBuildPath:
             print(json.dumps(sorted(set(sys.modules) - before)))
         """)
         assert added == []
+
+
+class TestVersion:
+    def test_package_version_is_the_declared_one(self):
+        """``repro.__version__`` is pyproject.toml's ``version``: an
+        installed package has one version, whichever way it is read."""
+        import repro
+
+        text = (SRC.parent / "pyproject.toml").read_text()
+        if sys.version_info >= (3, 11):
+            import tomllib
+
+            declared = tomllib.loads(text)["project"]["version"]
+        else:
+            declared = re.search(r'^version\s*=\s*"([^"]+)"', text,
+                                 re.MULTILINE).group(1)
+        assert repro.__version__ == declared

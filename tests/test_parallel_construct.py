@@ -50,6 +50,14 @@ def random_csr(seed: int, max_n: int = 40) -> CSRGraph:
     return CSRGraph(n, edges)
 
 
+def concat_chunks(chunks):
+    """A level-edge kernel's ``(a, b)`` chunks, concatenated in order."""
+    parts = list(chunks)
+    return tuple(np.concatenate([part[i] for part in parts]
+                                or [np.empty(0, dtype=np.int64)])
+                 for i in range(2))
+
+
 def condensed_signature(hierarchy):
     tree = hierarchy.condense()
     return sorted((node.k, tuple(sorted(tree.subtree_cells(node.id))))
@@ -79,7 +87,8 @@ class TestLevelEdgeKernels:
         lam = np.asarray(core_peel(csr, backend="object").lam, dtype=np.int64)
         for k in range(1, int(lam.max(initial=0)) + 1):
             frontier = np.flatnonzero(lam == k)
-            a, b = core_level_edges(indptr, indices, lam, frontier, k)
+            a, b = concat_chunks(
+                core_level_edges(indptr, indices, lam, frontier, k))
             got = set(zip(a.tolist(), b.tolist()))
             expected = set()
             for u, v in csr.edges():
@@ -98,7 +107,8 @@ class TestLevelEdgeKernels:
         lam = np.asarray(truss_peel(csr, backend="object").lam, dtype=np.int64)
         for k in range(1, int(lam.max(initial=0)) + 1):
             frontier = np.flatnonzero(lam == k)
-            a, b = incidence_level_edges(ptr, comps, lam, frontier, k)
+            a, b = concat_chunks(
+                incidence_level_edges(ptr, comps, lam, frontier, k))
             got = set(zip(a.tolist(), b.tolist()))
             expected = set()
             for u in frontier.tolist():

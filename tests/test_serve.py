@@ -502,6 +502,44 @@ class TestFraming:
         assert json.loads(body) == {"id": None, "ok": False, "error": error}
 
 
+    @pytest.mark.parametrize("size, status", [
+        (65536, b"200 OK"), (65537, b"413 Content Too Large")])
+    def test_body_limit(self, exchange, size, status):
+        """A body as long as a line may be is answered; one byte more is
+        refused."""
+        head = b'{"op": "ping", "id": 7, "pad": "'
+        body = head + b"x" * (size - len(head) - 2) + b'"}'
+        last = exchange(b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n"
+                        b"Connection: close\r\n\r\n%s" % (size, body))
+        reply_head, _, reply = last.partition(b"\r\n\r\n")
+        assert reply_head.startswith(b"HTTP/1.1 " + status + b"\r\n")
+        assert json.loads(reply) == (
+            {"id": 7, "ok": True, "result": "pong"} if size == 65536 else
+            {"id": None, "ok": False,
+             "error": "request body longer than 65536 bytes"})
+
+    def test_oversized_body_is_refused_unsent(self, registry, capfd,
+                                              caplog):
+        """A declared 64 MiB body gets its 413 while the client, which
+        has sent none of it, keeps its side open; the server closes."""
+        with ServerThread(registry) as thread:
+            with socket.create_connection(("127.0.0.1", thread.port),
+                                          timeout=10) as sock:
+                sock.sendall(b"POST /query HTTP/1.1\r\n"
+                             b"Content-Length: %d\r\n\r\n" % (64 << 20))
+                received = b""
+                while chunk := sock.recv(1 << 16):  # EOF: the server closed
+                    received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 Content Too Large\r\n")
+        assert b"Connection: close" in head
+        assert json.loads(body) == {
+            "id": None, "ok": False,
+            "error": "request body longer than 65536 bytes"}
+        reported = capfd.readouterr().err + caplog.text
+        assert "Traceback" not in reported
+
+
 class TestNagleOff:
     def test_accepted_connection_has_nodelay(self, registry):
         """``run_server`` binds with ``socket.create_server``, whose proto
