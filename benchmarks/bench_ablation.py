@@ -1,7 +1,7 @@
 """Ablations of the paper's design choices.
 
-DESIGN.md calls out three load-bearing choices; each is measured here
-against the obvious alternative:
+Three of the implementation's choices are load-bearing; each is
+measured here against the obvious alternative:
 
 1. **Bucket queue vs binary heap** for peeling (§5.1: Matula & Beck's
    "appropriate priority queue" problem, resolved by bucket sort).

@@ -1,4 +1,4 @@
-"""Object vs CSR vs parallel engines on the peel and hierarchy hot paths.
+"""Object vs CSR vs disk engines on the peel and hierarchy hot paths.
 
 Three modes:
 
@@ -43,15 +43,15 @@ Three modes:
   ``check_regression.py`` gates the dimensionless ``project_overhead``
   ratio (the project layer may cost at most ~3× the per-file pass).
 * **worker scaling** (``--parallel``, combinable with the above): times
-  the ``csr-parallel`` backend at several worker counts (``--workers``,
-  default 1 2 4) against the in-process CSR engine on the
+  the ``csr`` engine's threaded clique listing at several worker counts
+  (``--workers``, default 1 2 4) against its one-thread run on the
   peel+incidence workloads *and* the end-to-end FND pipelines
   (``fnd12``/``fnd23``/``fnd34``: clique listing, frontier peel,
   level-wise hierarchy build), asserting λ parity at every count and
   condensed-hierarchy parity for every FND workload and count.
   ``--gate RATIO`` turns the run into a pass/fail check: it exits
   non-zero when a gated workload's lowest multi-worker time exceeds
-  ``RATIO ×`` the in-process time (the CI ``parallel-smoke``
+  ``RATIO ×`` the one-thread time (the CI ``parallel-smoke``
   job runs this with 2 workers and 1.15); the ``scaling-bench`` job
   instead gates the recorded ratios against the committed baseline via
   ``check_regression.py --scaling``.
@@ -197,7 +197,7 @@ VARIANT_WORKLOADS = {
 }
 
 #: worker-scaling workloads: the three peel+incidence phases
-#: (``kind="peel"``) plus the three full parallel FND constructions —
+#: (``kind="peel"``) plus the three full threaded FND constructions —
 #: set-up, bulk peel *and* the level-wise hierarchy build
 #: (``kind="fnd"``, condensed-hierarchy parity asserted at every worker
 #: count).  ``gated`` marks the ones the CI parallel-smoke ratio gate
@@ -239,13 +239,6 @@ PARALLEL_WORKLOADS = {
 # ---------------------------------------------------------------------------
 # pytest-benchmark mode
 # ---------------------------------------------------------------------------
-def _backend_kwargs(backend: str) -> dict:
-    """The csr-parallel legs must actually run multi-worker — with the
-    default ``workers=None`` (→ 1) they would silently re-measure the
-    sequential CSR engine under the parallel label."""
-    return {"workers": 2} if backend == "csr-parallel" else {}
-
-
 def _release(graph) -> None:
     """Disk-backend conversions own a scratch ``.diskcsr`` directory."""
     close = getattr(graph, "close", None)
@@ -258,8 +251,7 @@ def _release(graph) -> None:
 def test_kcore_peel_backends(benchmark, dataset, backend):
     graph = as_backend(dataset, backend)  # conversion not charged to the peel
     try:
-        result = run_once(benchmark, core_peel, graph, backend=backend,
-                          **_backend_kwargs(backend))
+        result = run_once(benchmark, core_peel, graph, backend=backend)
     finally:
         _release(graph)
     benchmark.extra_info["dataset"] = dataset.name
@@ -272,8 +264,7 @@ def test_kcore_peel_backends(benchmark, dataset, backend):
 def test_truss23_peel_backends(benchmark, dataset, backend):
     graph = as_backend(dataset, backend)
     try:
-        result = run_once(benchmark, truss_peel, graph, backend=backend,
-                          **_backend_kwargs(backend))
+        result = run_once(benchmark, truss_peel, graph, backend=backend)
     finally:
         _release(graph)
     benchmark.extra_info["dataset"] = dataset.name
@@ -286,8 +277,7 @@ def test_truss23_peel_backends(benchmark, dataset, backend):
 def test_nucleus34_peel_backends(benchmark, dataset, backend):
     graph = as_backend(dataset, backend)
     try:
-        result = run_once(benchmark, nucleus34_peel, graph, backend=backend,
-                          **_backend_kwargs(backend))
+        result = run_once(benchmark, nucleus34_peel, graph, backend=backend)
     finally:
         _release(graph)
     benchmark.extra_info["dataset"] = dataset.name
@@ -303,8 +293,7 @@ def test_fnd_hierarchy_backends(benchmark, dataset, backend, rs):
     r, s = rs
     try:
         result = run_once(benchmark, decompose, graph, r, s,
-                          algorithm="fnd", backend=backend,
-                          **_backend_kwargs(backend))
+                          algorithm="fnd", backend=backend)
     finally:
         _release(graph)
     benchmark.extra_info["dataset"] = dataset.name
@@ -647,16 +636,16 @@ def run_lint_smoke(repeats: int = 3) -> dict:
 def run_parallel_smoke(mode: str = "quick",
                        workers: tuple[int, ...] = (1, 2, 4),
                        repeats: int = 3) -> dict:
-    """Time the ``csr-parallel`` backend at each worker count vs the
-    in-process CSR engine on the peel+incidence and FND-construction
+    """Time the ``csr`` engine at each listing worker count vs its
+    one-thread run on the peel+incidence and FND-construction
     workloads.
 
-    λ must match the in-process CSR result elementwise at every worker
-    count, and every parallel FND decomposition must reproduce its
+    λ must match the one-thread result elementwise at every worker
+    count, and every threaded FND decomposition must reproduce its
     condensed hierarchy node-for-node at every count (the
     hierarchy-parity half of the CI gate).
 
-    ``csr-parallel`` runs in one process: a worker count only sets how
+    Every leg runs in one process: a worker count only sets how
     many threads the triangle/K₄ listing maps its kernel ranges over,
     capped at the CPUs in the affinity mask.  The cap and the thread
     count each leg actually got are recorded (``available_cpus`` and
@@ -694,9 +683,10 @@ def _run_parallel_workloads(results: dict, mode: str,
         else:  # full FND decomposition: set-up + bulk peel + construction
             func = decompose
             args = (csr, *spec["rs"])
-        legs = [{"backend": "csr"}] + [
-            {"backend": "csr-parallel", "workers": count}
-            for count in workers]
+        # the reference leg is pinned to one thread, so a REPRO_WORKERS in
+        # the environment cannot thread it
+        legs = [{"backend": "csr", "workers": 1}] + [
+            {"backend": "csr", "workers": count} for count in workers]
         seconds = [float("inf")] * len(legs)
         outputs: list = [None] * len(legs)
         # the legs alternate within every repeat, so a slow stretch of a
@@ -721,13 +711,13 @@ def _run_parallel_workloads(results: dict, mode: str,
             if par_result.lam != seq_result.lam:
                 raise AssertionError(
                     f"{name}: {count}-worker lambda differs from the "
-                    f"in-process CSR engine — the parallel path is broken")
+                    f"one-thread csr run — the threaded listing is broken")
             if seq_signature is not None and \
                     condensed_signature(par_result) != seq_signature:
                 raise AssertionError(
                     f"{name}: {count}-worker condensed hierarchy differs "
-                    f"from the in-process CSR engine — the parallel "
-                    f"hierarchy construction is broken")
+                    f"from the one-thread csr run — the threaded "
+                    f"pipeline is broken")
             row["workers"][str(count)] = {
                 "seconds": round(par_seconds, 6),
                 "vs_sequential": round(par_seconds / seq_seconds, 3),
@@ -741,8 +731,8 @@ def gate_parallel(results: dict, ratio: float) -> list[str]:
     """Failure messages for the CI parallel-smoke gate (empty = pass).
 
     A gated workload fails when its best multi-worker time exceeds
-    ``ratio ×`` the in-process CSR time.  Single-worker legs are the
-    in-process path by definition and never gate.
+    ``ratio ×`` the one-thread csr time.  Single-worker legs are the
+    reference's own path and never gate.
     """
     failures = []
     for name, row in results["workloads"].items():
@@ -756,14 +746,14 @@ def gate_parallel(results: dict, ratio: float) -> list[str]:
         if best > ratio:
             failures.append(
                 f"{name}: best multi-worker peel is {best:.2f}x the "
-                f"in-process CSR time (gate: {ratio}x)")
+                f"one-thread csr time (gate: {ratio}x)")
     return failures
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="object vs CSR vs parallel backend peel/hierarchy "
-                    "comparison")
+        description="object vs CSR vs disk backend peel/hierarchy "
+                    "comparison, plus the csr listing's worker scaling")
     parser.add_argument("--quick", action="store_true",
                         help="small graphs (the CI smoke configuration)")
     parser.add_argument("--json", metavar="PATH",

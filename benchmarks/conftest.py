@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark suite.
 
 Datasets are the synthetic stand-ins from :mod:`repro.graph.datasets`
-(DESIGN.md §4 documents the substitution).  Size is controlled by the
+(its module docstring gives the rationale for the substitution, and its
+``PAPER_STATS`` the statistics they imitate).  Size is controlled by the
 ``REPRO_BENCH_SIZE`` environment variable: ``tiny`` | ``small`` (default) |
 ``medium``; the graph engine by ``REPRO_BENCH_BACKEND``: ``object``
 (default) | ``csr``.  Graphs are built once per session and shared — every

@@ -22,8 +22,7 @@ The package is layered (see ``docs/ARCHITECTURE.md`` for the full map):
   :class:`CSRGraph` (flat arrays), loaders, generators, datasets;
 * **decomposition engines** — :func:`nucleus_decomposition` and the
   :mod:`repro.backends` dispatch layer (``object`` / ``csr`` /
-  ``csr-parallel`` / ``disk``, identical λ and hierarchies, only speed
-  and memory differ);
+  ``disk``, identical λ and hierarchies, only speed and memory differ);
 * **k-core / k-truss layers** — :func:`core_numbers`,
   :func:`truss_numbers`, the survey-section variants (weighted,
   directed, uncertain, temporal) and :func:`build_tcp_index`;

@@ -64,8 +64,8 @@ def decompose(graph: Any, r: int = 1, s: int = 2, *,
     peel routed through its :mod:`repro.backends` dispatch function; see
     the module table for the per-variant graph type, parameters and
     return shape.  ``backend=None`` follows the input representation,
-    and ``workers=`` applies to the ``csr-parallel`` backend exactly as
-    on every other entry point.
+    and ``workers=`` is validated exactly as on every other entry point
+    (only the ``csr`` backend's clique listing uses it).
     """
     if variant not in VARIANTS:
         raise InvalidParameterError(

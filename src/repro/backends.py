@@ -1,6 +1,6 @@
 """Backend dispatch: run any decomposition on any graph engine.
 
-Four backends implement the peeling engine:
+Three backends implement the peeling engine:
 
 * ``"object"`` — :class:`~repro.graph.adjacency.Graph`, per-vertex
   ``set``/``list`` adjacency.  Flexible, allocation-heavy.
@@ -9,15 +9,12 @@ Four backends implement the peeling engine:
   (:mod:`repro.parallel.bulk`: every round peels the whole
   minimum-support frontier with a few numpy passes), and FND builds its
   hierarchy level by level from the settled λ values
-  (:mod:`repro.parallel.construct`).  Requires numpy.
-* ``"csr-parallel"`` — the ``csr`` engine in the same process, with one
-  difference: the triangle and K₄ listing under the (2,3)/(3,4)
-  incidences maps its kernel ranges over ``min(workers, CPUs in the
-  affinity mask)`` threads (:func:`~repro.graph.csr.csr_triangle_edge_ids`).
-  The ranges concatenate in order, so every array is the same bytes as
-  the ``csr`` engine's.  Takes ``workers=N`` (default: the
-  ``REPRO_WORKERS`` environment variable, else 1; see
-  :func:`resolve_workers`).
+  (:mod:`repro.parallel.construct`).  ``workers=N`` threads the triangle
+  and K₄ listing under the (2,3)/(3,4) incidences: its kernel ranges map
+  over ``min(workers, CPUs in the affinity mask)`` threads
+  (:func:`~repro.graph.csr.csr_triangle_edge_ids`) and concatenate in
+  order, so every array is the same bytes at every count.  Requires
+  numpy.
 * ``"disk"`` — :class:`~repro.external.diskcsr.DiskCSRGraph`, the same
   flat arrays stored in ``np.memmap``-backed ``.npy`` files and served
   through windowed block readers, with the incidence of (2,3)/(3,4)
@@ -31,7 +28,9 @@ already-converted graph) and guarantees **identical λ output** across
 backends — only speed differs.  ``backend=None`` (the default everywhere)
 means *follow the representation passed in*: a :class:`CSRGraph` runs the
 CSR engine, a :class:`Graph` the object engine, with no silent conversion
-either way (the parallel engine is never auto-selected).  Cell ids are
+either way.  Every entry point validates ``workers`` once, whatever the
+backend (an explicit count, else ``$REPRO_WORKERS``, else 1; see
+:func:`resolve_workers`); only the csr listing uses it.  Cell ids are
 representation-independent (vertices are shared, edge and triangle ids
 are lexicographic on both backends), so the λ arrays compare
 element-for-element, and the condensed hierarchies are identical.
@@ -44,7 +43,8 @@ from __future__ import annotations
 
 import os
 import time
-from typing import TYPE_CHECKING, Any, cast
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.decomposition import Decomposition, nucleus_decomposition
 from repro.core.fnd import FndInstrumentation
@@ -71,13 +71,11 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BACKENDS",
-    "DEFAULT_BACKEND",
     "WORKERS_ENV",
     "as_backend",
     "as_csr",
     "as_disk",
     "as_object",
-    "backend_view",
     "build_query_index",
     "core_peel",
     "decompose",
@@ -93,10 +91,7 @@ __all__ = [
     "weighted_core_peel",
 ]
 
-BACKENDS = ("object", "csr", "csr-parallel", "disk")
-
-#: engine used when an object :class:`Graph` is passed with ``backend=None``
-DEFAULT_BACKEND = "object"
+BACKENDS = ("object", "csr", "disk")
 
 #: environment variable consulted when ``workers=None`` is passed
 WORKERS_ENV = "REPRO_WORKERS"
@@ -133,14 +128,6 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-def _diskcsr_type() -> type:
-    """The :class:`DiskCSRGraph` type (lazy import keeps the disk engine
-    out of in-memory runs)."""
-    from repro.external.diskcsr import DiskCSRGraph
-
-    return DiskCSRGraph
-
-
 def resolve_backend(graph: AnyGraph, backend: str | None) -> str:
     """Resolve a ``backend=None`` sentinel to the engine matching ``graph``.
 
@@ -151,11 +138,20 @@ def resolve_backend(graph: AnyGraph, backend: str | None) -> str:
     if backend is None:
         if isinstance(graph, CSRGraph):
             return "csr"
-        if isinstance(graph, _diskcsr_type()):
-            return "disk"
-        return "object"
+        # imported here: in-memory runs never load the disk engine
+        from repro.external.diskcsr import DiskCSRGraph
+
+        return "disk" if isinstance(graph, DiskCSRGraph) else "object"
     _check(backend)
     return backend
+
+
+def _resolve(graph: AnyGraph, backend: str | None,
+             workers: int | None) -> tuple[str, int]:
+    """``(engine, listing threads)`` — the one check every entry point
+    makes: both are validated whatever the engine, though only the csr
+    listing uses the thread count."""
+    return resolve_backend(graph, backend), resolve_workers(workers)
 
 
 def as_csr(graph: AnyGraph) -> CSRGraph:
@@ -189,12 +185,17 @@ def as_disk(graph: AnyGraph) -> "DiskCSRGraph":
     return as_diskcsr(graph)
 
 
-def _ensure_disk(graph: AnyGraph) -> "tuple[DiskCSRGraph, bool]":
-    """``(disk_graph, converted)`` — ``converted`` means this call built a
-    temporary owned directory the caller must ``close()``."""
-    if isinstance(graph, _diskcsr_type()):
-        return cast("DiskCSRGraph", graph), False
-    return as_disk(graph), True
+@contextmanager
+def _on_disk(graph: AnyGraph) -> "Iterator[DiskCSRGraph]":
+    """``graph`` as a :class:`DiskCSRGraph` for the ``with`` block.  A
+    converted graph lives in a temporary directory it owns, removed on
+    exit; a disk graph passed in stays open for its caller."""
+    disk = as_disk(graph)
+    try:
+        yield disk
+    finally:
+        if disk is not graph:
+            disk.close()
 
 
 def as_backend(graph: AnyGraph, backend: str) -> AnyGraph:
@@ -207,10 +208,30 @@ def as_backend(graph: AnyGraph, backend: str) -> AnyGraph:
     return as_csr(graph)
 
 
-def backend_view(graph: AnyGraph, r: int, s: int,
-                 backend: str) -> Any:
-    """The (r, s) cell view over the chosen backend's representation."""
-    return build_view(as_backend(graph, backend), r, s)
+def _peel(graph: AnyGraph, r: int, s: int, backend: str | None,
+          workers: int | None) -> PeelingResult:
+    """The (r, s) peel behind :func:`core_peel`, :func:`truss_peel` and
+    :func:`nucleus34_peel` on whichever engine ``backend`` names."""
+    backend, count = _resolve(graph, backend, workers)
+    if backend == "object":
+        return peel(build_view(as_object(graph), r, s))
+    if backend == "disk":
+        from repro.external.engine import (
+            disk_core_peel,
+            disk_nucleus34_peel,
+            disk_truss_peel,
+        )
+
+        disk_peel = {(1, 2): disk_core_peel, (2, 3): disk_truss_peel,
+                     (3, 4): disk_nucleus34_peel}[(r, s)]
+        with _on_disk(graph) as disk:
+            return disk_peel(disk)
+    csr = as_csr(graph)
+    if (r, s) == (1, 2):
+        return bulk_core_peel(csr)  # lists no cliques: nothing to thread
+    if (r, s) == (2, 3):
+        return bulk_truss_peel(csr, count)
+    return bulk_nucleus34_peel(csr, count)
 
 
 def core_peel(graph: AnyGraph, backend: str | None = None,
@@ -220,26 +241,11 @@ def core_peel(graph: AnyGraph, backend: str | None = None,
     The CSR backend peels in frontier rounds (the order is round order);
     the object backend runs the generic Set-λ over :class:`VertexView`;
     the disk backend the Batagelj–Zaversnik array peel over windowed
-    memmap reads.  The parallel backend validates ``workers`` and runs the
-    CSR rounds: (1,2) lists no cliques, so it has nothing to thread.
+    memmap reads.  ``workers`` is validated on every backend, but (1,2)
+    lists no cliques, so the CSR rounds have nothing to thread.
     ``backend=None`` follows the representation passed in.
     """
-    backend = resolve_backend(graph, backend)
-    if backend == "disk":
-        disk, converted = _ensure_disk(graph)
-        try:
-            from repro.external.engine import disk_core_peel
-
-            return disk_core_peel(disk)
-        finally:
-            if converted:
-                disk.close()
-    if backend == "csr-parallel":
-        resolve_workers(workers)
-        backend = "csr"
-    if backend == "csr":
-        return bulk_core_peel(as_csr(graph))
-    return peel(build_view(as_object(graph), 1, 2))
+    return _peel(graph, 1, 2, backend, workers)
 
 
 def truss_peel(graph: AnyGraph, backend: str | None = None,
@@ -247,50 +253,22 @@ def truss_peel(graph: AnyGraph, backend: str | None = None,
     """(2,3) peel — λ₃ per edge id (ids are lexicographic on every backend,
     so the arrays compare element-for-element).  ``backend=None`` follows
     the representation passed in; the disk backend spools the triangle
-    incidence to scratch files; the parallel backend lists the triangles
-    on up to ``workers`` threads."""
-    backend = resolve_backend(graph, backend)
-    if backend == "disk":
-        disk, converted = _ensure_disk(graph)
-        try:
-            from repro.external.engine import disk_truss_peel
-
-            return disk_truss_peel(disk)
-        finally:
-            if converted:
-                disk.close()
-    if backend == "csr-parallel":
-        return bulk_truss_peel(as_csr(graph), resolve_workers(workers))
-    if backend == "csr":
-        return bulk_truss_peel(as_csr(graph))
-    return peel(build_view(as_object(graph), 2, 3))
+    incidence to scratch files; the CSR backend lists the triangles on up
+    to ``workers`` threads."""
+    return _peel(graph, 2, 3, backend, workers)
 
 
 def nucleus34_peel(graph: AnyGraph, backend: str | None = None,
                    workers: int | None = None) -> PeelingResult:
     """(3,4) peel — λ₄ per lexicographic triangle id.
 
-    The CSR backend peels a materialised triangle→K₄ incidence in
-    frontier rounds; the object backend runs the generic Set-λ over
+    The CSR backend lists the triangles and four-cliques on up to
+    ``workers`` threads and peels the materialised triangle→K₄ incidence
+    in frontier rounds; the object backend runs the generic Set-λ over
     :class:`TriangleView`; the disk backend replays the same incidence
-    spooled to scratch files; the parallel backend lists the triangles and
-    four-cliques on up to ``workers`` threads.  ``backend=None`` follows
-    the representation passed in."""
-    backend = resolve_backend(graph, backend)
-    if backend == "disk":
-        disk, converted = _ensure_disk(graph)
-        try:
-            from repro.external.engine import disk_nucleus34_peel
-
-            return disk_nucleus34_peel(disk)
-        finally:
-            if converted:
-                disk.close()
-    if backend == "csr-parallel":
-        return bulk_nucleus34_peel(as_csr(graph), resolve_workers(workers))
-    if backend == "csr":
-        return bulk_nucleus34_peel(as_csr(graph))
-    return peel(build_view(as_object(graph), 3, 4))
+    spooled to scratch files.  ``backend=None`` follows the
+    representation passed in."""
+    return _peel(graph, 3, 4, backend, workers)
 
 
 def _variant_kernel_backend(backend: str | None, workers: int | None,
@@ -301,15 +279,14 @@ def _variant_kernel_backend(backend: str | None, workers: int | None,
 
     Their native representation *is* the flat arrays, so ``backend=None``
     and ``"csr"`` run the generic kernel; ``"object"`` forces the
-    set/heap reference engine; ``"csr-parallel"`` validates ``workers``
-    and degrades to the sequential kernel (the variant peels are
-    sequential); ``"disk"`` has no representation for these graphs.
+    set/heap reference engine; ``"disk"`` has no representation for these
+    graphs.  ``workers`` is validated and unused: the variant peels are
+    sequential.
     """
+    resolve_workers(workers)
     if backend is None:
         return "kernel"
     _check(backend)
-    if backend == "object":
-        return "object"
     if backend == "disk":
         graph_cls = ("DirectedGraph" if graph_kind == "directed"
                      else "TemporalGraph")
@@ -317,9 +294,7 @@ def _variant_kernel_backend(backend: str | None, workers: int | None,
         raise InvalidParameterError(
             f"backend 'disk' is not supported for {graph_kind} graphs "
             f"({graph_cls}); choose from {supported}")
-    if backend == "csr-parallel":
-        resolve_workers(workers)
-    return "kernel"
+    return "object" if backend == "object" else "kernel"
 
 
 def weighted_core_peel(graph: AnyGraph, weights: Any,
@@ -330,8 +305,8 @@ def weighted_core_peel(graph: AnyGraph, weights: Any,
     The object backend runs the reference heap peel over adjacency sets;
     the CSR and disk backends run the generic flat kernel
     (:mod:`repro.core.generic_peel`) with float heap buckets over the
-    flat arrays (windowed memmap reads on disk).  ``csr-parallel``
-    validates ``workers`` and degrades to the sequential kernel.
+    flat arrays (windowed memmap reads on disk).  ``workers`` is
+    validated and unused: the kernel is sequential.
     ``weights`` is a mapping keyed by endpoint pair or a sequence indexed
     by lexicographic edge id — the same on every backend.
     """
@@ -339,19 +314,12 @@ def weighted_core_peel(graph: AnyGraph, weights: Any,
     from repro.kcore.params import edge_values
 
     wlist = edge_values(graph, weights, kind="weight", lo=0.0)
-    backend = resolve_backend(graph, backend)
-    if backend == "csr-parallel":
-        resolve_workers(workers)
-        backend = "csr"
+    backend, _ = _resolve(graph, backend, workers)
     if backend == "object":
         return _variants._object_weighted_core(as_object(graph), wlist)
     if backend == "disk":
-        disk, converted = _ensure_disk(graph)
-        try:
+        with _on_disk(graph) as disk:
             return _variants._kernel_weighted_core(disk, wlist)
-        finally:
-            if converted:
-                disk.close()
     return _variants._kernel_weighted_core(as_csr(graph), wlist)
 
 
@@ -364,8 +332,8 @@ def uncertain_core_peel(graph: AnyGraph, probabilities: Any,
     The object backend recomputes η-degrees through adjacency sets and an
     edge-index lookup per incident edge; the CSR and disk backends run
     the generic kernel with lazy int buckets and a capped downward
-    η-degree search over the flat arrays.  ``csr-parallel`` validates
-    ``workers`` and degrades to the sequential kernel.
+    η-degree search over the flat arrays.  ``workers`` is validated and
+    unused: the kernel is sequential.
     """
     from repro.kcore import uncertain as _uncertain
     from repro.kcore.params import edge_values, require_fraction
@@ -373,19 +341,12 @@ def uncertain_core_peel(graph: AnyGraph, probabilities: Any,
     require_fraction("eta", eta)
     plist = edge_values(graph, probabilities, kind="probability",
                         plural="probabilities", lo=0.0, hi=1.0)
-    backend = resolve_backend(graph, backend)
-    if backend == "csr-parallel":
-        resolve_workers(workers)
-        backend = "csr"
+    backend, _ = _resolve(graph, backend, workers)
     if backend == "object":
         return _uncertain._object_uncertain_core(as_object(graph), plist, eta)
     if backend == "disk":
-        disk, converted = _ensure_disk(graph)
-        try:
+        with _on_disk(graph) as disk:
             return _uncertain._kernel_uncertain_core(disk, plist, eta)
-        finally:
-            if converted:
-                disk.close()
     return _uncertain._kernel_uncertain_core(as_csr(graph), plist, eta)
 
 
@@ -474,10 +435,9 @@ def _disk_decompose(graph: AnyGraph, r: int, s: int,
     memmap files."""
     from repro.external.engine import disk_decomposition
 
-    disk, converted = _ensure_disk(graph)
-    try:
+    with _on_disk(graph) as disk:
         result = disk_decomposition(disk, r, s, algorithm=algorithm)
-        if not converted:
+        if disk is graph:
             return result
         if (r, s) == (3, 4):
             from repro.core.views import CSRTriangleView
@@ -490,9 +450,6 @@ def _disk_decompose(graph: AnyGraph, r: int, s: int,
         return Decomposition(graph, r, s, result.algorithm, result.lam,
                              result.hierarchy, view, result.peel_seconds,
                              result.post_seconds, fnd_stats=result.fnd_stats)
-    finally:
-        if converted:
-            disk.close()
 
 
 def decompose(graph: AnyGraph, r: int = 1, s: int = 2,
@@ -506,26 +463,25 @@ def decompose(graph: AnyGraph, r: int = 1, s: int = 2,
     CSR backend, FND for the paper's evaluated (r, s) pairs and LCPS run
     *directly* on the flat arrays — peel, hierarchy construction and
     traversal never build an object graph; the remaining algorithms peel
-    through the CSR cell views.  FND is one pipeline: clique listing,
-    frontier-round peel, level-wise construction.  The parallel backend
-    runs the same pipeline with its clique listing on up to ``workers``
-    threads, every array the same bytes; ``workers`` is ignored by the
-    other backends.  The disk backend streams the flat
-    arrays (and, for (2,3)/(3,4), a spooled incidence) from files through
-    windowed block reads — λ and the condensed hierarchy are identical to
-    the CSR engine while peak memory stays bounded by the window cache.
-    The returned :class:`Decomposition` carries the graph
-    exactly as it was passed in, with one exception: running the object
-    engine on a :class:`CSRGraph` input converts, since that engine's
-    views and traversals need the object representation.
+    through the CSR cell views.  FND is one pipeline: clique listing on
+    up to ``workers`` threads (every array the same bytes at any count),
+    frontier-round peel, level-wise construction.  Every backend
+    validates ``workers``; only that listing uses it.  The disk backend
+    streams the flat arrays (and, for (2,3)/(3,4), a spooled incidence)
+    from files through windowed block reads — λ and the condensed
+    hierarchy are identical to the CSR engine while peak memory stays
+    bounded by the window cache.  The returned :class:`Decomposition`
+    carries the graph exactly as it was passed in, with one exception:
+    running the object engine on a :class:`CSRGraph` input converts,
+    since that engine's views and traversals need the object
+    representation.
     """
-    backend = resolve_backend(graph, backend)
+    backend, count = _resolve(graph, backend, workers)
     if backend == "object":
         return nucleus_decomposition(as_object(graph), r, s,
                                      algorithm=algorithm)
     if backend == "disk":
         return _disk_decompose(graph, r, s, algorithm)
-    count = resolve_workers(workers) if backend == "csr-parallel" else 1
     csr = as_csr(graph)
     if algorithm == "fnd" and (r, s) in FND_RS:
         stats = FndInstrumentation()

@@ -50,17 +50,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", choices=BACKENDS, default=None,
                        help="graph engine: 'object' (set/list adjacency), "
                             "'csr' (numpy frontier-round peels and level-"
-                            "wise hierarchy construction), 'csr-parallel' "
-                            "(the csr engine with its triangle/K4 listing "
-                            "on --workers threads) or "
+                            "wise hierarchy construction, its triangle/K4 "
+                            "listing on --workers threads) or "
                             "'disk' (out-of-core: memmap'd CSR files, "
                             "spooled incidence, memory bounded by the "
                             "block cache); "
                             "default: follow the input representation (auto)")
         p.add_argument("--workers", type=int, default=None,
-                       help="listing threads for the csr-parallel backend, "
-                            "capped at the CPUs this process may use "
-                            "(default: $REPRO_WORKERS, else 1)")
+                       help="threads for the csr engine's triangle/K4 "
+                            "listing, capped at the CPUs this process may "
+                            "use (default: $REPRO_WORKERS, else 1)")
         p.add_argument("--tree", action="store_true",
                        help="print the condensed nucleus tree")
         p.add_argument("--max-nodes", type=int, default=60)
@@ -190,7 +189,7 @@ def _print_decomposition(graph: Graph, r: int, s: int, algorithm: str,
     shown = resolve_backend(graph, backend)
     if backend is None:
         shown += " (auto)"
-    elif backend == "csr-parallel" and workers is not None:
+    if workers is not None:
         shown += f" ({workers} workers)"
     print(f"graph      : {graph!r}")
     print(f"parameters : ({r},{s}) nucleus, algorithm={algorithm}, "

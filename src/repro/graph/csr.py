@@ -470,8 +470,8 @@ def _suffix_start(indices: list[int], lo: int, hi: int, v: int) -> int:
     return bisect_right(indices, v, lo, hi)
 
 
-# engine internals: ``workers`` is the thread count the csr-parallel
-# backend resolved, not a second dispatch surface beside repro.backends
+# engine internals: ``workers`` is the thread count the csr backend
+# resolved, not a second dispatch surface beside repro.backends
 def csr_triangle_edge_ids(csr: CSRGraph, workers: int = 1):  # repro-lint: disable=backend-parity
     """All triangles as three aligned numpy edge-id arrays ``(e1, e2, e3)``.
 

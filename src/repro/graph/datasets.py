@@ -5,8 +5,9 @@ This repository has no network access and pure Python cannot peel 37M edges
 inside a benchmark budget, so each graph is replaced by a *seeded synthetic
 stand-in* whose qualitative statistics (edge density |E|/|V|, triangle
 density |△|/|E|, four-clique density |K4|/|△|, sub-nucleus structure) mirror
-the original at roughly 1/500 scale.  DESIGN.md §4 documents the substitution
-rationale; :func:`dataset_table` prints paper-vs-standin statistics.
+the original at roughly 1/500 scale.  :data:`PAPER_STATS` holds the
+originals' statistics, and ``benchmarks/run_paper_tables.py table3`` prints
+the stand-ins' for comparison.
 
 Three sizes are provided, so tests stay fast while benchmarks can be scaled
 up: ``tiny`` (sanity), ``small`` (default for benches), ``medium``.

@@ -16,7 +16,7 @@ This module exposes both:
 
 from __future__ import annotations
 
-from repro.backends import core_peel, decompose, resolve_backend
+from repro.backends import core_peel, decompose
 from repro.core.decomposition import Decomposition
 from repro.graph.adjacency import Graph
 from repro.graph.components import connected_components
@@ -33,35 +33,30 @@ __all__ = [
 ]
 
 
-def _peel(graph: Graph | CSRGraph, backend: str | None,
-          workers: int | None):
-    return core_peel(graph, backend=resolve_backend(graph, backend),
-                     workers=workers)
-
-
 def core_numbers(graph: Graph | CSRGraph,
                  backend: str | None = None,
                  workers: int | None = None) -> list[int]:
     """λ₂ (max k-core number) of every vertex.
 
     ``backend=None`` picks the engine matching the representation passed
-    in; name one explicitly to force a conversion.  ``workers`` applies
-    to the ``csr-parallel`` backend and is ignored by the others.
+    in; name one explicitly to force a conversion.  ``workers`` is
+    validated on every backend; (1,2) lists no cliques, so no engine
+    threads it.
     """
-    return _peel(graph, backend, workers).lam
+    return core_peel(graph, backend, workers).lam
 
 
 def degeneracy(graph: Graph | CSRGraph, backend: str | None = None,
                workers: int | None = None) -> int:
     """The graph's degeneracy: the largest core number."""
-    return _peel(graph, backend, workers).max_lambda
+    return core_peel(graph, backend, workers).max_lambda
 
 
 def degeneracy_ordering(graph: Graph | CSRGraph,
                         backend: str | None = None,
                         workers: int | None = None) -> list[int]:
     """Vertices in peeling order (a degeneracy / smallest-last ordering)."""
-    return _peel(graph, backend, workers).order
+    return core_peel(graph, backend, workers).order
 
 
 def k_core(graph: Graph, k: int, lam: list[int] | None = None) -> list[list[int]]:

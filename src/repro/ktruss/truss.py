@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.backends import decompose, resolve_backend, truss_peel
+from repro.backends import decompose, truss_peel
 from repro.core.decomposition import Decomposition
 from repro.errors import InvalidParameterError
 from repro.graph.adjacency import Graph
@@ -48,10 +48,9 @@ def truss_numbers(graph: Graph | CSRGraph, convention: str = "nucleus",
     trussness, where a single triangle is a 3-truss).  Edge ids are
     lexicographic on both backends, so the array is backend-independent;
     ``backend=None`` picks the engine matching the representation passed in;
-    ``workers`` applies to the ``csr-parallel`` backend only.
+    ``workers`` threads the ``csr`` backend's triangle listing.
     """
-    lam = truss_peel(graph, backend=resolve_backend(graph, backend),
-                     workers=workers).lam
+    lam = truss_peel(graph, backend=backend, workers=workers).lam
     if convention == "nucleus":
         return lam
     if convention == "truss":

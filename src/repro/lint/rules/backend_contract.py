@@ -9,7 +9,7 @@ and today only surface at runtime:
 * a **lazy import** naming a symbol its source module no longer defines
   — dead until that dispatch branch runs, then ``ImportError``;
 * a **backend string literal** outside ``backends.BACKENDS`` — a typo'd
-  ``backend="csr_parallel"`` is a dead branch or a rejected call;
+  or retired ``backend="CSR"`` is a dead branch or a rejected call;
 * a **keyword argument** no longer accepted by the (project-resolved)
   callee — a runtime ``TypeError``, or with ``**kwargs`` facades a
   silently ignored option.
@@ -27,7 +27,7 @@ from typing import Iterator
 
 from repro.lint.registry import Module, ProjectRule, dotted_name, register
 
-_DEFAULT_BACKENDS = ("object", "csr", "csr-parallel", "disk")
+_DEFAULT_BACKENDS = ("object", "csr", "disk")
 
 
 def _project_backends(project) -> tuple[str, ...]:

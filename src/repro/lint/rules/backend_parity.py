@@ -1,7 +1,7 @@
 """RL005 backend-parity.
 
 ``repro.backends`` is the single dispatch point that keeps the object,
-CSR, and csr-parallel engines interchangeable (and is where ``workers=``
+CSR and disk engines interchangeable (and is where ``workers=``
 resolution lives).  Calling an engine entry point directly from outside
 the engine layers forks the API: the caller silently loses backend
 selection and worker parity.  Public wrappers that do take ``backend=``

@@ -1,8 +1,8 @@
 """The CSR engine's frontier rounds and level-wise construction.
 
-``backend="csr"`` and ``csr-parallel`` (:mod:`repro.backends`) both run
-these functions in process; ``csr-parallel`` only hands its worker count
-to the clique listing, which maps its kernel ranges over threads:
+``backend="csr"`` (:mod:`repro.backends`) runs these functions in
+process; its ``workers=`` count reaches only the clique listing, which
+maps its kernel ranges over threads:
 
 * :mod:`repro.parallel.bulk` — frontier-round peels for (1,2), (2,3) and
   (3,4), λ identical to the per-cell peels;

@@ -11,9 +11,9 @@ CSR engine runs it as three phases over one set of flat arrays:
 3. **construction** — with λ known, sub-nucleus detection becomes
    level-wise connectivity (:mod:`repro.parallel.construct`).
 
-``backend="csr"`` runs the pipeline with ``workers=1``; ``csr-parallel``
-passes its worker count to the set-up, whose listing kernels then run on
-threads.  The peel and the construction always run in process.  λ is
+``backend="csr"`` passes its worker count (default 1) to the set-up,
+whose listing kernels then run on threads.  The peel and the
+construction always run in process.  λ is
 elementwise and the *condensed* hierarchy node-for-node identical to the
 object engine for (1,2), (2,3) and (3,4) at every worker count; the
 skeleton holds one sub-nucleus per (level, component), which condenses to

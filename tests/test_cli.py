@@ -46,6 +46,17 @@ class TestCommands:
         assert main(["decompose", graph_file, "--r", "2", "--s", "3"]) == 0
         assert "nuclei" in capsys.readouterr().out
 
+    def test_workers_shown_and_validated_on_any_backend(self, graph_file,
+                                                        capsys):
+        assert main(["decompose", graph_file, "--r", "2", "--s", "3",
+                     "--backend", "csr", "--workers", "2"]) == 0
+        assert "backend=csr (2 workers)" in capsys.readouterr().out
+        assert main(["decompose", graph_file, "--workers", "2"]) == 0
+        assert "backend=object (auto) (2 workers)" in capsys.readouterr().out
+        assert main(["decompose", graph_file, "--backend", "object",
+                     "--workers", "0"]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+
     def test_decompose_hypo(self, graph_file, capsys):
         assert main(["decompose", graph_file, "--algorithm", "hypo"]) == 0
         assert "builds none" in capsys.readouterr().out

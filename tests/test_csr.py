@@ -431,25 +431,25 @@ class TestBackends:
     @pytest.mark.parametrize("rs", [(1, 2), (2, 3)])
     @pytest.mark.parametrize("algorithm", ["fnd", "dft", "naive"])
     def test_decompose_hierarchies_match(self, rs, algorithm, monkeypatch):
-        # two listing threads even on single-core hosts, so the
-        # csr-parallel leg really runs its threaded path (with the default
-        # workers=1 it would silently duplicate the csr leg)
+        # two listing threads even on single-core hosts, so the threaded
+        # csr leg really runs its threaded path
         monkeypatch.setattr(csr_module, "available_cpus", lambda: 2)
         graph = generators.powerlaw_cluster(120, 5, 0.6, seed=4)
         r, s = rs
         # the disk backend runs traversal algorithms for (1,2) only (the
         # spooled incidence is consumed by the peel); FND covers all (r,s)
-        under_test = [b for b in BACKENDS
+        under_test = [(b, 1) for b in BACKENDS
                       if b != "disk" or algorithm == "fnd" or rs == (1, 2)]
-        results = {b: decompose(graph, r, s, algorithm=algorithm, backend=b,
-                                workers=2 if b == "csr-parallel" else None)
-                   for b in under_test}
-        obj = results["object"]
-        for backend in under_test[1:]:
-            other = results[backend]
-            assert obj.lam == other.lam, backend
+        under_test.append(("csr", 2))
+        results = {leg: decompose(graph, r, s, algorithm=algorithm,
+                                  backend=leg[0], workers=leg[1])
+                   for leg in under_test}
+        obj = results["object", 1]
+        for leg in under_test[1:]:
+            other = results[leg]
+            assert obj.lam == other.lam, leg
             assert obj.hierarchy.canonical_nuclei() == \
-                other.hierarchy.canonical_nuclei(), backend
+                other.hierarchy.canonical_nuclei(), leg
 
     def test_decompose_34_matches_elementwise(self):
         graph = generators.planted_cliques(3, 6, bridge_edges=2, seed=1)

@@ -229,16 +229,18 @@ class TestDispatchDefaults:
     def test_truss_peel_csr_input_runs_csr_engine(self, monkeypatch):
         calls = []
         real = backends.bulk_truss_peel
-        monkeypatch.setattr(backends, "bulk_truss_peel",
-                            lambda csr: calls.append("csr") or real(csr))
+        monkeypatch.setattr(
+            backends, "bulk_truss_peel",
+            lambda csr, workers: calls.append("csr") or real(csr, workers))
         truss_peel(as_csr(generators.complete_graph(5)))
         assert calls == ["csr"]
 
     def test_nucleus34_peel_csr_input_runs_csr_engine(self, monkeypatch):
         calls = []
         real = backends.bulk_nucleus34_peel
-        monkeypatch.setattr(backends, "bulk_nucleus34_peel",
-                            lambda csr: calls.append("csr") or real(csr))
+        monkeypatch.setattr(
+            backends, "bulk_nucleus34_peel",
+            lambda csr, workers: calls.append("csr") or real(csr, workers))
         nucleus34_peel(as_csr(generators.complete_graph(5)))
         assert calls == ["csr"]
 

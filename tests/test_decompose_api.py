@@ -63,7 +63,7 @@ class TestVariantDispatch:
     def test_workers_validated_through_facade(self, k4):
         with pytest.raises(InvalidParameterError):
             repro.decompose(k4, variant="weighted", weights=[1.0] * 6,
-                            backend="csr-parallel", workers=0)
+                            backend="csr", workers=0)
 
 
 class TestFacadeErrors:
@@ -103,7 +103,7 @@ class TestFacadeErrors:
         # graph class and the backends that do work
         directed = DirectedGraph(3, [(0, 1), (1, 2), (2, 0)])
         temporal = TemporalGraph(3, tri_events)
-        expected = r"choose from \('object', 'csr', 'csr-parallel'\)"
+        expected = r"choose from \('object', 'csr'\)"
         with pytest.raises(InvalidParameterError, match=expected) as exc_dir:
             repro.decompose(directed, variant="directed", backend="disk")
         assert "DirectedGraph" in str(exc_dir.value)

@@ -123,6 +123,71 @@ class TestBuilderParity:
         assert not directory.exists()
 
 
+class TestRebuild:
+    """Rebuilding a directory swaps in the new build only once it is
+    complete, by rename, and touches no file it did not write."""
+
+    def test_failed_rebuild_keeps_the_old_build(self, tmp_path):
+        g, csr = graph_pair(60, 4, 0.3, seed=2)
+        target = tmp_path / "g.diskcsr"
+        build_diskcsr(g.edges(), target, n=g.n, name="old").close()
+        (target / "notes.txt").write_text("kept")
+        with pytest.raises(InvalidGraphError):
+            build_diskcsr([(0, 1), (2, 2)], target, n=3)
+        with DiskCSRGraph(target) as disk:
+            assert disk.name == "old"
+            assert list(disk.edges()) == list(csr.edges())
+        assert (target / "notes.txt").read_text() == "kept"
+        # the staging directory beside the target is gone too
+        assert [path.name for path in tmp_path.iterdir()] == ["g.diskcsr"]
+
+    def test_rebuild_replaces_the_arrays(self, tmp_path):
+        old, _ = graph_pair(60, 4, 0.3, seed=2)
+        new, new_csr = graph_pair(25, 2, 0.1, seed=3)
+        target = tmp_path / "g.diskcsr"
+        build_diskcsr(old.edges(), target, n=old.n).close()
+        (target / "notes.txt").write_text("kept")
+        build_diskcsr(new.edges(), target, n=new.n, name="new").close()
+        with DiskCSRGraph(target) as disk:
+            assert (disk.n, disk.name) == (new.n, "new")
+            assert list(disk.edges()) == list(new_csr.edges())
+        assert sorted(path.name for path in target.iterdir()) == [
+            "eids.npy", "esrc.npy", "etgt.npy", "indices.npy",
+            "indptr.npy", "meta.json", "notes.txt"]
+
+
+def test_open_reader_keeps_its_build_across_a_rebuild(tmp_path):
+    """A graph opened before a rebuild reads its own arrays after it —
+    cached windows, windows first mapped after the rebuild, and the
+    whole-file endpoint maps alike.  In a subprocess: rewriting the old
+    files in place would kill the reader with SIGBUS."""
+    target = tmp_path / "g.diskcsr"
+    script = (
+        "from repro.external.build import build_diskcsr\n"
+        "from repro.external.diskcsr import DiskCSRGraph\n"
+        "from repro.graph import generators\n"
+        "old = generators.powerlaw_cluster(400, 5, 0.5, seed=1)\n"
+        "new = generators.powerlaw_cluster(20, 2, 0.1, seed=2)\n"
+        f"target = {str(target)!r}\n"
+        "build_diskcsr(old.edges(), target, n=old.n).close()\n"
+        "want = [sorted(old.neighbors(v)) for v in range(old.n)]\n"
+        "edges = list(old.edges())\n"
+        "with DiskCSRGraph(target, block_ints=256, cache_blocks=4) as disk:\n"
+        "    assert [disk.neighbors(v) for v in range(disk.n)] == want\n"
+        "    build_diskcsr(new.edges(), target, n=new.n).close()\n"
+        "    for v in reversed(range(disk.n)):\n"
+        "        assert disk.neighbors(v) == want[v], v\n"
+        "    got = list(zip(disk.esrc.tolist(), disk.etgt.tolist()))\n"
+        "    assert got == edges\n"
+        "with DiskCSRGraph(target) as fresh:\n"
+        "    assert list(fresh.edges()) == list(new.edges())\n"
+        "print('ok')\n")
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
+
+
 class TestFormatValidation:
     def build(self, tmp_path):
         g, _ = graph_pair(40, 3, 0.3, seed=5)
@@ -204,7 +269,8 @@ class TestBackendDispatch:
         g, csr = graph_pair(60, 4, 0.4, seed=8)
         with as_disk(csr) as disk:
             assert resolve_backend(disk, None) == "disk"
-            assert as_backend(csr, "disk") is not csr
+            with as_backend(csr, "disk") as other:
+                assert other is not csr
             assert as_disk(disk) is disk
             converted = as_csr(disk)
             for key in ("indptr", "indices", "eids", "esrc", "etgt"):

@@ -35,9 +35,8 @@ def parity_graph():
     return generators.powerlaw_cluster(120, 5, 0.5, seed=9)
 
 
-def _decompose(graph, backend, r, s):
+def _decompose(graph, backend, r, s, workers=1):
     converted = as_backend(graph, "csr" if backend != "object" else "object")
-    workers = 2 if backend == "csr-parallel" else None
     return decompose(converted, r, s, algorithm="fnd", backend=backend,
                      workers=workers)
 
@@ -72,7 +71,7 @@ class TestParity:
 
     @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
     def test_matches_legacy_index_parallel(self, parity_graph, rs):
-        decomposition = _decompose(parity_graph, "csr-parallel", *rs)
+        decomposition = _decompose(parity_graph, "csr", *rs, workers=2)
         _assert_parity(decomposition, parity_graph)
 
     @pytest.mark.parametrize("algorithm", ["naive", "dft", "lcps"])
@@ -150,11 +149,11 @@ class TestNodeStats:
 
     @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
     def test_forced_sharding_engine(self, rs, monkeypatch):
-        # csr-parallel with its listing split over threads on any host
+        # the csr engine with its listing split over threads on any host
         monkeypatch.setattr(csr_module, "available_cpus", lambda: 2)
         graph = _with_tree_and_isolated(
             generators.powerlaw_cluster(60, 5, 0.6, seed=4), 2, seed=4)
-        decomposition = _decompose(graph, "csr-parallel", *rs)
+        decomposition = _decompose(graph, "csr", *rs, workers=2)
         _assert_stats_match_subgraphs(decomposition,
                                       FlatHierarchyIndex(decomposition))
 
@@ -166,14 +165,15 @@ class TestNodeStats:
         monkeypatch.setattr(csr_module, "available_cpus", lambda: 3)
         graph = generators.powerlaw_cluster(150, 6, 0.6, seed=7)
         saved = {}
-        for backend in ("csr", "csr-parallel"):
-            path = tmp_path / f"{backend}.npz"
-            FlatHierarchyIndex(_decompose(graph, backend, *rs)).save(path)
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.npz"
+            FlatHierarchyIndex(_decompose(graph, "csr", *rs,
+                                          workers=workers)).save(path)
             with np.load(path) as archive:
-                saved[backend] = {key: (archive[key].dtype,
+                saved[workers] = {key: (archive[key].dtype,
                                         archive[key].tobytes())
                                   for key in archive.files}
-        assert saved["csr-parallel"] == saved["csr"]
+        assert saved[2] == saved[1]
 
     @pytest.mark.parametrize("backend", ["object", "csr"])
     def test_zero_cell_index(self, backend):

@@ -24,30 +24,32 @@ from _graphs import GENERATOR_SUITE, assert_lowered_like_reference, small_graphs
 RS_PAIRS = [(1, 2), (2, 3), (3, 4)]
 
 #: every engine and algorithm that builds a hierarchy, with its (r, s)
-#: pairs: (backend, algorithm, (r, s))
+#: pairs: (backend, listing threads, algorithm, (r, s))
 HIERARCHY_BUILDS = [
-    (backend, algorithm, rs)
-    for backend, algorithm, pairs in (
-        ("object", "naive", RS_PAIRS), ("object", "dft", RS_PAIRS),
-        ("object", "fnd", RS_PAIRS), ("object", "lcps", [(1, 2)]),
-        ("csr", "fnd", RS_PAIRS), ("csr", "lcps", [(1, 2)]),
-        ("csr-parallel", "fnd", RS_PAIRS), ("disk", "fnd", RS_PAIRS))
+    (backend, workers, algorithm, rs)
+    for backend, workers, algorithm, pairs in (
+        ("object", 1, "naive", RS_PAIRS), ("object", 1, "dft", RS_PAIRS),
+        ("object", 1, "fnd", RS_PAIRS), ("object", 1, "lcps", [(1, 2)]),
+        ("csr", 1, "fnd", RS_PAIRS), ("csr", 1, "lcps", [(1, 2)]),
+        ("csr", 2, "fnd", RS_PAIRS), ("disk", 1, "fnd", RS_PAIRS))
     for rs in pairs]
 
 
 def _build_id(case) -> str:
-    backend, algorithm, (r, s) = case
-    return f"{backend}-{algorithm}-{r}{s}"
+    backend, workers, algorithm, (r, s) = case
+    engine = f"{backend}-parallel" if workers > 1 else backend
+    return f"{engine}-{algorithm}-{r}{s}"
 
 
-def _build(graph, backend, algorithm, rs, monkeypatch=None):
-    """Decompose ``graph`` on one engine; csr-parallel lists on two
-    threads whatever the host's affinity mask (``monkeypatch`` given)."""
-    if backend == "csr-parallel" and monkeypatch is not None:
-        monkeypatch.setattr(csr_module, "available_cpus", lambda: 2)
+def _build(graph, backend, workers, algorithm, rs, monkeypatch=None):
+    """Decompose ``graph`` on one engine; a threaded csr build lists on
+    ``workers`` threads whatever the host's affinity mask
+    (``monkeypatch`` given)."""
+    if workers > 1 and monkeypatch is not None:
+        monkeypatch.setattr(csr_module, "available_cpus", lambda: workers)
     converted = as_backend(graph, "object" if backend == "object" else "csr")
     return decompose(converted, *rs, algorithm=algorithm, backend=backend,
-                     workers=2 if backend == "csr-parallel" else None)
+                     workers=workers)
 
 
 def deep_clique_graph() -> Graph:
@@ -224,7 +226,7 @@ class TestLoweringMatchesReference:
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(), st.sampled_from(
-        [case for case in HIERARCHY_BUILDS if case[0] != "csr-parallel"]))
+        [case for case in HIERARCHY_BUILDS if case[1] == 1]))
     def test_random_graphs(self, graph, case):
         result = _build(graph, *case)
         assert_lowered_like_reference(result.hierarchy,
@@ -233,7 +235,7 @@ class TestLoweringMatchesReference:
     @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
     @pytest.mark.parametrize("backend", ["object", "csr"])
     def test_round_tripped_hierarchies(self, backend, rs, tmp_path):
-        result = _build(GENERATOR_SUITE[-1], backend, "fnd", rs)
+        result = _build(GENERATOR_SUITE[-1], backend, 1, "fnd", rs)
         save_hierarchy_npz(result.hierarchy, tmp_path / "h.npz")
         for restored in (hierarchy_from_json(hierarchy_to_json(
                              result.hierarchy)),
@@ -246,14 +248,15 @@ class TestLoweringMatchesReference:
                                            ((3, 4), 57)],
                              ids=["12", "23", "34"])
     def test_deep_tree(self, rs, depth):
-        result = _build(deep_clique_graph(), "csr", "fnd", rs)
+        result = _build(deep_clique_graph(), "csr", 1, "fnd", rs)
         assert result.hierarchy.condense().depth() == depth
         assert_lowered_like_reference(result.hierarchy,
                                       FlatHierarchyIndex(result))
 
     @pytest.mark.parametrize("algorithm", ["naive", "dft", "fnd"])
     def test_deep_tree_object_skeletons(self, algorithm):
-        result = _build(deep_clique_graph(), "object", algorithm, (1, 2))
+        result = _build(deep_clique_graph(), "object", 1, algorithm,
+                        (1, 2))
         assert result.hierarchy.condense().depth() == 59
         assert_lowered_like_reference(result.hierarchy,
                                       FlatHierarchyIndex(result))

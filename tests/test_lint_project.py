@@ -251,17 +251,18 @@ class TestInterproceduralDtypeFlow:
 # ---------------------------------------------------------------------------
 class TestBackendContract:
     def test_fires_on_unknown_backend_literal(self):
+        # a retired backend name is as dead as a typo
         src = (
             "def run(g, peel):\n"
-            "    return peel(g, backend=\"csr_parallel\")\n")
+            "    return peel(g, backend=\"csr-parallel\")\n")
         violations = lint_source(src, path=ANALYSIS)
         assert [v.code for v in violations] == ["RL009"]
-        assert "csr_parallel" in violations[0].message
+        assert "csr-parallel" in violations[0].message
 
     def test_quiet_on_known_backend_literal(self):
         src = (
             "def run(g, peel):\n"
-            "    return peel(g, backend=\"csr-parallel\")\n")
+            "    return peel(g, backend=\"disk\")\n")
         assert codes(src, ANALYSIS) == []
 
     def test_fires_on_dead_backend_comparison(self):

@@ -1,16 +1,18 @@
-"""The ``csr-parallel`` engine: parity, threaded listing, edge cases.
+"""The ``csr`` engine's listing threads: parity, threaded listing, edge cases.
 
 Covers:
 
 * the chunk helper that splits the listing kernels' work into ranges;
 * the vectorised K₄ listing and the in-process bulk peels against
   brute-force oracles and the object engine;
-* the thread pool behind ``csr-parallel``: the triangle and K₄ listings
+* the thread pool behind ``workers=``: the triangle and K₄ listings
   and incidences at any worker count equal the single-worker arrays byte
   for byte, the thread count never exceeds the CPUs in the affinity
   mask, and no process is ever started;
-* dispatch — the ``csr-parallel`` backend, worker-count resolution and
-  validation, and the guarantee that one worker never builds an executor.
+* dispatch — ``workers=`` on ``backend="csr"``, worker-count resolution
+  and validation on every backend and variant peel, the rejection of
+  unknown backend names, and the guarantee that one worker never builds
+  an executor.
 """
 
 from __future__ import annotations
@@ -30,13 +32,20 @@ from repro.backends import (
     BACKENDS,
     WORKERS_ENV,
     as_backend,
+    build_query_index,
     core_peel,
     decompose,
+    directed_core_peel,
     nucleus34_peel,
     resolve_backend,
     resolve_workers,
+    temporal_core_peel,
+    temporal_core_sweep,
     truss_peel,
+    uncertain_core_peel,
+    weighted_core_peel,
 )
+from repro.cli import main
 from repro.core.csr_peel import (
     nucleus34_incidence,
     nucleus34_incidence_arrays,
@@ -46,6 +55,8 @@ from repro.errors import InvalidParameterError
 from repro.graph import generators
 from repro.graph.adjacency import Graph
 from repro.graph.cliques import four_cliques, triangles
+from repro.graph.directed import DirectedGraph
+from repro.graph.temporal import TemporalGraph
 from repro.graph.csr import (
     CSRGraph,
     _chunk_starts,
@@ -282,7 +293,7 @@ class TestBulkPeels:
 # the listing thread pool
 # ---------------------------------------------------------------------------
 class TestWorkerPool:
-    """The thread pool the ``csr-parallel`` listing maps its ranges over."""
+    """The thread pool the ``csr`` listing maps its ranges over."""
 
     def test_sharded_listing_matches_sequential(self, powerlaw_csr,
                                                 eight_cpus):
@@ -311,9 +322,10 @@ class TestWorkerPool:
                                         base.etgt + shift)
             for (r, s), want in expected.items():
                 assert want.max_lambda > 1
-                for backend in ("csr", "csr-parallel"):
-                    got = decompose(huge, r, s, backend=backend, workers=2)
-                    where = (shift, r, s, backend)
+                for workers in (1, 2):
+                    got = decompose(huge, r, s, backend="csr",
+                                    workers=workers)
+                    where = (shift, r, s, workers)
                     assert got.lam == want.lam, where
                     assert got.hierarchy.canonical_nuclei() == \
                         want.hierarchy.canonical_nuclei(), where
@@ -366,14 +378,14 @@ class TestWorkerPool:
     @pytest.mark.parametrize("rs", [(1, 2), (2, 3), (3, 4)])
     def test_no_process_is_started(self, rs, monkeypatch):
         def no_process(self):
-            raise AssertionError("csr-parallel started a process")
+            raise AssertionError("the csr listing started a process")
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
                             no_process)
         graph = as_backend(generators.powerlaw_cluster(200, 6, 0.6, seed=2),
                            "csr")
-        parallel = decompose(graph, *rs, backend="csr-parallel", workers=4)
-        sequential = decompose(graph, *rs, backend="csr")
+        parallel = decompose(graph, *rs, backend="csr", workers=4)
+        sequential = decompose(graph, *rs, backend="csr", workers=1)
         assert parallel.lam == sequential.lam
         assert parallel.hierarchy.canonical_nuclei() == \
             sequential.hierarchy.canonical_nuclei()
@@ -434,19 +446,80 @@ class TestWorkerPool:
 # ---------------------------------------------------------------------------
 class TestBackendDispatch:
     def test_backend_list_and_auto_resolution(self, powerlaw_csr):
-        assert "csr-parallel" in BACKENDS
-        # the parallel engine is never auto-selected
+        assert BACKENDS == ("object", "csr", "disk")
         assert resolve_backend(powerlaw_csr, None) == "csr"
         assert resolve_backend(powerlaw_csr.to_object(), None) == "object"
-        assert isinstance(as_backend(powerlaw_csr.to_object(),
-                                     "csr-parallel"), CSRGraph)
+        assert isinstance(as_backend(powerlaw_csr.to_object(), "csr"),
+                          CSRGraph)
+
+    def test_retired_backend_name_is_rejected(self, powerlaw_csr):
+        # threads are a csr option, not an engine: the old name is gone
+        # with no alias, from every entry point
+        graph = generators.complete_graph(5)
+        named = r"choose from \('object', 'csr', 'disk'\)"
+        calls = [
+            lambda: core_peel(powerlaw_csr, backend="csr-parallel"),
+            lambda: decompose(graph, 2, 3, backend="csr-parallel"),
+            lambda: build_query_index(graph, backend="csr-parallel",
+                                      workers=2),
+            lambda: weighted_core_peel(graph, [1.0] * graph.m,
+                                       backend="csr-parallel"),
+            lambda: directed_core_peel(DirectedGraph(3, [(0, 1), (1, 2)]),
+                                       backend="csr-parallel"),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match=named):
+                call()
+
+    def test_retired_backend_name_is_a_cli_usage_error(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 2\n0 2\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["decompose", str(path), "--backend", "csr-parallel"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'csr-parallel'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, "3"])
+    def test_bad_workers_rejected_on_every_backend(self, bad):
+        graph = generators.complete_graph(5)
+        directed = DirectedGraph(3, [(0, 1), (1, 2), (2, 0)])
+        temporal = TemporalGraph(3, [(0, 1, 0), (1, 2, 0), (0, 2, 1)])
+        for backend in BACKENDS:
+            calls = [
+                lambda: core_peel(graph, backend=backend, workers=bad),
+                lambda: truss_peel(graph, backend=backend, workers=bad),
+                lambda: nucleus34_peel(graph, backend=backend, workers=bad),
+                lambda: decompose(graph, 2, 3, backend=backend,
+                                  workers=bad),
+                lambda: build_query_index(graph, backend=backend,
+                                          workers=bad),
+                lambda: weighted_core_peel(graph, [1.0] * graph.m,
+                                           backend=backend, workers=bad),
+                lambda: uncertain_core_peel(graph, [0.5] * graph.m,
+                                            backend=backend, workers=bad),
+            ]
+            for call in calls:
+                with pytest.raises(InvalidParameterError, match="workers"):
+                    call()
+        # the flat-native variant graphs have no disk representation
+        for backend in (None, "object", "csr"):
+            for call in (
+                    lambda: directed_core_peel(directed, backend=backend,
+                                               workers=bad),
+                    lambda: temporal_core_peel(temporal, backend=backend,
+                                               workers=bad),
+                    lambda: temporal_core_sweep(temporal, backend=backend,
+                                                workers=bad)):
+                with pytest.raises(InvalidParameterError, match="workers"):
+                    call()
 
     def test_peel_parity_through_backend(self, powerlaw_csr):
         for func in (core_peel, truss_peel, nucleus34_peel):
             expected = func(powerlaw_csr, backend="object").lam
-            assert func(powerlaw_csr, backend="csr-parallel",
+            assert func(powerlaw_csr, backend="csr",
                         workers=1).lam == expected
-            assert func(powerlaw_csr, backend="csr-parallel",
+            assert func(powerlaw_csr, backend="csr",
                         workers=2).lam == expected
 
     @pytest.mark.parametrize("rs", [(1, 2), (2, 3), (3, 4)])
@@ -454,9 +527,10 @@ class TestBackendDispatch:
         graph = generators.powerlaw_cluster(400, 7, 0.6, seed=9)
         csr = as_backend(graph, "csr")
         r, s = rs
-        sequential = decompose(csr, r, s, algorithm="fnd", backend="csr")
-        parallel = decompose(csr, r, s, algorithm="fnd",
-                             backend="csr-parallel", workers=2)
+        sequential = decompose(csr, r, s, algorithm="fnd", backend="csr",
+                               workers=1)
+        parallel = decompose(csr, r, s, algorithm="fnd", backend="csr",
+                             workers=2)
         assert sequential.lam == parallel.lam
         assert sequential.hierarchy.canonical_nuclei() == \
             parallel.hierarchy.canonical_nuclei()
@@ -472,7 +546,7 @@ class TestBackendDispatch:
         with pytest.raises(InvalidParameterError):
             resolve_workers(bad)
         with pytest.raises(InvalidParameterError):
-            core_peel(powerlaw_csr, backend="csr-parallel", workers=bad)
+            core_peel(powerlaw_csr, backend="csr", workers=bad)
 
     def test_workers_env_resolution(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
@@ -495,18 +569,18 @@ class TestBackendDispatch:
         monkeypatch.setattr(csr_module, "ThreadPoolExecutor",
                             _refuse_threads)
         expected = core_peel(powerlaw_csr, backend="object").lam
-        assert core_peel(powerlaw_csr, backend="csr-parallel",
+        assert core_peel(powerlaw_csr, backend="csr",
                          workers=1).lam == expected
-        assert decompose(powerlaw_csr, 2, 3, backend="csr-parallel",
+        assert decompose(powerlaw_csr, 2, 3, backend="csr",
                          workers=1).lam == \
-            decompose(powerlaw_csr, 2, 3, backend="csr").lam
+            truss_peel(powerlaw_csr, backend="object").lam
 
     def test_workers_env_feeds_backend_dispatch(self, monkeypatch,
                                                 powerlaw_csr,
                                                 inline_executor):
         monkeypatch.setenv(WORKERS_ENV, "2")
         monkeypatch.setattr(csr_module, "available_cpus", lambda: 4)
-        result = truss_peel(powerlaw_csr, backend="csr-parallel")
+        result = truss_peel(powerlaw_csr, backend="csr")
         assert result.lam == truss_peel(powerlaw_csr, backend="object").lam
         assert inline_executor and set(inline_executor) == {2}
 
@@ -518,5 +592,5 @@ class TestBackendDispatch:
         monkeypatch.setattr(csr_module, "ThreadPoolExecutor",
                             _refuse_threads)
         for func in (core_peel, truss_peel, nucleus34_peel):
-            result = func(powerlaw_csr, backend="csr-parallel", workers=4)
+            result = func(powerlaw_csr, backend="csr", workers=4)
             assert result.lam == func(powerlaw_csr, backend="object").lam

@@ -1,10 +1,10 @@
-"""The level-wise hierarchy construction and the ``csr-parallel`` pipeline.
+"""The level-wise hierarchy construction and the threaded ``csr`` pipeline.
 
-The contract under test: ``decompose(..., backend="csr-parallel",
-workers=N)`` produces λ elementwise identical and a *condensed*
-hierarchy node-for-node identical to the in-process CSR engine (itself
-held to the object engine), for (1,2), (2,3) and (3,4), at every worker
-count, deterministically.
+The contract under test: ``decompose(..., backend="csr", workers=N)``
+produces λ elementwise identical and a *condensed* hierarchy
+node-for-node identical to the one-thread CSR engine (itself held to
+the object engine), for (1,2), (2,3) and (3,4), at every worker count,
+deterministically.
 Covers the layers bottom-up:
 
 * the level-edge kernels against brute-force oracles;
@@ -195,7 +195,7 @@ class TestLevelwiseConstruction:
 
 
 # ---------------------------------------------------------------------------
-# the csr-parallel pipeline through the backend
+# the threaded csr pipeline through the backend
 # ---------------------------------------------------------------------------
 class TestParallelFndParity:
     @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
@@ -203,9 +203,9 @@ class TestParallelFndParity:
     def test_condensed_parity_at_every_worker_count(
             self, powerlaw_csr, rs, workers):
         sequential = decompose(powerlaw_csr, *rs, algorithm="fnd",
-                               backend="csr")
+                               backend="csr", workers=1)
         parallel = decompose(powerlaw_csr, *rs, algorithm="fnd",
-                             backend="csr-parallel", workers=workers)
+                             backend="csr", workers=workers)
         assert parallel.lam == sequential.lam
         parallel.hierarchy.validate()
         assert condensed_signature(parallel.hierarchy) == \
@@ -215,9 +215,9 @@ class TestParallelFndParity:
     def test_deterministic_across_repeated_runs(
             self, powerlaw_csr, rs):
         first = decompose(powerlaw_csr, *rs, algorithm="fnd",
-                          backend="csr-parallel", workers=3)
+                          backend="csr", workers=3)
         second = decompose(powerlaw_csr, *rs, algorithm="fnd",
-                           backend="csr-parallel", workers=3)
+                           backend="csr", workers=3)
         assert skeleton_signature(first.hierarchy) == \
             skeleton_signature(second.hierarchy)
         assert first.lam == second.lam
@@ -226,9 +226,10 @@ class TestParallelFndParity:
     def test_random_graph_sweep_two_workers(self, seed):
         csr = random_csr(seed)
         for rs in RS_PAIRS:
-            sequential = decompose(csr, *rs, algorithm="fnd", backend="csr")
+            sequential = decompose(csr, *rs, algorithm="fnd",
+                                   backend="csr", workers=1)
             parallel = decompose(csr, *rs, algorithm="fnd",
-                                 backend="csr-parallel", workers=2)
+                                 backend="csr", workers=2)
             assert parallel.lam == sequential.lam, (seed, rs)
             assert condensed_signature(parallel.hierarchy) == \
                 condensed_signature(sequential.hierarchy), (seed, rs)
@@ -240,9 +241,9 @@ class TestParallelFndParity:
             csr_module, "ThreadPoolExecutor",
             _RaisingPool)  # the degraded path must never build a pool
         sequential = decompose(powerlaw_csr, 2, 3, algorithm="fnd",
-                               backend="csr")
+                               backend="csr", workers=1)
         degraded = decompose(powerlaw_csr, 2, 3, algorithm="fnd",
-                             backend="csr-parallel", workers=4)
+                             backend="csr", workers=4)
         assert degraded.lam == sequential.lam
         assert condensed_signature(degraded.hierarchy) == \
             condensed_signature(sequential.hierarchy)
@@ -252,10 +253,10 @@ class TestParallelFndParity:
         monkeypatch.setattr(csr_module, "ThreadPoolExecutor", _RaisingPool)
         for rs in RS_PAIRS:
             result = decompose(powerlaw_csr, *rs, algorithm="fnd",
-                               backend="csr-parallel", workers=1)
-            sequential = decompose(powerlaw_csr, *rs, algorithm="fnd",
-                                   backend="csr")
-            assert result.lam == sequential.lam
+                               backend="csr", workers=1)
+            reference = decompose(powerlaw_csr, *rs, algorithm="fnd",
+                                  backend="object")
+            assert result.lam == reference.lam
 
 
 class _RaisingPool:

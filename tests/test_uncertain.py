@@ -124,9 +124,10 @@ class TestBackendParity:
         probs = [(0.25, 0.5, 0.75, 1.0)[i % 4] for i in range(social.m)]
         reference = uncertain_core_numbers(social, probs, eta=0.5,
                                            backend="object")
-        for backend in ("csr", "csr-parallel", "disk"):
+        for backend, workers in (("csr", 1), ("csr", 2), ("disk", 1)):
             assert uncertain_core_numbers(social, probs, eta=0.5,
-                                          backend=backend) == reference
+                                          backend=backend,
+                                          workers=workers) == reference
 
 
 @given(small_graphs(max_n=9), st.sampled_from([0.25, 0.5, 0.75]))

@@ -49,9 +49,9 @@ class TestWeightedCores:
     def test_backends_agree(self, social):
         weights = [0.5 + (i % 7) * 0.25 for i in range(social.m)]
         reference = weighted_core_numbers(social, weights, backend="object")
-        for backend in ("csr", "csr-parallel", "disk"):
-            assert weighted_core_numbers(social, weights,
-                                         backend=backend) == reference
+        for backend, workers in (("csr", 1), ("csr", 2), ("disk", 1)):
+            assert weighted_core_numbers(social, weights, backend=backend,
+                                         workers=workers) == reference
 
     def test_heavy_block_separates(self):
         # two triangles, one with heavy edges: only it survives threshold 4
