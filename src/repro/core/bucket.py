@@ -164,6 +164,26 @@ class FlatBucketQueue:
         """Current priority of ``item``."""
         return self._deg[item]
 
+    # live read-only views of the queue state, for loops that peel on
+    # the queue's own arrays instead of keeping copies beside it
+    @property
+    def priorities(self) -> list[int]:
+        """Current priority of every item.  A popped item's entry is the
+        priority it was popped at and never changes again."""
+        return self._deg
+
+    @property
+    def order(self) -> list[int]:
+        """Items by slot: the popped prefix is the pop order, the rest
+        is ordered by current priority."""
+        return self._vert
+
+    @property
+    def slots(self) -> list[int]:
+        """Slot of every item in :attr:`order`: an item whose slot is
+        below the last pop's was popped before it."""
+        return self._pos
+
     def decrement(self, item: int) -> int:
         """Lower ``item``'s priority by one; returns the new priority.
 

@@ -161,8 +161,8 @@ class ArrayRootedForest:
 
     Same Find-r / Union-r / attach discipline, but ``parent`` and ``root``
     are plain ``int`` lists with ``-1`` as the "no link" sentinel instead of
-    ``None``-holed lists.  This is the layout the disk engine's FND
-    (:mod:`repro.external.engine`) and the traversal algorithms share: every
+    ``None``-holed lists.  This is the layout FND (:mod:`repro.core.fnd`)
+    and the traversal algorithms share: every
     pointer is an int, so the whole skeleton state is three flat arrays that
     can be pre-sized, copied cheaply, and (later) handed to shared-memory
     workers.  :meth:`parents_or_none` converts to the ``None``-sentinel

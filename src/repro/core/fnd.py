@@ -26,17 +26,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.bucket import FlatBucketQueue, MinBucketQueue
+from repro.core.bucket import FlatBucketQueue
 from repro.core.disjoint_set import ArrayRootedForest
 from repro.core.hierarchy import Hierarchy
 from repro.core.peeling import PeelingResult
 from repro.core.views import CellView
-from repro.errors import InvalidParameterError
 
 __all__ = ["fnd_decomposition", "FndInstrumentation"]
-
-#: the queue structures the extended peel accepts
-QUEUE_KINDS = ("flat", "bucket")
 
 
 @dataclass
@@ -68,63 +64,61 @@ class FndInstrumentation:
 def fnd_decomposition(
     view: CellView,
     instrumentation: FndInstrumentation | None = None,
-    queue_kind: str = "flat",
 ) -> tuple[PeelingResult, Hierarchy]:
     """Run FND end-to-end: extended peeling, then BuildHierarchy.
 
     Returns the peeling result (λ values) and the hierarchy, computed in one
-    pass without any traversal phase.  ``queue_kind`` is ``"flat"`` (the
-    allocation-free array queue) or ``"bucket"`` (lazy bucket lists).
+    pass without any traversal phase.  The peel keeps no state beside the
+    :class:`~repro.core.bucket.FlatBucketQueue`: a popped cell's priority
+    is its λ, the popped prefix of the slot order is the processing order,
+    and a cell whose slot lies before the current pop's is processed.
     """
-    if queue_kind not in QUEUE_KINDS:
-        raise InvalidParameterError(
-            f"queue_kind must be one of {QUEUE_KINDS}, got {queue_kind!r}")
-    n_cells = view.num_cells
-    degrees = view.initial_degrees()
-    lam = [0] * n_cells
-    processed = [False] * n_cells
-    order: list[int] = []
-    comp = [-1] * n_cells
+    queue = FlatBucketQueue(view.initial_degrees())
+    lam = queue.priorities
+    slots = queue.slots
+    decrement = queue.decrement
+    comp = [-1] * len(lam)
     forest = ArrayRootedForest()
     node_lambda: list[int] = []
     adj: list[tuple[int, int]] = []  # (higher-lambda node, lower-lambda node)
-    queue = (FlatBucketQueue(degrees) if queue_kind == "flat"
-             else MinBucketQueue(degrees))
     max_lambda = 0
 
-    while True:
-        popped = queue.pop()
-        if popped is None:
-            break
+    while (popped := queue.pop()) is not None:
         u, k = popped
-        lam[u] = k
-        if k > max_lambda:
-            max_lambda = k
-        order.append(u)
+        max_lambda = k  # pops come in non-decreasing priority
+        i = slots[u]
+        comp_u = -1
         pending_lower: list[int] = []  # lower-lambda nodes seen before comp(u) exists
         for others in view.cofaces(u):
-            w = -1  # processed cell of minimum lambda in this s-clique
+            # the first processed cell of minimum λ in this s-clique: a
+            # value below k is a settled λ, one above k an unprocessed
+            # degree, and the slot order settles a value equal to k
+            w = -1
+            wl = k
             for v in others:
-                if processed[v] and (w == -1 or lam[v] < lam[w]):
+                vl = lam[v]
+                if vl < wl:
+                    w = v
+                    wl = vl
+                elif w == -1 and vl == k and slots[v] < i:
                     w = v
             if w == -1:
                 for v in others:  # fresh s-clique: standard peeling decrement
-                    if degrees[v] > k:
-                        degrees[v] -= 1
-                        queue.update(v, degrees[v])
-            elif lam[w] == k:
-                if comp[u] == -1:
-                    comp[u] = comp[w]
-                elif comp[u] != comp[w]:
-                    forest.union(comp[u], comp[w])
+                    if lam[v] > k:
+                        decrement(v)
+            elif wl == k:
+                if comp_u == -1:
+                    comp_u = comp[w]
+                elif comp_u != comp[w]:
+                    forest.union(comp_u, comp[w])
             else:  # 1 <= lam[w] < k: defer the containment relation
                 pending_lower.append(comp[w])
-        if comp[u] == -1 and k >= 1:
-            comp[u] = forest.make_node()
+        if comp_u == -1 and k >= 1:
+            comp_u = forest.make_node()
             node_lambda.append(k)
+        comp[u] = comp_u
         for lower in pending_lower:
-            adj.append((comp[u], lower))
-        processed[u] = True
+            adj.append((comp_u, lower))
 
     build_start = time.perf_counter()
     _build_hierarchy(adj, forest, node_lambda, max_lambda)
@@ -140,13 +134,14 @@ def fnd_decomposition(
     for node in range(root):
         if forest.parent[node] < 0:
             forest.parent[node] = root
-    for cell in range(n_cells):
-        if comp[cell] == -1:
+    for cell, node in enumerate(comp):
+        if node == -1:
             comp[cell] = root
     hierarchy = Hierarchy(view.r, view.s, lam, node_lambda,
                           forest.parents_or_none(), comp, root,
                           algorithm="fnd")
-    peeling = PeelingResult(lam=lam, max_lambda=max_lambda, order=order)
+    peeling = PeelingResult(lam=lam, max_lambda=max_lambda,
+                            order=queue.order)
     return peeling, hierarchy
 
 

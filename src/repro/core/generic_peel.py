@@ -16,7 +16,8 @@ arrays, parameterised by
   the int :class:`~repro.core.bucket.MinBucketQueue`) for revalues.
 
 The plain peels run on the CSR engine's frontier rounds
-(:mod:`repro.parallel.bulk`); this kernel hosts the scenario variants in
+(:mod:`repro.parallel.bulk`); this kernel hosts the disk engine's peels
+(:mod:`repro.external.engine`) and the scenario variants in
 :mod:`repro.kcore`, whose decrement rules are per cell, so every future
 scenario is fast by construction.
 """
@@ -106,7 +107,7 @@ def _peel_flat(values: Iterable[Union[int, float]],
 
     The clamp ``value > k`` both spends each s-clique at most once per
     surviving cell and keeps pop values non-decreasing, so the array of
-    settled values *is* λ (exactly as in the disk engine's peels).
+    settled values *is* λ and the slot order is the peel order.
     """
     vals = _int_values(values)
     n = len(vals)

@@ -263,9 +263,12 @@ def mmap_npz(path: str | Path) -> dict | None:
 def _load_npz(path: str | Path) -> dict:
     """Every member of ``path`` read into memory through ``np.load``; a
     member that fails to read raises :class:`GraphFormatError` naming it
-    (``zipfile`` checks each member's CRC-32 as it reads to the end)."""
+    (``zipfile`` checks each member's CRC-32 as it reads to the end).
+    The file is opened here, so it is closed even when ``np.load`` fails
+    to parse the zip directory."""
     arrays = {}
-    with np.load(path, allow_pickle=False) as payload:
+    with open(path, "rb") as handle, \
+            np.load(handle, allow_pickle=False) as payload:
         for key in payload.files:
             try:
                 arrays[key] = payload[key]

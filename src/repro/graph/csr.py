@@ -59,7 +59,6 @@ __all__ = [
     "csr_k4_triangle_ids",
     "csr_triangle_edge_ids",
     "csr_forward_structure",
-    "csr_triangles",
     "fill_incidence",
     "k4_pair_kernel",
     "lex_triangle_vertices",
@@ -544,32 +543,6 @@ def csr_edge_support(csr: CSRGraph) -> list[int]:
                     break
             pu += 1
     return support
-
-
-def csr_triangles(csr: CSRGraph) -> Iterator[tuple[int, int, int]]:
-    """Enumerate each triangle once as ``(u, v, w)`` with ``u < v < w``
-    (scalar merge scans, for the disk backend's windowed arrays)."""
-    indptr, indices, _ = csr.hot_arrays()
-    for u in range(csr.n):
-        u_end = indptr[u + 1]
-        pu = _suffix_start(indices, indptr[u], u_end, u)
-        while pu < u_end:
-            v = indices[pu]
-            i = pu + 1
-            j = _suffix_start(indices, indptr[v], indptr[v + 1], v)
-            j_end = indptr[v + 1]
-            while i < u_end and j < j_end:
-                a = indices[i]
-                b = indices[j]
-                if a < b:
-                    i += 1
-                elif b < a:
-                    j += 1
-                else:
-                    yield (u, v, a)
-                    i += 1
-                    j += 1
-            pu += 1
 
 
 def csr_forward_structure(csr: CSRGraph) -> tuple:

@@ -32,6 +32,7 @@ from repro.core.peeling import peel
 from repro.core.views import CSRTriangleView, EdgeView, VertexView, build_view
 from repro.errors import InvalidGraphError, InvalidParameterError
 from repro.external.diskcsr import as_diskcsr
+from repro.external.engine import _disk_triangles
 from repro.graph import generators
 from repro.graph.adjacency import Graph
 from repro.graph.cliques import (
@@ -45,7 +46,6 @@ from repro.graph.csr import (
     csr_forward_structure,
     csr_k4_arrays,
     csr_triangle_edge_ids,
-    csr_triangles,
     stable_order,
 )
 from repro.kcore.core import core_numbers, degeneracy
@@ -254,8 +254,15 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("graph", GENERATOR_SUITE, ids=_ids)
     def test_triangle_sets_match(self, graph):
+        # the disk engine's triangle scan: each triangle once, in
+        # lexicographic order, with the CSR graph's edge ids
         csr = CSRGraph.from_graph(graph)
-        assert set(csr_triangles(csr)) == set(triangles(graph))
+        with as_diskcsr(graph) as disk:
+            found = list(_disk_triangles(disk))
+        assert [t[:3] for t in found] == sorted(set(triangles(graph)))
+        for u, v, w, e_uv, e_uw, e_vw in found:
+            assert (e_uv, e_uw, e_vw) == (
+                csr.edge_id(u, v), csr.edge_id(u, w), csr.edge_id(v, w))
 
     @pytest.mark.parametrize("graph", GENERATOR_SUITE, ids=_ids)
     def test_k4_counts_match_by_triple(self, graph):

@@ -262,21 +262,14 @@ class TestDispatchDefaults:
 
 
 # ---------------------------------------------------------------------------
-# fnd queue_kind validation
+# object FND on the flat queue's own arrays
 # ---------------------------------------------------------------------------
-class TestFndQueueKindValidation:
-    def test_typo_raises_instead_of_silent_fallback(self):
-        view = build_view(generators.complete_graph(4), 1, 2)
-        with pytest.raises(InvalidParameterError):
-            fnd_decomposition(view, queue_kind="Flat")
-
-    @pytest.mark.parametrize("kind", ["flat", "bucket"])
-    def test_valid_kinds_accepted_and_agree(self, kind):
+class TestFndOnFlatQueue:
+    def test_lambda_matches_peel_and_hierarchy_validates(self):
         g = generators.powerlaw_cluster(60, 4, 0.5, seed=9)
         view = build_view(g, 1, 2)
-        peeling, hierarchy = fnd_decomposition(view, queue_kind=kind)
-        baseline = peel(view)
-        assert peeling.lam == baseline.lam
+        peeling, hierarchy = fnd_decomposition(view)
+        assert peeling.lam == peel(view).lam
         hierarchy.validate()
 
 

@@ -318,6 +318,24 @@ class TestBackendDispatch:
         # conversion path: object graph in, disk engine underneath
         assert truss_peel(g, backend="disk").lam == truss_peel(csr).lam
 
+    @pytest.mark.parametrize("rs", [(1, 2), (2, 3), (3, 4)])
+    def test_tiny_windows_match_csr(self, tmp_path, rs):
+        """Four-int windows, two cached: every row fetch and merge scan
+        crosses window boundaries and evicts."""
+        r, s = rs
+        g, csr = graph_pair(90, 5, 0.5, seed=18)
+        target = tmp_path / "w.diskcsr"
+        build_diskcsr(g.edges(), target, n=g.n).close()
+        ref = decompose(csr, r, s, algorithm="fnd", backend="csr")
+        plain_peel = {(1, 2): core_peel, (2, 3): truss_peel,
+                      (3, 4): nucleus34_peel}[rs]
+        with DiskCSRGraph(target, block_ints=4, cache_blocks=2) as disk:
+            got = decompose(disk, r, s, algorithm="fnd", backend="disk")
+            assert got.lam == ref.lam
+            assert got.hierarchy.canonical_nuclei() == \
+                ref.hierarchy.canonical_nuclei()
+            assert plain_peel(disk).lam == ref.lam
+
     def test_view_survives_scratch_cleanup(self):
         """Converted runs re-point the view at the caller's graph — it must
         stay queryable after the temporary .diskcsr directory is gone."""
