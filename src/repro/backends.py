@@ -9,12 +9,13 @@ Three backends implement the peeling engine:
   (:mod:`repro.parallel.bulk`: every round peels the whole
   minimum-support frontier with a few numpy passes), and FND builds its
   hierarchy level by level from the settled λ values
-  (:mod:`repro.parallel.construct`).  ``workers=N`` threads the triangle
-  and K₄ listing under the (2,3)/(3,4) incidences: its kernel ranges map
-  over ``min(workers, CPUs in the affinity mask)`` threads
-  (:func:`~repro.graph.csr.csr_triangle_edge_ids`) and concatenate in
-  order, so every array is the same bytes at every count.  Requires
-  numpy.
+  (:mod:`repro.parallel.construct`); both walk one cell→s-clique
+  incidence per (r, s), at (1,2) the adjacency itself.  ``workers=N``
+  threads the triangle and K₄ listing under the (2,3)/(3,4) incidences:
+  its kernel ranges map over ``min(workers, CPUs in the affinity mask)``
+  threads (:func:`~repro.graph.csr.csr_triangle_edge_ids`) and
+  concatenate in order, so every array is the same bytes at every
+  count.  Requires numpy.
 * ``"disk"`` — :class:`~repro.external.diskcsr.DiskCSRGraph`, the same
   flat arrays stored in ``np.memmap``-backed ``.npy`` files and served
   through windowed block readers, with the incidence of (2,3)/(3,4)
@@ -54,11 +55,7 @@ from repro.core.views import build_view
 from repro.errors import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
-from repro.parallel.bulk import (
-    bulk_core_peel,
-    bulk_nucleus34_peel,
-    bulk_truss_peel,
-)
+from repro.parallel.bulk import bulk_peel
 from repro.parallel.fnd import FND_RS, frontier_fnd
 
 if TYPE_CHECKING:
@@ -226,12 +223,7 @@ def _peel(graph: AnyGraph, r: int, s: int, backend: str | None,
                      (3, 4): disk_nucleus34_peel}[(r, s)]
         with _on_disk(graph) as disk:
             return disk_peel(disk)
-    csr = as_csr(graph)
-    if (r, s) == (1, 2):
-        return bulk_core_peel(csr)  # lists no cliques: nothing to thread
-    if (r, s) == (2, 3):
-        return bulk_truss_peel(csr, count)
-    return bulk_nucleus34_peel(csr, count)
+    return bulk_peel(as_csr(graph), r, s, count)
 
 
 def core_peel(graph: AnyGraph, backend: str | None = None,
@@ -496,7 +488,7 @@ def decompose(graph: AnyGraph, r: int = 1, s: int = 2,
         if (r, s) != (1, 2):
             raise InvalidParameterError("LCPS applies to (1,2) (k-core) only")
         start = time.perf_counter()
-        peeling = bulk_core_peel(csr)
+        peeling = bulk_peel(csr, 1, 2)
         peel_s = time.perf_counter() - start
         start = time.perf_counter()
         hierarchy = lcps_hierarchy(csr, peeling)

@@ -1,26 +1,40 @@
-"""Clique incidences over the CSR layout: what the (2,3)/(3,4) peels walk.
+"""Clique incidences over the CSR layout: what the CSR engine walks.
 
-A peel of edges or triangles is a walk over the cell→s-clique incidence:
-slots ``ptr[c] .. ptr[c+1]`` of aligned companion arrays hold the other
-cells of every s-clique through cell ``c``.  The builders here
-materialise it from a :class:`~repro.graph.csr.CSRGraph`:
+A peel of vertices, edges or triangles is a walk over the cell→s-clique
+incidence: slots ``ptr[c] .. ptr[c+1]`` of aligned companion arrays
+hold the other cells of every s-clique through cell ``c``.
+:func:`incidence_arrays` returns it for each (r, s) of the CSR engine,
+with the view of its cells:
 
-* :func:`truss_incidence_arrays` — edge→triangle, by lexicographic edge
-  id;
-* :func:`nucleus34_incidence_arrays` — triangle→K₄, by lexicographic
-  triangle id.
+* (1,2) — the adjacency already is the vertex→edge incidence, with one
+  companion column: ``ptr = indptr``, ``comps = (indices,)``, and
+  nothing is listed or copied;
+* (2,3) — edge→triangle, by lexicographic edge id
+  (:func:`truss_incidence_arrays`);
+* (3,4) — triangle→K₄, by lexicographic triangle id
+  (:func:`nucleus34_incidence_arrays`).
 
-Both run the vectorised listing of :mod:`repro.graph.csr` (on up to
-``workers`` threads) and one stable fill
-(:func:`~repro.graph.csr.fill_incidence`), and return int64 numpy arrays
-— the input of the CSR engine's frontier peel (:mod:`repro.parallel.bulk`)
-and level-wise construction (:mod:`repro.parallel.construct`).
-:func:`truss_incidence` and :func:`nucleus34_incidence` are their list
-views.
+The (2,3) and (3,4) builders run the vectorised listing of
+:mod:`repro.graph.csr` (on up to ``workers`` threads) and one stable
+fill (:func:`~repro.graph.csr.fill_incidence`), and return int64 numpy
+arrays.  Everything after this module — the frontier rounds
+(:mod:`repro.parallel.bulk`) and the level-wise construction
+(:mod:`repro.parallel.construct`) — runs one code path for every
+(r, s).  :func:`truss_incidence` and :func:`nucleus34_incidence` are
+the list views of the (2,3) and (3,4) builders.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.core.views import (
+    CellView,
+    CSREdgeView,
+    CSRTriangleView,
+    VertexView,
+)
+from repro.errors import InvalidParameterError
 from repro.graph.csr import (
     CSRGraph,
     csr_k4_arrays,
@@ -30,9 +44,12 @@ from repro.graph.csr import (
     triangle_tuples,
 )
 
-__all__ = ["nucleus34_fill", "nucleus34_incidence",
-           "nucleus34_incidence_arrays", "truss_fill", "truss_incidence",
-           "truss_incidence_arrays"]
+__all__ = ["INCIDENCE_RS", "incidence_arrays", "nucleus34_fill",
+           "nucleus34_incidence", "nucleus34_incidence_arrays",
+           "truss_fill", "truss_incidence", "truss_incidence_arrays"]
+
+#: the (r, s) pairs with an incidence here (the paper's evaluated cases)
+INCIDENCE_RS = ((1, 2), (2, 3), (3, 4))
 
 
 def truss_fill(m: int, e1, e2, e3):
@@ -100,3 +117,31 @@ def nucleus34_incidence(
     triangles, sup, ptr, comps = nucleus34_incidence_arrays(csr)
     return (triangle_tuples(triangles), sup.tolist(), ptr.tolist(),
             tuple(c.tolist() for c in comps))
+
+
+def incidence_arrays(csr: CSRGraph, r: int, s: int, workers: int = 1,
+                     ) -> tuple[CellView, np.ndarray, np.ndarray, tuple]:
+    """The cell→s-clique incidence of ``(r, s)`` in :data:`INCIDENCE_RS`
+    with the view of its cells: ``(view, sup, ptr, comps)``.
+
+    ``sup[c]`` is the s-clique count of cell ``c`` (its initial degree,
+    which the frontier rounds settle into λ in place), and slots
+    ``ptr[c] .. ptr[c+1]`` of the ``s - r`` aligned arrays of ``comps``
+    hold the other cells of each s-clique through ``c``.  The view
+    numbers the cells as the object engine does.  ``workers`` threads
+    the (2,3)/(3,4) clique listing; (1,2) lists no cliques.
+    """
+    if (r, s) == (1, 2):
+        indptr = csr.indptr
+        return VertexView(csr), np.diff(indptr), indptr, (csr.indices,)
+    if (r, s) == (2, 3):
+        return (CSREdgeView(csr), *truss_incidence_arrays(csr, workers))
+    if (r, s) == (3, 4):
+        triangles, sup, ptr, comps = nucleus34_incidence_arrays(csr, workers)
+        # the view copies the initial ω₄ degrees before the rounds settle
+        # sup into λ
+        view = CSRTriangleView(csr, _enumeration=(triangles, sup))
+        return view, sup, ptr, comps
+    raise InvalidParameterError(
+        f"no CSR incidence for (r, s) = ({r}, {s}); "
+        f"supported: {INCIDENCE_RS}")

@@ -1,27 +1,18 @@
 """``repro-lint`` console entry point.
 
 Exit codes: 0 clean, 1 violations found, 2 usage/IO errors — so CI and
-pre-commit can gate on it directly.  ``--format json|sarif`` swaps the
-human output for machine formats (SARIF 2.1.0 feeds code scanning);
-a ``.repro-lint-baseline.json`` in the working directory is applied
-automatically unless ``--no-baseline`` is given.
+pre-commit can gate on it directly.  ``--format json`` swaps the human
+output for a machine-readable list.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Sequence
 
-from repro.lint.baseline import (
-    BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.engine import lint_paths
-from repro.lint.output import render_json, render_sarif, render_text
+from repro.lint.output import render_json, render_text
 from repro.lint.registry import all_rules, select_rules
 
 
@@ -39,18 +30,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run only these rules (codes or names)")
     parser.add_argument("--ignore", metavar="RULE[,RULE]",
                         help="skip these rules (codes or names)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", dest="fmt",
                         help="output format (default: text)")
-    parser.add_argument("--baseline", metavar="PATH",
-                        help=f"baseline file of accepted findings "
-                             f"(default: ./{BASELINE_NAME} when present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", metavar="PATH", nargs="?",
-                        const=BASELINE_NAME,
-                        help="write current findings as the baseline and "
-                             "exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
     parser.add_argument("-q", "--quiet", action="store_true",
@@ -62,15 +44,6 @@ def _split(value: str | None) -> list[str] | None:
     if value is None:
         return None
     return [part.strip() for part in value.split(",") if part.strip()]
-
-
-def _baseline_path(args: argparse.Namespace) -> Path | None:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return Path(args.baseline)
-    default = Path(BASELINE_NAME)
-    return default if default.is_file() else None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -85,28 +58,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"repro-lint: {exc.args[0]}", file=sys.stderr)
         return 2
     violations, errors = lint_paths(args.paths, rules=rules)
-
-    if args.write_baseline is not None:
-        write_baseline(violations, args.write_baseline)
-        if not args.quiet:
-            print(f"repro-lint: wrote {len(violations)} finding(s) to "
-                  f"{args.write_baseline}", file=sys.stderr)
-        return 0
-
-    baselined = 0
-    baseline_path = _baseline_path(args)
-    if baseline_path is not None:
-        try:
-            violations, baselined = apply_baseline(
-                violations, load_baseline(baseline_path))
-        except (OSError, ValueError) as exc:
-            print(f"repro-lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
-
     if args.fmt == "json":
         print(render_json(violations))
-    elif args.fmt == "sarif":
-        print(render_sarif(violations, rules))
     else:
         text = render_text(violations)
         if text:
@@ -115,9 +68,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"repro-lint: {error}", file=sys.stderr)
     if not args.quiet:
         noun = "violation" if len(violations) == 1 else "violations"
-        suffix = f", {baselined} baselined" if baselined else ""
         print(f"repro-lint: {len(violations)} {noun} "
-              f"({len(rules)} rules{suffix})", file=sys.stderr)
+              f"({len(rules)} rules)", file=sys.stderr)
     if errors:
         return 2
     return 1 if violations else 0

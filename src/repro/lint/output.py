@@ -1,26 +1,12 @@
-"""Output formatters: plain text, JSON, and SARIF 2.1.0.
-
-SARIF is the GitHub code-scanning interchange format; the emitted
-document is the minimal valid subset — one run, the driver's rule
-metadata, and one result per violation with a physical location.
-"""
+"""Output formatters: plain text and JSON."""
 
 from __future__ import annotations
 
 import json
-from pathlib import PurePath
 
-from repro.lint.registry import Rule, Violation
+from repro.lint.registry import Violation
 
-__all__ = ["render_json", "render_sarif", "render_text"]
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-
-
-def _uri(path: str) -> str:
-    """Forward-slash relative-ish URI for SARIF artifact locations."""
-    return PurePath(path).as_posix().lstrip("/")
+__all__ = ["render_json", "render_text"]
 
 
 def render_text(violations: list[Violation]) -> str:
@@ -34,47 +20,3 @@ def render_json(violations: list[Violation]) -> str:
         for v in violations
     ]
     return json.dumps(rows, indent=2, sort_keys=True)
-
-
-def render_sarif(violations: list[Violation],
-                 rules: list[Rule]) -> str:
-    rule_order = [rule.code for rule in rules]
-    rule_index = {code: i for i, code in enumerate(rule_order)}
-    driver = {
-        "name": "repro-lint",
-        "informationUri":
-            "https://example.invalid/repro-nucleus/docs/STATIC_ANALYSIS.md",
-        "rules": [
-            {
-                "id": rule.code,
-                "name": rule.name,
-                "shortDescription": {"text": rule.description},
-            }
-            for rule in rules
-        ],
-    }
-    results = [
-        {
-            "ruleId": v.code,
-            **({"ruleIndex": rule_index[v.code]}
-               if v.code in rule_index else {}),
-            "level": "error",
-            "message": {"text": f"[{v.name}] {v.message}"},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": _uri(v.path)},
-                        "region": {"startLine": v.line,
-                                   "startColumn": v.col + 1},
-                    }
-                }
-            ],
-        }
-        for v in violations
-    ]
-    document = {
-        "version": SARIF_VERSION,
-        "$schema": SARIF_SCHEMA,
-        "runs": [{"tool": {"driver": driver}, "results": results}],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)

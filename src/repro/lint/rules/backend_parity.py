@@ -31,7 +31,7 @@ _VARIANT_LAYERS = ("repro/kcore/variants.py", "repro/kcore/uncertain.py",
                    "repro/kcore/temporal.py")
 _ENGINE_ENTRY_POINTS = {
     "nucleus_decomposition",
-    "bulk_core_peel", "bulk_truss_peel", "bulk_nucleus34_peel",
+    "bulk_peel",
     "frontier_fnd",
     "generic_peel",
 }
@@ -48,7 +48,7 @@ class BackendParity(Rule):
     def check(self, module: Module) -> Iterator[tuple[ast.AST, str]]:
         if module.relpath.startswith(_ENGINE_LAYERS):
             # the engines themselves and the dispatch layer: workers-only
-            # signatures (bulk_*_peel) are the implementation, not the
+            # signatures (bulk_peel) are the implementation, not the
             # public surface
             return
         variant_layer = module.relpath.startswith(_VARIANT_LAYERS)

@@ -4,8 +4,8 @@
 process; its ``workers=`` count reaches only the clique listing, which
 maps its kernel ranges over threads:
 
-* :mod:`repro.parallel.bulk` — frontier-round peels for (1,2), (2,3) and
-  (3,4), λ identical to the per-cell peels;
+* :mod:`repro.parallel.bulk` — the frontier-round peel
+  (:func:`bulk_peel`), λ identical to the per-cell peels;
 * :mod:`repro.parallel.construct` — level-wise hierarchy construction
   over the settled λ values (condensed tree node-for-node identical to
   the object engine's FND);
@@ -14,7 +14,10 @@ maps its kernel ranges over threads:
 * :mod:`repro.parallel.kernels` — the per-round and per-level numpy
   kernels.
 
-Names resolve lazily on first access.
+Each layer runs one code path for (1,2), (2,3) and (3,4): it reads the
+cell→s-clique incidence of :func:`repro.core.csr_peel.incidence_arrays`,
+which at (1,2) is the adjacency itself.  Names resolve lazily on first
+access.
 """
 
 from __future__ import annotations
@@ -23,16 +26,10 @@ import importlib
 from typing import Any
 
 _EXPORTS = {
-    "bulk_core_peel": "bulk",
-    "bulk_nucleus34_peel": "bulk",
-    "bulk_truss_peel": "bulk",
-    "core_hierarchy_from_lambda": "construct",
+    "bulk_peel": "bulk",
     "hierarchy_from_lambda": "construct",
-    "incidence_hierarchy_from_lambda": "construct",
     "frontier_fnd": "fnd",
     "component_roots": "kernels",
-    "core_decrement": "kernels",
-    "core_level_edges": "kernels",
     "incidence_decrement": "kernels",
     "incidence_level_edges": "kernels",
 }
@@ -46,3 +43,7 @@ def __getattr__(name: str) -> Any:
         raise AttributeError(
             f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

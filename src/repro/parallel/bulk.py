@@ -1,8 +1,8 @@
-"""Frontier rounds: the CSR engine's peels.
+"""Frontier rounds: the CSR engine's peel.
 
 A Batagelj–Zaversnik peel pops one minimum cell at a time — correct, and
-intrinsically serial, with an interpreted inner loop.  The bulk peels
-here run the De Zoysa et al. 2021 bucket-synchronous formulation instead:
+intrinsically serial, with an interpreted inner loop.  The bulk peel
+here runs the De Zoysa et al. 2021 bucket-synchronous formulation instead:
 every round peels the *entire* current-minimum frontier at once and
 applies the merged support decrements afterwards.  λ is a structural
 quantity (the largest k whose (k, s)-subgraph contains the cell), so the
@@ -10,10 +10,13 @@ frontier formulation settles every cell at exactly the per-cell value —
 the parity suites assert elementwise equality with the object engine —
 while turning the inner loop into a handful of numpy gathers per round.
 
-The rounds always run in process.  ``workers`` reaches only the clique
-listing under the (2,3)/(3,4) incidences, which maps its kernel ranges
-over threads (:func:`~repro.graph.csr.csr_triangle_edge_ids`); λ is the
-same for every worker count.
+One loop serves every (r, s): it walks the cell→s-clique incidence of
+:func:`~repro.core.csr_peel.incidence_arrays`, which at (1,2) is the
+adjacency itself.  The rounds always run in process.  ``workers``
+reaches only the clique listing under the (2,3)/(3,4) incidences, which
+maps its kernel ranges over threads
+(:func:`~repro.graph.csr.csr_triangle_edge_ids`); λ is the same for
+every worker count.
 """
 
 from __future__ import annotations
@@ -22,24 +25,22 @@ import heapq
 
 import numpy as np
 
-from repro.core.csr_peel import (
-    nucleus34_incidence_arrays,
-    truss_incidence_arrays,
-)
+from repro.core.csr_peel import incidence_arrays
 from repro.core.peeling import PeelingResult
 from repro.graph.csr import CSRGraph, run_bounds
-from repro.parallel.kernels import core_decrement, incidence_decrement
+from repro.parallel.kernels import incidence_decrement
 
-__all__ = ["bulk_core_peel", "bulk_nucleus34_peel", "bulk_truss_peel"]
+__all__ = ["bulk_peel"]
 
 
-def _round_loop(sup, peel_round, decrement_for) -> tuple:
-    """The shared frontier loop: extract, stamp, decrement, clamp.
-    Returns ``(lam, max_lambda, order)``, λ and the order int64 arrays.
+def _round_loop(sup, ptr, comps) -> tuple:
+    """The frontier loop over the incidence ``(ptr, comps)``: extract,
+    stamp, decrement, clamp.  Returns ``(lam, max_lambda, order)``, λ and
+    the order int64 arrays.
 
     ``sup`` holds the current s-clique degrees (mutated toward λ in
     place); ``peel_round[x]`` is the round ``x`` was peeled in (−1 =
-    alive) — the only state the decrement kernels read.  Each round peels
+    alive) — the only state the decrement kernel reads.  Each round peels
     the whole minimum-support frontier: every frontier cell's λ is the
     round's k, and surviving cells clamp at k exactly like the
     sequential ``if sup > k`` guard.
@@ -60,6 +61,7 @@ def _round_loop(sup, peel_round, decrement_for) -> tuple:
     lam = np.zeros(size, dtype=np.int64)
     if size == 0:
         return lam, 0, lam
+    peel_round = np.full(size, -1, dtype=np.int64)
     # pending[v]: arrays of cells whose support last settled at v, for
     # the levels v present; levels: a heap of pending's keys
     pending: dict[int, list] = {}
@@ -99,7 +101,8 @@ def _round_loop(sup, peel_round, decrement_for) -> tuple:
         lam[frontier] = k
         max_lambda = k
         peel_round[frontier] = rnd
-        targets, counts = decrement_for(frontier, rnd)
+        targets, counts = incidence_decrement(ptr, comps, peel_round,
+                                              frontier, rnd)
         if len(targets):
             old = sup[targets]
             new_vals = np.maximum(k, old - counts)
@@ -117,53 +120,13 @@ def _round_loop(sup, peel_round, decrement_for) -> tuple:
     return lam, max_lambda, order
 
 
-def _listed(rounds: tuple) -> PeelingResult:
-    """A :func:`_round_loop` result as a :class:`PeelingResult` of lists."""
-    lam, max_lambda, order = rounds
+def bulk_peel(csr: CSRGraph, r: int, s: int,
+              workers: int = 1) -> PeelingResult:
+    """(r, s) bulk peel: λ per cell id (vertex, lexicographic edge or
+    lexicographic triangle), frontier rounds over the incidence of
+    :func:`~repro.core.csr_peel.incidence_arrays`, whose (2,3)/(3,4)
+    cliques are listed on up to ``workers`` threads."""
+    _, sup, ptr, comps = incidence_arrays(csr, r, s, workers)
+    lam, max_lambda, order = _round_loop(sup, ptr, comps)
     return PeelingResult(lam=lam.tolist(), max_lambda=max_lambda,
                          order=order.tolist())
-
-
-def _core_rounds(csr: CSRGraph) -> tuple:
-    """The (1,2) frontier rounds over the CSR adjacency as
-    ``(lam, max_lambda, order)`` arrays."""
-    indptr, indices = csr.indptr, csr.indices
-    peel_round = np.full(csr.n, -1, dtype=np.int64)
-
-    def decrement_for(frontier, rnd):
-        return core_decrement(indptr, indices, peel_round, frontier)
-
-    return _round_loop(np.diff(indptr), peel_round, decrement_for)
-
-
-def _incidence_rounds(sup, ptr, comps) -> tuple:
-    """The (2,3)/(3,4) frontier rounds over a materialised incidence as
-    ``(lam, max_lambda, order)`` arrays; ``sup`` settles into λ in
-    place."""
-    peel_round = np.full(len(sup), -1, dtype=np.int64)
-
-    def decrement_for(frontier, rnd):
-        return incidence_decrement(ptr, comps, peel_round, frontier, rnd)
-
-    return _round_loop(sup, peel_round, decrement_for)
-
-
-def bulk_core_peel(csr: CSRGraph) -> PeelingResult:
-    """(1,2) bulk peel: core numbers λ₂, frontier rounds over the CSR."""
-    return _listed(_core_rounds(csr))
-
-
-def bulk_truss_peel(csr: CSRGraph, workers: int = 1) -> PeelingResult:
-    """(2,3) bulk peel: λ₃ per lex edge id, frontier rounds over the
-    materialised edge→triangle incidence (listed on up to ``workers``
-    threads)."""
-    sup, ptr, comps = truss_incidence_arrays(csr, workers)
-    return _listed(_incidence_rounds(sup, ptr, comps))
-
-
-def bulk_nucleus34_peel(csr: CSRGraph, workers: int = 1) -> PeelingResult:
-    """(3,4) bulk peel: λ₄ per lex triangle id, frontier rounds over the
-    materialised triangle→K₄ incidence (listed on up to ``workers``
-    threads)."""
-    _, sup, ptr, comps = nucleus34_incidence_arrays(csr, workers)
-    return _listed(_incidence_rounds(sup, ptr, comps))

@@ -17,9 +17,12 @@ connectivity** problems.
   peel + BuildHierarchy: node λ multiset, cell→nucleus map and parent
   structure (the parity suites assert it node for node).
 
-A level is a handful of numpy passes per chunk of pairs.  The level-edge
-kernels of :mod:`repro.parallel.kernels` list the active pairs a bounded
-chunk at a time.  Higher cells map to their tops through a
+One construction serves every (r, s): it reads the cell→s-clique
+incidence the peel walked (:func:`~repro.core.csr_peel.incidence_arrays`;
+at (1,2) the adjacency, whose cliques are the edges).  A level is a
+handful of numpy passes per chunk of pairs.  The level-edge kernel
+:func:`~repro.parallel.kernels.incidence_level_edges` lists the active
+pairs a bounded chunk at a time.  Higher cells map to their tops through a
 path-compressed jump array, and
 :func:`~repro.parallel.kernels.component_roots` hooks each chunk into the
 level's labels by hooking and pointer jumping.
@@ -33,18 +36,10 @@ import numpy as np
 
 from repro.core.fnd import FndInstrumentation
 from repro.core.hierarchy import Hierarchy
-from repro.graph.csr import CSRGraph, run_bounds, stable_order
-from repro.parallel.kernels import (
-    component_roots,
-    core_level_edges,
-    incidence_level_edges,
-)
+from repro.graph.csr import run_bounds, stable_order
+from repro.parallel.kernels import component_roots, incidence_level_edges
 
-__all__ = [
-    "core_hierarchy_from_lambda",
-    "hierarchy_from_lambda",
-    "incidence_hierarchy_from_lambda",
-]
+__all__ = ["hierarchy_from_lambda"]
 
 
 def _tops(jump, nodes):
@@ -92,17 +87,18 @@ def _label_tops(top_label, tops, touched, width: int):
     return fresh
 
 
-def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
+def hierarchy_from_lambda(r: int, s: int, lam, ptr, comps,
                           instrumentation: FndInstrumentation | None = None,
                           ) -> Hierarchy:
-    """Build the FND hierarchy from settled λ values, level by level.
+    """Build the FND hierarchy from settled λ values over the incidence
+    ``(ptr, comps)``, level by level.
 
-    ``edge_source(frontier, k)`` yields the level's connectivity pairs
-    in chunks, each an ``(a, b)`` pair of aligned arrays: ``a`` a
-    frontier cell (λ = ``k``) owning an active s-clique, ``b`` a
-    companion with λ >= ``k``.  Each level component becomes one
-    skeleton node, a frontier cell untouched by any active clique a
-    singleton one.
+    :func:`~repro.parallel.kernels.incidence_level_edges` yields each
+    level's connectivity pairs in chunks, each an ``(a, b)`` pair of
+    aligned arrays: ``a`` a frontier cell (λ = ``k``) owning an active
+    s-clique, ``b`` a companion with λ >= ``k``.  Each level component
+    becomes one skeleton node, a frontier cell untouched by any active
+    clique a singleton one.
 
     A level labels its graph densely without sorting.  A frontier cell's
     label is its position in the frontier.  A higher companion stands for
@@ -117,6 +113,8 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
     depend on the chunking or on the order tops are labelled in.
     """
     lam = np.ascontiguousarray(lam, dtype=np.int64)
+    ptr = np.ascontiguousarray(ptr, dtype=np.int64)
+    comps = tuple(np.ascontiguousarray(c, dtype=np.int64) for c in comps)
     size = len(lam)
     comp = np.full(size, -1, dtype=np.int64)
     # every node owns at least one cell, so size + 1 bounds the skeleton
@@ -144,7 +142,7 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
         label = np.arange(width, dtype=np.int64)
         cell_label[frontier] = label
         tops = np.empty(0, dtype=np.int64)
-        for a, b in edge_source(frontier, k):
+        for a, b in incidence_level_edges(ptr, comps, lam, frontier, k):
             label_b = cell_label[b]
             # higher cells stand for the top of the component they joined
             higher = comp[b] >= 0
@@ -192,29 +190,3 @@ def hierarchy_from_lambda(r: int, s: int, lam, edge_source,
     return Hierarchy(r, s, lam, ordered_lambda, ordered_parent, comp, root,
                      algorithm="fnd")
 
-
-def core_hierarchy_from_lambda(
-        csr: CSRGraph, lam,
-        instrumentation: FndInstrumentation | None = None) -> Hierarchy:
-    """(1,2) hierarchy from settled core numbers, adjacency-driven."""
-    indptr, indices = csr.indptr, csr.indices
-    lam = np.ascontiguousarray(lam, dtype=np.int64)
-
-    def edge_source(frontier, k):
-        return core_level_edges(indptr, indices, lam, frontier, k)
-
-    return hierarchy_from_lambda(1, 2, lam, edge_source, instrumentation)
-
-
-def incidence_hierarchy_from_lambda(
-        r: int, s: int, lam, ptr, comps,
-        instrumentation: FndInstrumentation | None = None) -> Hierarchy:
-    """(2,3)/(3,4) hierarchy from settled λ over a materialised incidence."""
-    comps = tuple(np.ascontiguousarray(c, dtype=np.int64) for c in comps)
-    ptr = np.ascontiguousarray(ptr, dtype=np.int64)
-    lam = np.ascontiguousarray(lam, dtype=np.int64)
-
-    def edge_source(frontier, k):
-        return incidence_level_edges(ptr, comps, lam, frontier, k)
-
-    return hierarchy_from_lambda(r, s, lam, edge_source, instrumentation)

@@ -1,15 +1,17 @@
 """FND on the frontier engine: one in-process pipeline.
 
 The paper's FND (Alg. 8/9) needs no traversal once λ is settled, so the
-CSR engine runs it as three phases over one set of flat arrays:
+CSR engine runs it as three phases over one set of flat arrays, with one
+code path for every (r, s):
 
-1. **set-up** — triangle/K₄ listing and incidence materialisation
-   (:mod:`repro.core.csr_peel`; (1,2) needs none — its degrees are one
-   ``np.diff``);
+1. **set-up** — the cell→s-clique incidence and the view of its cells
+   (:func:`repro.core.csr_peel.incidence_arrays`; at (1,2) the
+   adjacency itself, so nothing is listed);
 2. **peel** — the frontier rounds settle λ for every cell, elementwise
    identical to the object engine (:mod:`repro.parallel.bulk`);
 3. **construction** — with λ known, sub-nucleus detection becomes
-   level-wise connectivity (:mod:`repro.parallel.construct`).
+   level-wise connectivity over the same incidence
+   (:mod:`repro.parallel.construct`).
 
 ``backend="csr"`` passes its worker count (default 1) to the set-up,
 whose listing kernels then run on threads.  The peel and the
@@ -25,26 +27,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.csr_peel import (
-    nucleus34_incidence_arrays,
-    truss_incidence_arrays,
-)
+from repro.core.csr_peel import INCIDENCE_RS, incidence_arrays
 from repro.core.fnd import FndInstrumentation
 from repro.core.hierarchy import Hierarchy
-from repro.core.views import CellView, CSREdgeView, CSRTriangleView, VertexView
-from repro.errors import InvalidParameterError
+from repro.core.views import CellView
 from repro.graph.csr import CSRGraph
-from repro.parallel.bulk import _core_rounds, _incidence_rounds
-from repro.parallel.construct import (
-    core_hierarchy_from_lambda,
-    incidence_hierarchy_from_lambda,
-)
+from repro.parallel.bulk import _round_loop
+from repro.parallel.construct import hierarchy_from_lambda
 
 __all__ = ["FND_RS", "frontier_fnd"]
 
-#: the (r, s) pairs the frontier engine runs FND for (the paper's
-#: evaluated cases)
-FND_RS = ((1, 2), (2, 3), (3, 4))
+#: the (r, s) pairs the frontier engine runs FND for: those with a CSR
+#: incidence (the paper's evaluated cases)
+FND_RS = INCIDENCE_RS
 
 
 def frontier_fnd(csr: CSRGraph, r: int, s: int, workers: int = 1,
@@ -58,22 +53,7 @@ def frontier_fnd(csr: CSRGraph, r: int, s: int, workers: int = 1,
     the set-up already materialised for (3,4) — no object graph, and no
     second pass over the cliques.
     """
-    if (r, s) == (1, 2):
-        lam, _, _ = _core_rounds(csr)
-        hierarchy = core_hierarchy_from_lambda(csr, lam, instrumentation)
-        return lam, hierarchy, VertexView(csr)
-    if (r, s) == (2, 3):
-        sup, ptr, comps = truss_incidence_arrays(csr, workers)
-        view: CellView = CSREdgeView(csr)
-    elif (r, s) == (3, 4):
-        triangles, sup, ptr, comps = nucleus34_incidence_arrays(csr, workers)
-        # the view copies the initial ω₄ degrees: the peel settles sup
-        view = CSRTriangleView(csr, _enumeration=(triangles, sup))
-    else:
-        raise InvalidParameterError(
-            f"no FND on the CSR engine for (r, s) = ({r}, {s}); "
-            f"supported: {FND_RS}")
-    lam, _, _ = _incidence_rounds(sup, ptr, comps)
-    hierarchy = incidence_hierarchy_from_lambda(r, s, lam, ptr, comps,
-                                                instrumentation)
+    view, sup, ptr, comps = incidence_arrays(csr, r, s, workers)
+    lam, _, _ = _round_loop(sup, ptr, comps)
+    hierarchy = hierarchy_from_lambda(r, s, lam, ptr, comps, instrumentation)
     return lam, hierarchy, view

@@ -1,13 +1,16 @@
-"""Per-round decrement kernels and per-level connectivity kernels.
+"""The per-round decrement kernel and the per-level connectivity kernels.
 
 Pure numpy over flat int64 arrays, no graph objects, no mutation of their
-inputs (bar the label array :func:`component_roots` hooks into):
-:mod:`repro.parallel.bulk` calls the decrement kernels on each round's
-whole frontier, and :mod:`repro.parallel.construct` calls the level-edge
-kernels and :func:`component_roots` on each λ level.  The level-edge
-kernels yield a level's pairs in chunks of at most
-``_LEVEL_CHUNK_SLOTS`` adjacency or incidence slots, so a level's
-working arrays stay that size however many slots its frontier owns.
+inputs (bar the label array :func:`component_roots` hooks into).  Both
+incidence kernels read a cell→s-clique incidence ``(ptr, comps)`` of any
+(r, s) (:func:`repro.core.csr_peel.incidence_arrays`; at (1,2) it is the
+adjacency, one companion column): :mod:`repro.parallel.bulk` calls
+:func:`incidence_decrement` on each round's whole frontier, and
+:mod:`repro.parallel.construct` calls :func:`incidence_level_edges` and
+:func:`component_roots` on each λ level.  The level-edge kernel yields a
+level's pairs in chunks of at most ``_LEVEL_CHUNK_SLOTS`` incidence
+slots, so a level's working arrays stay that size however many slots
+its frontier owns.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from repro.graph.csr import run_slots as _gather_slots
 
 __all__ = [
     "component_roots",
-    "core_decrement",
-    "core_level_edges",
     "incidence_decrement",
     "incidence_level_edges",
 ]
@@ -52,99 +53,69 @@ def _pieces(cells, starts, ends) -> Iterator[tuple]:
         yield cells[first:last], piece_starts, piece_ends
 
 
-def core_decrement(indptr, indices, peel_round, frontier):
-    """Degree losses caused by peeling ``frontier``: ``(targets, counts)``.
-
-    A still-alive vertex (``peel_round < 0``) loses one degree for every
-    frontier neighbour; frontier members themselves and vertices peeled in
-    earlier rounds are already out of the graph.  One gather + one
-    ``unique`` — the parallel analogue of the inner loop of the sequential
-    Batagelj–Zaversnik peel.  Sparse output keeps a round's cost
-    proportional to the cells it actually touches, not the graph size.
-    """
-    slots, _ = _gather_slots(indptr[frontier], indptr[frontier + 1])
-    if len(slots) == 0:
-        return _EMPTY, _EMPTY
-    neighbors = indices[slots]
-    alive = peel_round[neighbors] < 0
-    return np.unique(neighbors[alive], return_counts=True)
+def _joined(parts: list):
+    """``parts`` concatenated; a single part is returned as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def incidence_decrement(ptr, comps, peel_round, frontier, rnd):
-    """Support losses caused by peeling ``frontier``: ``(targets, counts)``.
+    """Support losses caused by peeling ``frontier`` in round ``rnd``:
+    ``(targets, counts)``.
 
-    Walks the materialised incidence of every frontier cell.  An s-clique
-    is *spent* the first time one of its cells is peeled, so each one must
-    decrement its surviving cells exactly once across the whole round:
+    Walks the incidence slots of every frontier cell.  An s-clique is
+    *spent* the first time one of its cells is peeled, so it decrements
+    each surviving cell exactly once across the whole round.  A companion
+    loses one for a slot when it is still alive (``peel_round < 0``) and
+    no *other* companion of the slot
 
-    * any companion peeled in an **earlier** round (``0 <= peel_round <
-      rnd``) means the clique was already spent — skip it entirely;
-    * among the frontier cells of a clique, only the minimum-id one owns
-      it (the others skip), mirroring the sequential rule that whichever
-      same-λ cell pops first spends the clique;
-    * the owner decrements exactly the companions that are still alive
-      (``peel_round < 0``).
+    * was peeled in an **earlier** round (``0 <= peel_round < rnd``):
+      the clique was already spent; or
+    * owns the clique: it is in this round's frontier with a smaller id
+      than the slot's cell, mirroring the sequential rule that whichever
+      same-λ cell pops first spends the clique.
+
+    A live companion does neither, so with one column — (1,2), whose
+    incidence is the adjacency — there is no other companion to check: a
+    vertex loses one degree per frontier neighbour, and no slot needs
+    its cell.  A gather per column and one ``unique`` — the parallel
+    analogue of the sequential peel's inner loop; the sparse output keeps
+    a round's cost proportional to the slots it walks.
     """
     slots, counts = _gather_slots(ptr[frontier], ptr[frontier + 1])
     if len(slots) == 0:
         return _EMPTY, _EMPTY
-    cell_of_slot = np.repeat(frontier, counts)
     companions = [c[slots] for c in comps]
     rounds = [peel_round[c] for c in companions]
-    spent = np.zeros(len(slots), dtype=bool)
-    owner = np.ones(len(slots), dtype=bool)
-    for comp, comp_round in zip(companions, rounds, strict=True):
-        spent |= (comp_round >= 0) & (comp_round < rnd)
-        in_frontier = comp_round == rnd
-        owner &= ~in_frontier | (cell_of_slot < comp)
-    live = ~spent & owner
-    hit = [comp[live & (comp_round < 0)]
-           for comp, comp_round in zip(companions, rounds, strict=True)]
+    keep = [comp_round < 0 for comp_round in rounds]
+    if len(comps) > 1:
+        # a live companion never spends or owns the clique, so one mask
+        # over every column tests exactly each live companion's others
+        cell_of_slot = np.repeat(frontier, counts)
+        clear = np.ones(len(slots), dtype=bool)
+        for comp, comp_round, alive in zip(companions, rounds, keep,
+                                           strict=True):
+            clear &= alive | ((comp_round == rnd) & (comp > cell_of_slot))
+        keep = [alive & clear for alive in keep]
+    hit = [comp[alive] for comp, alive in zip(companions, keep, strict=True)]
     hit = [h for h in hit if len(h)]
     if not hit:
         return _EMPTY, _EMPTY
-    return np.unique(np.concatenate(hit) if len(hit) > 1 else hit[0],
-                     return_counts=True)
-
-
-def core_level_edges(indptr, indices, lam, frontier, k) -> Iterator[tuple]:
-    """Level-``k`` connectivity pairs of a (1,2) λ frontier, in chunks.
-
-    ``frontier`` holds vertices with λ = ``k``.  An edge connects two
-    sub-nuclei at level ``k`` exactly when its minimum endpoint λ is
-    ``k``; the minimum-id λ = ``k`` endpoint *owns* the edge so each one
-    is emitted by exactly one frontier cell.  Yields aligned ``(a, b)``
-    arrays with ``a`` the owning frontier vertex and λ(b) >= ``k``, one
-    pair per chunk of at most ``_LEVEL_CHUNK_SLOTS`` adjacency slots.
-    """
-    for piece in _pieces(frontier, indptr[frontier], indptr[frontier + 1]):
-        yield _core_pairs(indices, lam, k, *piece)
-
-
-def _core_pairs(indices, lam, k, cells, starts, ends) -> tuple:
-    """:func:`core_level_edges` over one piece of the frontier's runs
-    (its gathers are freed before the consumer hooks the pairs)."""
-    slots, counts = _gather_slots(starts, ends)
-    cell = np.repeat(cells, counts)
-    neighbor = indices[slots]
-    nl = lam[neighbor]
-    keep = (nl > k) | ((nl == k) & (neighbor > cell))
-    return cell[keep], neighbor[keep]
+    return np.unique(_joined(hit), return_counts=True)
 
 
 def incidence_level_edges(ptr, comps, lam, frontier, k) -> Iterator[tuple]:
-    """Level-``k`` connectivity pairs of a (2,3)/(3,4) λ frontier, in
-    chunks.
+    """Level-``k`` connectivity pairs of a λ frontier, in chunks.
 
-    Walks the materialised incidence of every frontier cell (all λ =
-    ``k``).  An s-clique becomes *active* at level ``k`` when the
-    minimum λ over its cells is ``k``; its minimum-id λ = ``k`` cell
-    owns it and emits one ``(owner, companion)`` pair per companion —
-    a star, so the clique's cells land in one component.  Companions
-    with λ < ``k`` kill the slot (the clique activated at a lower
-    level); a λ = ``k`` companion with a smaller id means another
-    frontier cell owns it.  Yields the pairs of at most
-    ``_LEVEL_CHUNK_SLOTS`` incidence slots at a time.
+    Walks the incidence slots of every frontier cell (all λ = ``k``).
+    An s-clique becomes *active* at level ``k`` when the minimum λ over
+    its cells is ``k``; its minimum-id λ = ``k`` cell owns it and emits
+    one ``(owner, companion)`` pair per companion — a star, so the
+    clique's cells land in one component.  Companions with λ < ``k``
+    kill the slot (the clique activated at a lower level); a λ = ``k``
+    companion with a smaller id means another frontier cell owns it.  At
+    (1,2) the incidence is the adjacency, and an edge is a pair.  Yields
+    aligned ``(a, b)`` arrays, ``a`` the owning frontier cell and λ(b) >=
+    ``k``, for at most ``_LEVEL_CHUNK_SLOTS`` incidence slots at a time.
     """
     for piece in _pieces(frontier, ptr[frontier], ptr[frontier + 1]):
         yield _incidence_pairs(comps, lam, k, *piece)
@@ -152,7 +123,7 @@ def incidence_level_edges(ptr, comps, lam, frontier, k) -> Iterator[tuple]:
 
 def _incidence_pairs(comps, lam, k, cells, starts, ends) -> tuple:
     """:func:`incidence_level_edges` over one piece of the frontier's
-    runs."""
+    runs (its gathers are freed before the consumer hooks the pairs)."""
     slots, counts = _gather_slots(starts, ends)
     cell_of_slot = np.repeat(cells, counts)
     companions = [c[slots] for c in comps]
@@ -162,8 +133,8 @@ def _incidence_pairs(comps, lam, k, cells, starts, ends) -> tuple:
         keep &= cl >= k
         keep &= (cl != k) | (comp > cell_of_slot)
     owner = cell_of_slot[keep]
-    return (np.concatenate([owner] * len(companions)),
-            np.concatenate([comp[keep] for comp in companions]))
+    return (_joined([owner] * len(companions)),
+            _joined([comp[keep] for comp in companions]))
 
 
 def component_roots(label, x, y):

@@ -1,7 +1,7 @@
 """Bounded transient memory: the build's edge-sized passes run in chunks.
 
 The CSR build's scatter (``csr._BUILD_CHUNK`` edges), the level-edge
-kernels of the construction (``kernels._LEVEL_CHUNK_SLOTS`` slots) and
+kernel of the construction (``kernels._LEVEL_CHUNK_SLOTS`` slots) and
 the statistics' edge pass (``flatindex._STATS_CHUNK`` edges) cut their
 work into parts.  Two contracts:
 
@@ -25,7 +25,8 @@ import pytest
 import repro.flatindex as flatindex_module
 import repro.graph.csr as csr_module
 import repro.parallel.kernels as kernels_module
-from repro.backends import core_peel, decompose
+from repro.backends import core_peel, decompose, truss_peel
+from repro.core.csr_peel import incidence_arrays
 from repro.flatindex import FlatHierarchyIndex
 from repro.graph.csr import CSRGraph
 
@@ -59,6 +60,12 @@ def _build(graph, r: int, s: int, path) -> dict:
     }
 
 
+def _pairs(chunks) -> list:
+    """The ``(a, b)`` pairs of a level-edge kernel's chunks, sorted."""
+    return sorted(pair for a, b in chunks
+                  for pair in zip(a.tolist(), b.tolist()))
+
+
 class TestChunkBoundaryParity:
     @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
     @pytest.mark.parametrize("graph", GENERATOR_SUITE,
@@ -76,24 +83,29 @@ class TestChunkBoundaryParity:
             assert chunked["index"][key] == value, key
 
     def test_runs_longer_than_a_chunk_are_cut(self, monkeypatch):
-        """A 3-slot budget cuts the hub's 8-slot run of a K₅ with four
-        pendant leaves across chunks; the pairs are the one-chunk pairs,
-        in order."""
+        """A 2-slot budget cuts the top level's runs of a K₅ with four
+        pendant leaves across chunks: the hub's 8 adjacency slots at
+        (1,2), every K₅ edge's 3 triangle slots at (2,3).  The chunks
+        hold the one-chunk pairs."""
         csr = CSRGraph(9, [(u, v) for u in range(5) for v in range(u + 1, 5)]
                        + [(0, leaf) for leaf in range(5, 9)])
-        lam = np.asarray(core_peel(csr, backend="csr").lam, dtype=np.int64)
-        frontier = np.flatnonzero(lam == 4)
-        slots = int(np.diff(csr.indptr)[frontier].sum())
-        whole = list(kernels_module.core_level_edges(
-            csr.indptr, csr.indices, lam, frontier, 4))
-        monkeypatch.setattr(kernels_module, "_LEVEL_CHUNK_SLOTS", 3)
-        parts = list(kernels_module.core_level_edges(
-            csr.indptr, csr.indices, lam, frontier, 4))
-        assert frontier.tolist() == [0, 1, 2, 3, 4] and slots == 24
-        assert len(whole) == 1 and len(parts) == 8
-        for column in range(2):
-            got = np.concatenate([part[column] for part in parts])
-            assert got.tolist() == whole[0][column].tolist()
+        levels = []
+        for (r, s), peel, k in (((1, 2), core_peel, 4),
+                                ((2, 3), truss_peel, 3)):
+            _, _, ptr, comps = incidence_arrays(csr, r, s)
+            lam = np.asarray(peel(csr, backend="csr").lam, dtype=np.int64)
+            levels.append((ptr, comps, lam, np.flatnonzero(lam == k), k))
+        wholes = [list(kernels_module.incidence_level_edges(*level))
+                  for level in levels]
+        monkeypatch.setattr(kernels_module, "_LEVEL_CHUNK_SLOTS", 2)
+        for level, whole, frontier_size, slots in zip(levels, wholes,
+                                                      (5, 10), (24, 30)):
+            ptr, _, _, frontier, _ = level
+            parts = list(kernels_module.incidence_level_edges(*level))
+            assert len(frontier) == frontier_size
+            assert int((ptr[frontier + 1] - ptr[frontier]).sum()) == slots
+            assert len(whole) == 1 and len(parts) == slots // 2
+            assert _pairs(parts) == _pairs(whole)
 
 
 def _path_powers(copies: int, length: int, k: int) -> CSRGraph:

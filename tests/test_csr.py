@@ -78,7 +78,7 @@ def _k4_counts_by_triple(view) -> dict:
 def _reference_incidence_truss_peel(graph: Graph) -> list[int]:
     """λ₃ from the frontier rounds over an edge→triangle incidence built
     from the object graph's triangle listing and edge index."""
-    from repro.parallel.bulk import _incidence_rounds
+    from repro.parallel.bulk import _round_loop
 
     index = graph.edge_index
     rows: list[list[tuple[int, int]]] = [[] for _ in range(graph.m)]
@@ -91,7 +91,7 @@ def _reference_incidence_truss_peel(graph: Graph) -> list[int]:
     ptr = np.concatenate(([0], np.cumsum(sup))).astype(np.int64)
     comps = tuple(np.array([pair[i] for row in rows for pair in row],
                            dtype=np.int64) for i in (0, 1))
-    return _incidence_rounds(sup, ptr, comps)[0].tolist()
+    return _round_loop(sup, ptr, comps)[0].tolist()
 
 
 def _build_variants(graph: Graph) -> list[CSRGraph]:

@@ -213,36 +213,39 @@ class TestLcpsCsr:
 # ---------------------------------------------------------------------------
 # dispatch defaults: backend=None follows the input representation
 # ---------------------------------------------------------------------------
+def record_bulk_peels(monkeypatch) -> list:
+    """Wrap the CSR engine's one peel entry; returns the (r, s) of every
+    call it makes."""
+    calls: list = []
+    real = backends.bulk_peel
+
+    def recording(csr, r, s, workers):
+        calls.append((r, s))
+        return real(csr, r, s, workers)
+
+    monkeypatch.setattr(backends, "bulk_peel", recording)
+    return calls
+
+
 class TestDispatchDefaults:
     def test_core_peel_csr_input_runs_csr_engine(self, monkeypatch):
         """Regression: `core_peel(as_csr(g))` used to silently convert back
         and run the object engine (`backend` defaulted to "object")."""
-        calls = []
-        real = backends.bulk_core_peel
-        monkeypatch.setattr(backends, "bulk_core_peel",
-                            lambda csr: calls.append("csr") or real(csr))
+        calls = record_bulk_peels(monkeypatch)
         csr = as_csr(generators.complete_graph(5))
         result = core_peel(csr)
-        assert calls == ["csr"]
+        assert calls == [(1, 2)]
         assert result.lam == [4] * 5
 
     def test_truss_peel_csr_input_runs_csr_engine(self, monkeypatch):
-        calls = []
-        real = backends.bulk_truss_peel
-        monkeypatch.setattr(
-            backends, "bulk_truss_peel",
-            lambda csr, workers: calls.append("csr") or real(csr, workers))
+        calls = record_bulk_peels(monkeypatch)
         truss_peel(as_csr(generators.complete_graph(5)))
-        assert calls == ["csr"]
+        assert calls == [(2, 3)]
 
     def test_nucleus34_peel_csr_input_runs_csr_engine(self, monkeypatch):
-        calls = []
-        real = backends.bulk_nucleus34_peel
-        monkeypatch.setattr(
-            backends, "bulk_nucleus34_peel",
-            lambda csr, workers: calls.append("csr") or real(csr, workers))
+        calls = record_bulk_peels(monkeypatch)
         nucleus34_peel(as_csr(generators.complete_graph(5)))
-        assert calls == ["csr"]
+        assert calls == [(3, 4)]
 
     def test_decompose_follows_input(self):
         g = generators.planted_cliques(2, 5, seed=3)
@@ -256,8 +259,9 @@ class TestDispatchDefaults:
         assert isinstance(decompose(csr, 1, 2, backend="object").graph, Graph)
 
     def test_object_input_still_defaults_to_object_engine(self, monkeypatch):
-        monkeypatch.setattr(backends, "bulk_core_peel",
-                            lambda csr: pytest.fail("object input ran CSR"))
+        monkeypatch.setattr(
+            backends, "bulk_peel",
+            lambda *args: pytest.fail("object input ran CSR"))
         core_peel(generators.complete_graph(4))
 
 

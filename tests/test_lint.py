@@ -412,40 +412,26 @@ class TestCli:
         assert rows[0]["code"] == "RL006"
 
     def test_format_sarif(self, tmp_path, capsys):
+        # text and JSON are the output formats: SARIF is a usage error
         target = self._bad_file(tmp_path)
-        assert lint_main(["--format", "sarif", str(target)]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        assert doc["runs"][0]["results"][0]["ruleId"] == "RL006"
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        target = self._bad_file(tmp_path)
-        baseline = tmp_path / "accepted.json"
-        assert lint_main(["--write-baseline", str(baseline),
-                          str(target)]) == 0
-        capsys.readouterr()
-        assert lint_main(["--baseline", str(baseline), str(target)]) == 0
-        assert "1 baselined" in capsys.readouterr().err
-        # without the baseline the finding is back
-        assert lint_main(["--no-baseline", str(target)]) == 1
-
-    def test_baseline_autodetected_in_cwd(self, tmp_path, capsys,
-                                          monkeypatch):
-        target = self._bad_file(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        assert lint_main([str(target)]) == 1
-        capsys.readouterr()
-        assert lint_main([str(target), "--write-baseline"]) == 0
-        assert (tmp_path / ".repro-lint-baseline.json").is_file()
-        capsys.readouterr()
-        assert lint_main([str(target)]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            lint_main(["--format", "sarif", str(target)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'sarif'" in capsys.readouterr().err
 
     def test_bad_baseline_exits_two(self, tmp_path, capsys):
+        # no baseline file is read or written: each of the baseline
+        # options is a usage error
         target = self._bad_file(tmp_path)
-        baseline = tmp_path / "broken.json"
-        baseline.write_text("[not json")
-        assert lint_main(["--baseline", str(baseline), str(target)]) == 2
-        assert "bad baseline" in capsys.readouterr().err
+        baseline = tmp_path / "accepted.json"
+        baseline.write_text("[]")
+        for option in (["--baseline", str(baseline)], ["--no-baseline"],
+                       ["--write-baseline", str(baseline)]):
+            with pytest.raises(SystemExit) as exit_info:
+                lint_main([*option, str(target)])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert baseline.read_text() == "[]"
 
 
 # ---------------------------------------------------------------------------

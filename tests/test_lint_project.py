@@ -1,6 +1,6 @@
 """The whole-project analysis layer: Project graphs and summaries, the
-interprocedural rules RL007 and RL009 (fire and no-fire pairs), output
-formats, and the baseline machinery.
+interprocedural rules RL007 and RL009 (fire and no-fire pairs), and the
+output formats.
 
 The RL007 fixtures re-enact the PR 3 int64 key-packing incident — the
 ``.astype(np.int32)`` in a helper, the ``a * n + b`` in its caller —
@@ -11,7 +11,6 @@ import importlib
 import json
 from pathlib import Path
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,11 +22,9 @@ from repro.lint import (
     lint_source,
     parse_module,
 )
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.engine import iter_python_files
-from repro.lint.output import render_json, render_sarif, render_text
+from repro.lint.output import render_json, render_text
 from repro.lint.project import module_name
-from repro.lint.registry import all_rules
 
 REPO = Path(__file__).resolve().parents[1]
 PARALLEL = "src/repro/parallel/fixture.py"
@@ -387,87 +384,3 @@ class TestOutputFormats:
         assert row["code"] == "RL009"
         assert row["path"] == ANALYSIS
         assert row["line"] == 4
-
-    def test_sarif_is_valid_2_1_0(self):
-        doc = json.loads(render_sarif(self.VIOLATIONS, all_rules()))
-        assert doc["version"] == "2.1.0"
-        assert doc["$schema"].endswith("sarif-2.1.0.json")
-        (run,) = doc["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        rule_ids = [rule["id"] for rule in driver["rules"]]
-        assert rule_ids == sorted(rule_ids)
-        assert {"RL007", "RL009"} <= set(rule_ids)
-        (result,) = run["results"]
-        assert result["ruleId"] == "RL009"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == ANALYSIS
-        assert location["region"]["startLine"] == 4
-        assert location["region"]["startColumn"] >= 1
-        assert driver["rules"][rule_ids.index("RL009")]["name"] == \
-            "backend-contract"
-
-    def test_sarif_empty_run_is_still_valid(self):
-        doc = json.loads(render_sarif([], all_rules()))
-        assert doc["runs"][0]["results"] == []
-
-
-# ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-class TestBaseline:
-    def test_round_trip_filters_findings(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(self.violations(), path)
-        baseline = load_baseline(path)
-        fresh, matched = apply_baseline(self.violations(), baseline)
-        assert fresh == []
-        assert matched == 1
-
-    def test_line_moves_do_not_invalidate(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(self.violations(), path)
-        moved = lint_source(
-            "# a comment pushing everything down\n\n\n"
-            "def facade(graph, backend=None, workers=None):\n"
-            "    return graph\n"
-            "def caller(g):\n"
-            "    return facade(g, worker=2)\n",
-            path=ANALYSIS)
-        fresh, matched = apply_baseline(moved, load_baseline(path))
-        assert fresh == [] and matched == 1
-
-    def test_new_findings_stay_visible(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(self.violations(), path)
-        extra = self.violations() + lint_source(
-            "def run(g, peel):\n"
-            "    return peel(g, backend=\"nope\")\n",
-            path=ANALYSIS)
-        fresh, matched = apply_baseline(sorted(extra), load_baseline(path))
-        assert matched == 1
-        assert [v.code for v in fresh] == ["RL009"]
-        assert "nope" in fresh[0].message
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("{\"findings\": [{\"path\": \"x\"}]}")
-        with pytest.raises(ValueError):
-            load_baseline(path)
-        path.write_text("{\"findings\": 3}")
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-    def test_checked_in_baseline_is_valid_and_empty(self):
-        baseline = load_baseline(REPO / ".repro-lint-baseline.json")
-        assert sum(baseline.values()) == 0
-
-    @staticmethod
-    def violations():
-        return lint_source(
-            "def facade(graph, backend=None, workers=None):\n"
-            "    return graph\n"
-            "def caller(g):\n"
-            "    return facade(g, worker=2)\n",
-            path=ANALYSIS)

@@ -18,7 +18,8 @@ from repro.graph import generators
 from repro.graph.io import save_edge_list
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-PACKAGES = ("repro", "repro.core", "repro.graph", "repro.analysis")
+PACKAGES = ("repro", "repro.core", "repro.graph", "repro.analysis",
+            "repro.parallel")
 
 
 def _run(code: str) -> dict:

@@ -3,8 +3,9 @@
 Covers:
 
 * the chunk helper that splits the listing kernels' work into ranges;
-* the vectorised K₄ listing and the in-process bulk peels against
-  brute-force oracles and the object engine;
+* the vectorised K₄ listing, the round decrement kernel and the
+  in-process bulk peel against brute-force oracles and the object
+  engine;
 * the thread pool behind ``workers=``: the triangle and K₄ listings
   and incidences at any worker count equal the single-worker arrays byte
   for byte, the thread count never exceeds the CPUs in the affinity
@@ -22,6 +23,7 @@ import os
 import random
 import sys
 import threading
+from collections import Counter
 from itertools import accumulate
 
 import numpy as np
@@ -47,6 +49,7 @@ from repro.backends import (
 )
 from repro.cli import main
 from repro.core.csr_peel import (
+    incidence_arrays,
     nucleus34_incidence,
     nucleus34_incidence_arrays,
     truss_incidence_arrays,
@@ -65,13 +68,9 @@ from repro.graph.csr import (
     csr_triangle_edge_ids,
     triangle_tuples,
 )
-from repro.parallel import (
-    bulk_core_peel,
-    bulk_nucleus34_peel,
-    bulk_truss_peel,
-)
+from repro.parallel import bulk_peel, incidence_decrement
 
-from _graphs import assert_same_bytes
+from _graphs import GENERATOR_SUITE, assert_same_bytes
 
 
 def random_csr(seed: int, max_n: int = 60) -> CSRGraph:
@@ -210,20 +209,21 @@ class TestVectorisedK4:
 
 
 # ---------------------------------------------------------------------------
-# bulk peels, in-process
+# the bulk peel, in-process
 # ---------------------------------------------------------------------------
 class TestBulkPeels:
     @pytest.mark.parametrize("seed", range(10))
     def test_lambda_parity_random(self, seed):
         csr = random_csr(seed)
-        assert bulk_core_peel(csr).lam == core_peel(csr, backend="object").lam
-        assert bulk_truss_peel(csr).lam == truss_peel(csr, backend="object").lam
-        assert bulk_nucleus34_peel(csr).lam == nucleus34_peel(csr, backend="object").lam
+        assert bulk_peel(csr, 1, 2).lam == core_peel(csr, backend="object").lam
+        assert bulk_peel(csr, 2, 3).lam == truss_peel(csr, backend="object").lam
+        assert bulk_peel(csr, 3, 4).lam == \
+            nucleus34_peel(csr, backend="object").lam
 
     def test_lambda_parity_powerlaw(self, powerlaw_csr):
-        assert bulk_core_peel(powerlaw_csr).lam == \
+        assert bulk_peel(powerlaw_csr, 1, 2).lam == \
             core_peel(powerlaw_csr, backend="object").lam
-        assert bulk_truss_peel(powerlaw_csr).lam == \
+        assert bulk_peel(powerlaw_csr, 2, 3).lam == \
             truss_peel(powerlaw_csr, backend="object").lam
 
     def test_long_cascade_stays_linear(self):
@@ -235,33 +235,31 @@ class TestBulkPeels:
         n = 60000
         csr = CSRGraph(n, [(i, i + 1) for i in range(n - 1)])
         start = time.perf_counter()
-        result = bulk_core_peel(csr)
+        result = bulk_peel(csr, 1, 2)
         elapsed = time.perf_counter() - start
         assert result.lam == core_peel(csr, backend="object").lam
         assert elapsed < 10.0  # quadratic behaviour would take minutes
 
     def test_support_gaps_cost_no_memory(self):
         # buckets exist only for the support levels present: two cells
-        # 2·10⁵ levels apart peel in two rounds with no per-level state
+        # 2·10⁵ levels apart, with no s-clique between them (an empty
+        # incidence), peel in two rounds with no per-level state
         import tracemalloc
 
         from repro.parallel.bulk import _round_loop
 
-        def no_decrement(frontier, rnd):
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-
         sup = np.array([200_000, 0], dtype=np.int64)
-        peel_round = np.full(2, -1, dtype=np.int64)
+        ptr = np.zeros(3, dtype=np.int64)
+        comps = (np.empty(0, dtype=np.int64),)
         tracemalloc.start()
         try:
-            lam, max_lambda, order = _round_loop(sup, peel_round,
-                                                 no_decrement)
+            lam, max_lambda, order = _round_loop(sup, ptr, comps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert lam.tolist() == [200_000, 0] and max_lambda == 200_000
-        assert order.tolist() == [1, 0] and peel_round.tolist() == [1, 0]
+        assert order.tolist() == [1, 0]
 
     def test_star_parity(self):
         # a hub of degree 3000, in a K₉ with eight of its leaves: supports
@@ -270,7 +268,8 @@ class TestBulkPeels:
         graph = Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)]
                       + [(u, v) for u in range(1, 9) for v in range(u + 1, 9)])
         csr = as_backend(graph, "csr")
-        assert bulk_core_peel(csr).lam == core_peel(graph, backend="object").lam
+        assert bulk_peel(csr, 1, 2).lam == \
+            core_peel(graph, backend="object").lam
         for (r, s), k9_lambda in (((1, 2), 8), ((2, 3), 7)):
             want = decompose(graph, r, s, backend="object")
             got = decompose(csr, r, s, backend="csr")
@@ -280,13 +279,58 @@ class TestBulkPeels:
                 want.hierarchy.canonical_nuclei()
 
     def test_bulk_order_is_valid_peel_order(self, powerlaw_csr):
-        result = bulk_core_peel(powerlaw_csr)
+        result = bulk_peel(powerlaw_csr, 1, 2)
         seen = sorted(result.order)
         assert seen == list(range(powerlaw_csr.n))
         # lambda values along the order never decrease (frontier rounds
         # peel in non-decreasing k)
         lams = [result.lam[v] for v in result.order]
         assert all(a <= b for a, b in zip(lams, lams[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the round decrement kernel
+# ---------------------------------------------------------------------------
+class TestDecrementKernel:
+    """:func:`incidence_decrement` against a per-clique rule, from random
+    mid-peel states at every (r, s)."""
+
+    @pytest.mark.parametrize("rs", [(1, 2), (2, 3), (3, 4)],
+                             ids=["12", "23", "34"])
+    @pytest.mark.parametrize("graph", GENERATOR_SUITE,
+                             ids=[g.name for g in GENERATOR_SUITE])
+    def test_matches_per_clique_rule(self, graph, rs):
+        _, _, ptr, comps = incidence_arrays(as_backend(graph, "csr"), *rs)
+        size = len(ptr) - 1
+        cliques = sorted({tuple(sorted([cell, *(int(c[slot]) for c in comps)]))
+                          for cell in range(size)
+                          for slot in range(ptr[cell], ptr[cell + 1])})
+        rng = random.Random(f"{graph.name}-{rs}")
+        for rnd in range(4):
+            # cells peeled in earlier rounds, this round's frontier, and
+            # the rest alive; then whole cliques pulled into the frontier,
+            # so same-level cells share cliques
+            peel_round = np.array(
+                [rng.randrange(rnd) if rnd and draw < 0.2
+                 else rnd if draw < 0.45 else -1
+                 for draw in (rng.random() for _ in range(size))],
+                dtype=np.int64)
+            for clique in rng.sample(cliques, min(3, len(cliques))):
+                peel_round[[c for c in clique if peel_round[c] < 0]] = rnd
+            frontier = np.flatnonzero(peel_round == rnd)
+            want: Counter = Counter()
+            for clique in cliques:
+                rounds = peel_round[list(clique)]
+                if ((rounds >= 0) & (rounds < rnd)).any():
+                    continue  # spent in an earlier round: decrements nothing
+                if (rounds == rnd).any():
+                    # its smallest frontier id owns it: each live cell
+                    # loses one, however many frontier cells it holds
+                    want.update(c for c, x in zip(clique, rounds) if x < 0)
+            targets, counts = incidence_decrement(ptr, comps, peel_round,
+                                                  frontier, rnd)
+            assert targets.tolist() == sorted(want)
+            assert counts.tolist() == [want[c] for c in sorted(want)]
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +386,9 @@ class TestWorkerPool:
         assert [c.tolist() for c in comps] == list(s_comps)
 
     def test_pool_peel_parity(self, powerlaw_csr, eight_cpus):
-        assert bulk_truss_peel(powerlaw_csr, 2).lam == \
+        assert bulk_peel(powerlaw_csr, 2, 3, 2).lam == \
             truss_peel(powerlaw_csr, backend="object").lam
-        assert bulk_nucleus34_peel(powerlaw_csr, 2).lam == \
+        assert bulk_peel(powerlaw_csr, 3, 4, 2).lam == \
             nucleus34_peel(powerlaw_csr, backend="object").lam
 
     def test_pool_survives_task_errors(self, powerlaw_csr, monkeypatch,
@@ -371,9 +415,10 @@ class TestWorkerPool:
         for n, edges in [(0, []), (1, []), (2, [(0, 1)]),
                          (3, [(0, 1), (1, 2), (0, 2)])]:
             csr = CSRGraph(n, edges)
-            for func, peel in ((bulk_truss_peel, truss_peel),
-                               (bulk_nucleus34_peel, nucleus34_peel)):
-                assert func(csr, 2).lam == peel(csr, backend="object").lam
+            for (r, s), peel in (((2, 3), truss_peel),
+                                 ((3, 4), nucleus34_peel)):
+                assert bulk_peel(csr, r, s, 2).lam == \
+                    peel(csr, backend="object").lam
 
     @pytest.mark.parametrize("rs", [(1, 2), (2, 3), (3, 4)])
     def test_no_process_is_started(self, rs, monkeypatch):

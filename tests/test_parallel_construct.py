@@ -7,7 +7,8 @@ the object engine), for (1,2), (2,3) and (3,4), at every worker count,
 deterministically.
 Covers the layers bottom-up:
 
-* the level-edge kernels against brute-force oracles;
+* the level-edge kernel against a brute-force oracle, on the (1,2)
+  adjacency and the (2,3)/(3,4) incidences;
 * the level-wise build vs the object engine's FND;
 * the full pipeline — repeated-run determinism, and the single-core /
   ``workers=1`` paths that never build a thread pool.
@@ -28,15 +29,10 @@ from repro.backends import (
     nucleus34_peel,
     truss_peel,
 )
-from repro.core.csr_peel import truss_incidence_arrays
+from repro.core.csr_peel import incidence_arrays
 from repro.graph import generators
 from repro.graph.csr import CSRGraph
-from repro.parallel import (
-    core_hierarchy_from_lambda,
-    core_level_edges,
-    incidence_hierarchy_from_lambda,
-    incidence_level_edges,
-)
+from repro.parallel import hierarchy_from_lambda, incidence_level_edges
 
 RS_PAIRS = ((1, 2), (2, 3), (3, 4))
 
@@ -56,6 +52,13 @@ def concat_chunks(chunks):
     return tuple(np.concatenate([part[i] for part in parts]
                                 or [np.empty(0, dtype=np.int64)])
                  for i in range(2))
+
+
+def build_from_lambda(csr: CSRGraph, r: int, s: int, lam):
+    """The level-wise hierarchy of settled ``lam`` over the (r, s)
+    incidence of ``csr``."""
+    _, _, ptr, comps = incidence_arrays(csr, r, s)
+    return hierarchy_from_lambda(r, s, lam, ptr, comps)
 
 
 def condensed_signature(hierarchy):
@@ -79,49 +82,44 @@ def powerlaw_csr() -> CSRGraph:
 # ---------------------------------------------------------------------------
 # level-edge kernels
 # ---------------------------------------------------------------------------
+def assert_level_edges_match_brute_force(ptr, comps, lam) -> None:
+    """Every level's pairs from :func:`incidence_level_edges` equal the
+    per-clique rule: a clique whose minimum λ is ``k`` joins its smallest
+    λ = ``k`` cell to each companion."""
+    for k in range(1, int(lam.max(initial=0)) + 1):
+        frontier = np.flatnonzero(lam == k)
+        a, b = concat_chunks(
+            incidence_level_edges(ptr, comps, lam, frontier, k))
+        got = set(zip(a.tolist(), b.tolist()))
+        expected = set()
+        for u in frontier.tolist():
+            for slot in range(ptr[u], ptr[u + 1]):
+                clique = [u] + [int(c[slot]) for c in comps]
+                lams = [int(lam[c]) for c in clique]
+                if min(lams) != k:
+                    continue  # the clique activates at a lower level
+                if min(c for c, cl in zip(clique, lams) if cl == k) != u:
+                    continue  # another frontier cell owns this clique
+                for other in clique[1:]:
+                    expected.add((u, other))
+        assert got == expected
+
+
 class TestLevelEdgeKernels:
     @pytest.mark.parametrize("seed", range(6))
     def test_core_level_edges_match_brute_force(self, seed):
+        # (1,2)'s incidence is the adjacency: an edge is a 2-clique
         csr = random_csr(seed)
-        indptr, indices = csr.indptr, csr.indices
         lam = np.asarray(core_peel(csr, backend="object").lam, dtype=np.int64)
-        for k in range(1, int(lam.max(initial=0)) + 1):
-            frontier = np.flatnonzero(lam == k)
-            a, b = concat_chunks(
-                core_level_edges(indptr, indices, lam, frontier, k))
-            got = set(zip(a.tolist(), b.tolist()))
-            expected = set()
-            for u, v in csr.edges():
-                if min(lam[u], lam[v]) != k:
-                    continue  # the edge activates at a different level
-                owner, other = (u, v) if lam[u] == k else (v, u)
-                if lam[other] == k:
-                    owner, other = min(u, v), max(u, v)
-                expected.add((owner, other))
-            assert got == expected
+        assert_level_edges_match_brute_force(csr.indptr, (csr.indices,), lam)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_incidence_level_edges_match_brute_force(self, seed):
         csr = random_csr(seed, max_n=30)
-        sup, ptr, comps = truss_incidence_arrays(csr)
-        lam = np.asarray(truss_peel(csr, backend="object").lam, dtype=np.int64)
-        for k in range(1, int(lam.max(initial=0)) + 1):
-            frontier = np.flatnonzero(lam == k)
-            a, b = concat_chunks(
-                incidence_level_edges(ptr, comps, lam, frontier, k))
-            got = set(zip(a.tolist(), b.tolist()))
-            expected = set()
-            for u in frontier.tolist():
-                for slot in range(ptr[u], ptr[u + 1]):
-                    clique = [u] + [int(c[slot]) for c in comps]
-                    lams = [int(lam[c]) for c in clique]
-                    if min(lams) != k:
-                        continue
-                    if min(c for c, cl in zip(clique, lams) if cl == k) != u:
-                        continue  # another frontier edge owns this triangle
-                    for other in clique[1:]:
-                        expected.add((u, other))
-            assert got == expected
+        for (r, s), peel in (((2, 3), truss_peel), ((3, 4), nucleus34_peel)):
+            _, _, ptr, comps = incidence_arrays(csr, r, s)
+            lam = np.asarray(peel(csr, backend="object").lam, dtype=np.int64)
+            assert_level_edges_match_brute_force(ptr, comps, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +131,7 @@ class TestLevelwiseConstruction:
         csr = random_csr(seed)
         reference = decompose(csr, 1, 2, algorithm="fnd", backend="object")
         lam = np.asarray(core_peel(csr, backend="object").lam, dtype=np.int64)
-        hierarchy = core_hierarchy_from_lambda(csr, lam)
+        hierarchy = build_from_lambda(csr, 1, 2, lam)
         hierarchy.validate()
         assert condensed_signature(hierarchy) == \
             condensed_signature(reference.hierarchy)
@@ -142,22 +140,18 @@ class TestLevelwiseConstruction:
     def test_truss_hierarchy_matches_sequential(self, seed):
         csr = random_csr(seed, max_n=30)
         reference = decompose(csr, 2, 3, algorithm="fnd", backend="object")
-        _, ptr, comps = truss_incidence_arrays(csr)
         lam = np.asarray(truss_peel(csr, backend="object").lam, dtype=np.int64)
-        hierarchy = incidence_hierarchy_from_lambda(2, 3, lam, ptr, comps)
+        hierarchy = build_from_lambda(csr, 2, 3, lam)
         hierarchy.validate()
         assert condensed_signature(hierarchy) == \
             condensed_signature(reference.hierarchy)
 
     def test_nucleus34_hierarchy_matches_sequential(self, powerlaw_csr):
-        from repro.core.csr_peel import nucleus34_incidence_arrays
-
         reference = decompose(powerlaw_csr, 3, 4, algorithm="fnd",
                               backend="object")
-        _, _, ptr, comps = nucleus34_incidence_arrays(powerlaw_csr)
         lam = np.asarray(nucleus34_peel(powerlaw_csr, backend="object").lam,
                          dtype=np.int64)
-        hierarchy = incidence_hierarchy_from_lambda(3, 4, lam, ptr, comps)
+        hierarchy = build_from_lambda(powerlaw_csr, 3, 4, lam)
         hierarchy.validate()
         assert condensed_signature(hierarchy) == \
             condensed_signature(reference.hierarchy)
@@ -169,13 +163,9 @@ class TestLevelwiseConstruction:
         csr = as_backend(generators.planted_cliques(
             20, 5, bridge_edges=0, noise_vertices=7, noise_edges=9, seed=4),
             "csr")
-        if rs == (1, 2):
-            lam = np.asarray(core_peel(csr, backend="object").lam)
-            hierarchy = core_hierarchy_from_lambda(csr, lam)
-        else:
-            lam = np.asarray(truss_peel(csr, backend="object").lam)
-            _, ptr, comps = truss_incidence_arrays(csr)
-            hierarchy = incidence_hierarchy_from_lambda(2, 3, lam, ptr, comps)
+        peel = core_peel if rs == (1, 2) else truss_peel
+        lam = np.asarray(peel(csr, backend="object").lam)
+        hierarchy = build_from_lambda(csr, *rs, lam)
         comp = np.asarray(hierarchy.comp)
         node_lambda = np.asarray(hierarchy.node_lambda).tolist()
         root = hierarchy.root
@@ -188,7 +178,7 @@ class TestLevelwiseConstruction:
     def test_empty_and_edgeless_graphs(self):
         for csr in (CSRGraph(0, []), CSRGraph(5, [])):
             lam = np.asarray(core_peel(csr, backend="object").lam, dtype=np.int64)
-            hierarchy = core_hierarchy_from_lambda(csr, lam)
+            hierarchy = build_from_lambda(csr, 1, 2, lam)
             hierarchy.validate()
             assert hierarchy.num_subnuclei == 0
             assert all(c == hierarchy.root for c in hierarchy.comp)
